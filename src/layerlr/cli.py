@@ -13,8 +13,8 @@ import os
 import sys
 
 from . import harness
-from .errors import ConfigError, DataError, NumericError
-from .landscapes import LANDSCAPE_KINDS, run_escape_trial
+from .errors import ConfigError, DataError, DimensionError, NumericError
+from .landscapes import LANDSCAPE_KINDS, Landscape, run_escape_trial
 from .nn import gradient_check, network_from_spec
 from .optim import make_optimizer
 from . import rng
@@ -35,6 +35,13 @@ MNIST_MIRRORS = (
     "https://storage.googleapis.com/cvdf-datasets/mnist/",
 )
 CIFAR_URL = "https://www.cs.toronto.edu/~kriz/cifar-10-binary.tar.gz"
+
+# Landscapes that define an escape distance, the only ones an escape trial
+# can run on.
+ESCAPE_LANDSCAPES = sorted(
+    kind for kind, cls in LANDSCAPE_KINDS.items()
+    if cls.escape_distance is not Landscape.escape_distance
+)
 
 
 def _split_overrides(extras):
@@ -87,19 +94,23 @@ def _cmd_table(args, extras) -> int:
     return EXIT_OK
 
 
+def _float_list(option, text):
+    try:
+        return [float(s) for s in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{option} expects a comma list of numbers, got {text!r}") from None
+
+
 def _cmd_bench(args, extras) -> int:
     if extras:
         raise ConfigError(f"unrecognized arguments: {extras}")
-    if args.landscape not in LANDSCAPE_KINDS:
+    if args.landscape not in ESCAPE_LANDSCAPES:
         raise ConfigError(
-            f"unknown landscape {args.landscape!r}; options: {sorted(LANDSCAPE_KINDS)}"
+            f"landscape {args.landscape!r} has no escape trial; options: {ESCAPE_LANDSCAPES}"
         )
-    if args.landscape == "deep-linear-chain":
-        landscape = LANDSCAPE_KINDS[args.landscape](args.depth)
-    else:
-        landscape = LANDSCAPE_KINDS[args.landscape]()
-    starts = [float(s) for s in args.starts.split(",")]
-    lrs = [float(s) for s in args.lrs.split(",")]
+    landscape = LANDSCAPE_KINDS[args.landscape]()
+    starts = _float_list("--starts", args.starts)
+    lrs = _float_list("--lrs", args.lrs)
     kinds = args.optimizers.split(",")
     lines = ["landscape,optimizer,start,lr,escape_iterations"]
     for lr in lrs:
@@ -211,9 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.set_defaults(func=_cmd_table, allow_overrides=True)
 
     p_bench = sub.add_parser("bench", help="saddle-escape benchmark grid")
-    p_bench.add_argument("--landscape", default="quadratic-saddle")
-    p_bench.add_argument("--depth", type=int, default=4,
-                         help="layers for deep-linear-chain")
+    p_bench.add_argument("--landscape", default="quadratic-saddle",
+                         help=f"one of {', '.join(ESCAPE_LANDSCAPES)}")
     p_bench.add_argument("--starts", default="1e-1,1e-2,1e-3,1e-4",
                          help="comma list of initial descent offsets")
     p_bench.add_argument("--lrs", default="0.1,0.01", help="comma list of learning rates")
@@ -247,7 +257,7 @@ def main(argv=None) -> int:
     args, extras = parser.parse_known_args(argv)
     try:
         return args.func(args, extras)
-    except ConfigError as exc:
+    except (ConfigError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:

@@ -1,7 +1,7 @@
 """Exception types shared across the library.
 
-The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError -> 3, NumericError -> 4.
+The CLI maps these onto process exit codes: ConfigError and
+DimensionError -> 2, DataError -> 3, NumericError -> 4.
 """
 
 

@@ -3,6 +3,10 @@
 Forward passes return an explicit cache object instead of storing state on
 the layers, so evaluation passes can never perturb training state. All math
 is float64; convolution uses im2col backed by BLAS matmul.
+
+Backward never forms the first layer's input gradient, the gradient with
+respect to the data, because nothing reads it. Max-pool ties go to the first
+maximum in row-major window order, the element np.argmax would pick.
 """
 
 import numpy as np
@@ -42,11 +46,16 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, grad_out, cache):
-        """Return (grad_in, [grad per param tensor])."""
+        """Return (grad_in, [grad per param tensor]).
+
+        Network.backward does not call this on a parameterless layer 0, and
+        calls a layer 0 with parameters as backward(grad_out, cache,
+        need_grad_in=False), which returns None for grad_in.
+        """
         raise NotImplementedError
 
     def pattern(self, cache):
-        """Discrete decisions made during forward (ReLU masks, pool argmax),
+        """Discrete decisions made during forward (ReLU masks, pool winners),
         or None for smooth layers. Used to detect kink crossings."""
         return None
 
@@ -86,12 +95,12 @@ class Dense(Layer):
         out = x2 @ w + b
         return out, (x2, x.shape)
 
-    def backward(self, grad_out, cache):
+    def backward(self, grad_out, cache, need_grad_in=True):
         x2, x_shape = cache
         w, _ = self.params
         grad_w = x2.T @ grad_out
         grad_b = grad_out.sum(axis=0)
-        grad_in = (grad_out @ w.T).reshape(x_shape)
+        grad_in = (grad_out @ w.T).reshape(x_shape) if need_grad_in else None
         return grad_in, [grad_w, grad_b]
 
 
@@ -154,7 +163,7 @@ class Conv2D(Layer):
         out = out2.reshape(self.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
         return np.ascontiguousarray(out), (col2, (n, c, h, w))
 
-    def backward(self, grad_out, cache):
+    def backward(self, grad_out, cache, need_grad_in=True):
         col2, (n, c, h, w) = cache
         k, s, p = self.kernel_size, self.stride, self.padding
         oh, ow = self._spatial_out(h, w)
@@ -162,17 +171,19 @@ class Conv2D(Layer):
         g2 = g2.reshape(self.out_channels, n * oh * ow)
         grad_w = (g2 @ col2.T).reshape(self.params[0].shape)
         grad_b = g2.sum(axis=1)
-        w2 = self.params[0].reshape(self.out_channels, -1)
-        gcol = (w2.T @ g2).reshape(c, k, k, n, oh, ow)
-        # col2im: accumulate each kernel-offset chunk back onto the input.
+        if not need_grad_in:
+            return None, [grad_w, grad_b]
+        # col2im one kernel offset at a time, into a channel-major buffer:
+        # the (c*k*k, n*oh*ow) column gradient is never held whole.
+        wt = np.ascontiguousarray(self.params[0].transpose(2, 3, 1, 0))  # (k,k,c,oc)
         hp, wp = h + 2 * p, w + 2 * p
-        gxp = np.zeros((n, c, hp, wp))
+        gxp = np.zeros((c, n, hp, wp))
         for dr in range(k):
             for dc in range(k):
                 gxp[:, :, dr:dr + s * oh:s, dc:dc + s * ow:s] += \
-                    gcol[:, dr, dc].transpose(1, 0, 2, 3)
+                    (wt[dr, dc] @ g2).reshape(c, n, oh, ow)
         gx = gxp[:, :, p:hp - p, p:wp - p] if p else gxp
-        return np.ascontiguousarray(gx), [grad_w, grad_b]
+        return np.ascontiguousarray(gx.transpose(1, 0, 2, 3)), [grad_w, grad_b]
 
 
 class MaxPool2D(Layer):
@@ -212,9 +223,16 @@ class MaxPool2D(Layer):
         for dr in range(k):
             for dc in range(k):
                 win[dr * k + dc] = xp[:, :, dr:dr + s * oh:s, dc:dc + s * ow:s]
-        winner = np.argmax(win, axis=0)                          # (n, c, oh, ow)
-        out = np.take_along_axis(win, winner[None], axis=0)[0]
-        return np.ascontiguousarray(out), (winner, (n, c, h, w), (hp, wp))
+        out = win.max(axis=0)                                    # (n, c, oh, ow)
+        # Winner: the first maximum in row-major window order, as np.argmax
+        # picks it. Offset j weighs k*k - j, so the largest weight among the
+        # maxima marks the first. A NaN window has no maximum and gets k*k,
+        # out of range; the non-finite loss it leads to stops training first.
+        weights = np.arange(k * k, 0, -1, dtype=np.min_scalar_type(k * k))
+        hit = np.equal(win, out, out=np.empty(win.shape, dtype=weights.dtype))
+        hit *= weights[:, None, None, None, None]
+        winner = k * k - hit.max(axis=0)
+        return out, (winner, (n, c, h, w), (hp, wp))
 
     def backward(self, grad_out, cache):
         winner, (n, c, h, w), (hp, wp) = cache
@@ -242,11 +260,10 @@ class ReLU(Layer):
         return tuple(in_shape)
 
     def forward(self, x):
-        mask = x > 0
-        return np.where(mask, x, 0.0), mask
+        return np.maximum(x, 0.0), x > 0
 
     def backward(self, grad_out, cache):
-        return np.where(cache, grad_out, 0.0), []
+        return grad_out * cache, []
 
     def pattern(self, cache):
         return cache
@@ -437,10 +454,14 @@ class Network:
         if cache._serial != self._serial:
             raise UsageError("stale cache: another forward ran after this one")
         grad = cache.loss_grad
-        by_layer = [None] * len(self.layers)
-        for i in range(len(self.layers) - 1, -1, -1):
-            grad, param_grads = self.layers[i].backward(grad, cache.layer_caches[i])
-            by_layer[i] = param_grads
+        by_layer = [[] for _ in self.layers]
+        for i in range(len(self.layers) - 1, 0, -1):
+            grad, by_layer[i] = self.layers[i].backward(grad, cache.layer_caches[i])
+        # Layer 0's input gradient is the gradient with respect to the data,
+        # which nothing reads.
+        if self.layers and self.layers[0].params:
+            _, by_layer[0] = self.layers[0].backward(
+                grad, cache.layer_caches[0], need_grad_in=False)
         return LayerGradients(by_layer)
 
     def predict(self, inputs):

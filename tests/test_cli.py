@@ -45,6 +45,21 @@ class TestExitCodes:
         code = cli.main(["fetch-data", "--dataset", "imagenet"])
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--arch=lenet"],  # the default blobs dataset is not 1x28x28
+        ["bench", "--starts", "abc"],
+        ["bench", "--lrs", "abc"],
+        ["bench", "--landscape", "deep-linear-chain"],
+    ])
+    def test_bad_argument_is_one_line_config_error(self, argv, tmp_path, capsys):
+        code = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestSubcommands:
     def test_table_writes_summary_csv(self, tmp_path):

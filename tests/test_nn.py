@@ -119,6 +119,43 @@ class TestBackward:
                 rel = np.abs(a - n) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
                 assert rel.max() < 1e-5
 
+    @pytest.mark.parametrize("build,shape", [
+        (lambda: build_mlp((5,), [7, 4], 3, activation="relu", seed=18), (5,)),
+        (lambda: Network((5,), [Tanh(), Dense(5, 3, init_gen=rng.generator(18, 1))]), (5,)),
+        (lambda: build_lenet(18), (1, 28, 28)),
+        (lambda: build_cifar_quick(18), (3, 32, 32)),
+    ])
+    def test_param_grads_match_full_chain(self, build, shape):
+        # Network.backward skips layer 0's input gradient; every parameter
+        # gradient must equal the one from running every layer's backward.
+        gen = rng.generator(18, 2)
+        net = build()
+        x = gen.standard_normal((3,) + shape)
+        y = gen.integers(0, 3, size=3)
+        _, cache = net.forward(x, y)
+        got = net.backward(cache)
+        grad = cache.loss_grad
+        for i in range(len(net.layers) - 1, -1, -1):
+            grad, expected = net.layers[i].backward(grad, cache.layer_caches[i])
+            assert len(got[i]) == len(expected)
+            for g, e in zip(got[i], expected):
+                assert np.array_equal(g, e), i
+
+    @pytest.mark.parametrize("build,shape", [
+        (build_lenet, (1, 28, 28)),
+        (build_cifar_quick, (3, 32, 32)),
+    ])
+    @pytest.mark.parametrize("whole_image", [True, False])
+    def test_nan_image_stops_at_loss_check(self, build, shape, whole_image):
+        net = build(seed=0)
+        x = rng.generator(19, 0).standard_normal((2,) + shape)
+        if whole_image:
+            x[0] = np.nan
+        else:
+            x[1, 0, 5, 7] = np.nan
+        with pytest.raises(NumericError, match="non-finite loss"):
+            net.forward(x, np.array([1, 2]))
+
     def test_stale_cache_rejected(self):
         net = build_mlp((3,), [], 2)
         x = np.zeros((2, 3))
@@ -268,6 +305,69 @@ class TestConvAndPoolOracles:
         x = gen.standard_normal((3, 2, hw, hw))
         out, _ = layer.forward(x)
         assert np.array_equal(out, self.brute_pool(x, k, s))
+
+    def tied_inputs(self, hw, seed):
+        """Inputs rich in ties: ReLU'd noise (all-zero windows), constant
+        planes, and a channel of small integers."""
+        gen = rng.generator(33, seed)
+        x = np.maximum(gen.standard_normal((2, 4, hw, hw)) - 0.5, 0.0)
+        x[:, 1] = 0.0
+        x[:, 2] = -1.5
+        x[:, 3] = gen.integers(-2, 2, size=(2, hw, hw))
+        return x
+
+    def first_max_winners(self, x, k, s):
+        """Row-major offset r*k + q of the first maximum in each window,
+        with windows clipped to the input (no padding involved)."""
+        n, c, h, w = x.shape
+        oh = max(-(-(h - k) // s) + 1, 1)
+        ow = max(-(-(w - k) // s) + 1, 1)
+        winners = np.empty((n, c, oh, ow), dtype=np.int64)
+        for i in range(n):
+            for ch in range(c):
+                for r in range(oh):
+                    for q in range(ow):
+                        patch = x[i, ch, r * s:min(r * s + k, h), q * s:min(q * s + k, w)]
+                        pr, pq = np.unravel_index(np.argmax(patch), patch.shape)
+                        winners[i, ch, r, q] = pr * k + pq
+        return winners
+
+    @pytest.mark.parametrize("k,s,hw", [(2, 2, 8), (3, 2, 8), (3, 2, 10), (3, 3, 10)])
+    def test_pool_winners_are_first_maximum(self, k, s, hw):
+        # Even sizes under 3x3/2 take the -inf padded edge windows.
+        layer = MaxPool2D(k, s)
+        x = self.tied_inputs(hw, k * 100 + s * 10 + hw)
+        _, cache = layer.forward(x)
+        assert np.array_equal(layer.pattern(cache), self.first_max_winners(x, k, s))
+
+    @pytest.mark.parametrize("k,s,hw", [(2, 2, 8), (3, 2, 8), (3, 3, 10)])
+    def test_pool_backward_routes_to_first_maximum(self, k, s, hw):
+        gen = rng.generator(34, k * 100 + s * 10 + hw)
+        layer = MaxPool2D(k, s)
+        x = self.tied_inputs(hw, hw)
+        out, cache = layer.forward(x)
+        grad_out = gen.standard_normal(out.shape)
+        gx, param_grads = layer.backward(grad_out, cache)
+        winners = self.first_max_winners(x, k, s)
+        expected = np.zeros_like(x)
+        n, c, oh, ow = out.shape
+        for i in range(n):
+            for ch in range(c):
+                for r in range(oh):
+                    for q in range(ow):
+                        pr, pq = divmod(int(winners[i, ch, r, q]), k)
+                        expected[i, ch, r * s + pr, q * s + pq] += grad_out[i, ch, r, q]
+        assert param_grads == []
+        assert np.array_equal(gx, expected)
+
+    def test_relu_signed_zeros_are_inactive(self):
+        layer = ReLU()
+        x = np.array([[0.0, -0.0, 1e-300, -1e-300]])
+        out, cache = layer.forward(x)
+        assert np.array_equal(out, [[0.0, 0.0, 1e-300, 0.0]])
+        assert np.array_equal(layer.pattern(cache), [[False, False, True, False]])
+        gx, _ = layer.backward(np.full_like(x, 3.0), cache)
+        assert np.array_equal(gx, [[0.0, 0.0, 3.0, 0.0]])
 
     def test_conv_gradients_match_finite_differences(self):
         gen = rng.generator(31, 0)
