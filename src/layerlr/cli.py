@@ -71,8 +71,7 @@ def _cmd_train(args, extras) -> int:
     for r in records:
         lines.append(f"{r.seed},{r.iteration},{r.train_loss:.6g},"
                      f"{r.test_error_percent:.6g},{r.wall_ms:.6g}")
-    with open(out, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    harness.write_csv(out, lines)
     for r in records:
         print(f"iter {r.iteration:>7}  train_loss {r.train_loss:.4f}  "
               f"test_error {r.test_error_percent:.2f}%")
@@ -125,8 +124,7 @@ def _cmd_bench(args, extras) -> int:
                                          max_iter=args.max_iter)
                 lines.append(f"{landscape.kind},{kind},{y0:.6g},{lr:.6g},{iters}")
                 print(lines[-1])
-    with open(args.out, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    harness.write_csv(args.out, lines)
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -512,10 +512,15 @@ def emit_csv(table: SummaryTable, path: str) -> None:
     lines = ["variant,iteration,mean,std,n"]
     for row in table.sorted_rows():
         lines.append(f"{row.variant},{row.iteration},{row.mean:.6g},{row.std:.6g},{row.n}")
-    text = "\n".join(lines) + "\n"
+    write_csv(path, lines)
+
+
+def write_csv(path: str, lines) -> None:
+    """Write CSV `lines` (header first) to `path`, newline-terminated;
+    DataError if the file cannot be written."""
     try:
         with open(path, "w") as f:
-            f.write(text)
+            f.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise DataError(f"cannot write CSV to {path}: {exc}") from exc
 

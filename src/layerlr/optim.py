@@ -124,6 +124,9 @@ class Optimizer:
         # layerwise=False trajectory exactly.
         self.multiplier_fn = multiplier_fn if multiplier_fn is not None else layer_multiplier
         self.k = 0
+        # One scratch array per parameter tensor, keyed like the state, so
+        # updates and the NAG lookahead allocate nothing after the first step.
+        self._scratch = {}
 
     def rate(self) -> float:
         """Global learning rate for the upcoming step."""
@@ -131,56 +134,78 @@ class Optimizer:
 
     def step(self, params, grads):
         """Apply one update from per-layer gradients; returns the per-group
-        multipliers actually used (1.0 entries when layerwise is off)."""
+        multipliers actually used (1.0 entries when layerwise is off).
+
+        Every group is checked, and its norm computed, before any tensor is
+        updated: a NumericError leaves parameters, state and k untouched.
+        """
         if len(params) != len(grads):
             raise ConfigError(
                 f"params have {len(params)} layers but grads have {len(grads)}"
             )
         t_k = self.schedule.rate(self.k)
         multipliers = []
+        updates = []
         for li, (pgroup, ggroup) in enumerate(zip(params, grads)):
             if len(pgroup) != len(ggroup):
                 raise ConfigError(f"layer {li}: parameter/gradient count mismatch")
             if not pgroup:
                 continue
-            effective = []
             for p, g in zip(pgroup, ggroup):
                 if p.shape != g.shape:
                     raise ConfigError(
                         f"layer {li}: gradient shape {g.shape} != parameter shape {p.shape}"
                     )
-                ge = g + self.weight_decay * p if self.weight_decay else g
-                if not np.all(np.isfinite(ge)):
-                    raise NumericError(
-                        f"non-finite gradient in layer {li} at iteration {self.k}",
-                        iteration=self.k,
-                    )
-                effective.append(ge)
+            if self.weight_decay:
+                ggroup = [g + self.weight_decay * p for p, g in zip(pgroup, ggroup)]
             if self.bias_separate:
-                subgroups = [((li, ti), [p], [ge])
-                             for ti, (p, ge) in enumerate(zip(pgroup, effective))]
+                subgroups = [((li, ti), [p], [g])
+                             for ti, (p, g) in enumerate(zip(pgroup, ggroup))]
             else:
-                subgroups = [((li,), pgroup, effective)]
+                subgroups = [((li,), pgroup, ggroup)]
             # Per-tensor state keys become group_key + (position,): (li, ti)
             # normally, (li, ti, 0) under bias_separate.
-            for key, ps, ges in subgroups:
+            for key, ps, gs in subgroups:
                 if self.layerwise:
-                    m = self.multiplier_fn(group_norm(ges), self.epsilon_norm)
+                    # A finite norm proves every entry finite; an infinite
+                    # one may be an overflowed sum of squares of finite
+                    # entries, which gives multiplier 1 rather than an abort.
+                    norm = group_norm(gs)
+                    if not math.isfinite(norm):
+                        self._check_finite(li, gs)
+                    m = self.multiplier_fn(norm, self.epsilon_norm)
                 else:
+                    self._check_finite(li, gs)
                     m = 1.0
                 multipliers.append(m)
-                t_eff = t_k * m
-                for ti, (p, ge) in enumerate(zip(ps, ges)):
-                    self._update(key + (ti,), p, ge, t_eff)
+                updates.append((key, ps, gs, t_k * m))
+        for key, ps, gs, t_eff in updates:
+            for ti, (p, g) in enumerate(zip(ps, gs)):
+                self._update(key + (ti,), p, g, t_eff)
         self.k += 1
         return multipliers
+
+    def _check_finite(self, li, tensors):
+        for g in tensors:
+            if not np.isfinite(g).all():
+                raise NumericError(
+                    f"non-finite gradient in layer {li} at iteration {self.k}",
+                    iteration=self.k,
+                )
+
+    def _buffer(self, key, like):
+        """Persistent scratch array for the tensor with state key `key`."""
+        buf = self._scratch.get(key)
+        if buf is None:
+            buf = self._scratch[key] = np.empty_like(like)
+        return buf
 
     def _update(self, key, p, g, t_eff):
         raise NotImplementedError
 
     def state_arrays(self):
-        """Mutable state tensors (velocities, accumulators) for inspection
-        and bitwise snapshots."""
+        """Copies of the state tensors (velocities, accumulators), for
+        inspection and bitwise snapshots."""
         return {}
 
 
@@ -190,7 +215,7 @@ class SGD(Optimizer):
     kind = "sgd"
 
     def _update(self, key, p, g, t_eff):
-        p -= t_eff * g
+        p -= np.multiply(g, t_eff, out=self._buffer(key, p))
 
 
 class Momentum(Optimizer):
@@ -208,21 +233,21 @@ class Momentum(Optimizer):
     def _update(self, key, p, g, t_eff):
         v = self.velocity.get(key)
         if v is None:
-            v = np.zeros_like(p)
-        v = self.mu * v - t_eff * g
-        self.velocity[key] = v
+            v = self.velocity[key] = np.zeros_like(p)
+        v *= self.mu
+        v -= np.multiply(g, t_eff, out=self._buffer(key, p))
         p += v
 
     def state_arrays(self):
-        return dict(self.velocity)
+        return {key: v.copy() for key, v in self.velocity.items()}
 
 
 class NAG(Momentum):
     """Nesterov momentum. The same recurrence as classical momentum, but the
     caller must supply gradients evaluated at the lookahead point
-    x + mu * v_prev; use at_lookahead() to shift parameters for that
-    evaluation. With layerwise=True the multiplier comes from the lookahead
-    gradient norms and scales only the gradient term.
+    x + mu * v_prev; use at_lookahead() to put that point in the parameter
+    lists for the evaluation. With layerwise=True the multiplier comes from
+    the lookahead gradient norms and scales only the gradient term.
     """
 
     kind = "nag"
@@ -230,21 +255,28 @@ class NAG(Momentum):
 
     @contextmanager
     def at_lookahead(self, params):
-        """Temporarily shift parameters to x + mu*v_prev, restoring the
-        original values bit-for-bit on exit."""
-        saved = [[p.copy() for p in group] for group in params]
-        for li, group in enumerate(params):
-            for ti, p in enumerate(group):
-                key = self._key_for(li, ti)
-                v = self.velocity.get(key)
-                if v is not None:
-                    p += self.mu * v
+        """Evaluate at the lookahead point x + mu*v_prev without touching x.
+
+        Each tensor with a velocity gets mu*v + x written into its scratch
+        array, which stands in for it in its group list for the body; on
+        exit, also by an exception, the original objects go back in place.
+        The parameters are never shifted, copied or restored.
+        """
+        swapped = []
         try:
+            for li, group in enumerate(params):
+                for ti, p in enumerate(group):
+                    key = self._key_for(li, ti)
+                    v = self.velocity.get(key)
+                    if v is not None:
+                        ahead = np.multiply(v, self.mu, out=self._buffer(key, p))
+                        ahead += p
+                        group[ti] = ahead
+                        swapped.append((group, ti, p))
             yield
         finally:
-            for group, sgroup in zip(params, saved):
-                for p, s in zip(group, sgroup):
-                    p[...] = s
+            for group, ti, p in swapped:
+                group[ti] = p
 
     def _key_for(self, li, ti):
         # Mirrors the state keys produced by step(): (li, ti) normally,
@@ -261,17 +293,23 @@ class AdaGrad(Optimizer):
     def __init__(self, schedule, **kwargs):
         super().__init__(schedule, **kwargs)
         self.accumulator = {}
+        self._denominator = {}  # second scratch array per tensor
 
     def _update(self, key, p, g, t_eff):
         acc = self.accumulator.get(key)
         if acc is None:
-            acc = np.zeros_like(p)
-        acc = acc + g * g
-        self.accumulator[key] = acc
-        p -= t_eff * g / (np.sqrt(acc) + self.epsilon_div)
+            acc = self.accumulator[key] = np.zeros_like(p)
+            self._denominator[key] = np.empty_like(p)
+        buf = self._buffer(key, p)
+        acc += np.multiply(g, g, out=buf)
+        den = np.sqrt(acc, out=self._denominator[key])
+        den += self.epsilon_div
+        step = np.multiply(g, t_eff, out=buf)
+        step /= den
+        p -= step
 
     def state_arrays(self):
-        return dict(self.accumulator)
+        return {key: acc.copy() for key, acc in self.accumulator.items()}
 
 
 _KIND_MAP = {"sgd": SGD, "momentum": Momentum, "nag": NAG, "adagrad": AdaGrad}

@@ -7,6 +7,8 @@ deterministic run-to-run on a single machine. Arrays passed into these
 functions are treated as read-only values.
 """
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError
@@ -59,10 +61,13 @@ def concat_flat(tensors) -> np.ndarray:
 def group_norm(tensors) -> float:
     """l2 norm of the flattened concatenation of `tensors`.
 
-    Equals l2_norm(concat_flat(tensors)) but avoids the copy.
+    Equals l2_norm(concat_flat(tensors)) up to summation order: each
+    tensor's sum of squares is one np.vdot(t, t), with no squared temporary
+    and no copy. Any NaN or inf entry makes the result non-finite, and so
+    does a sum of squares that overflows (say, entries of 1e155).
     """
     total = 0.0
     for t in tensors:
         t = np.asarray(t, dtype=np.float64)
-        total += float(np.sum(np.square(t.ravel())))
-    return float(np.sqrt(total))
+        total += float(np.vdot(t, t))
+    return math.sqrt(total)

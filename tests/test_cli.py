@@ -45,20 +45,32 @@ class TestExitCodes:
         code = cli.main(["fetch-data", "--dataset", "imagenet"])
         assert code == cli.EXIT_CONFIG
 
-    @pytest.mark.parametrize("argv", [
-        ["train", "--arch=lenet"],  # the default blobs dataset is not 1x28x28
-        ["bench", "--starts", "abc"],
-        ["bench", "--lrs", "abc"],
-        ["bench", "--landscape", "deep-linear-chain"],
+    # Each bad invocation ends in one stderr line with its exit code and
+    # writes no output file. Unwritable outputs are data errors (exit 3).
+    @pytest.mark.parametrize("argv, code", [
+        # The default blobs dataset is not 1x28x28.
+        pytest.param(["train", "--arch=lenet"], cli.EXIT_CONFIG, id="argv0"),
+        pytest.param(["bench", "--starts", "abc"], cli.EXIT_CONFIG, id="argv1"),
+        pytest.param(["bench", "--lrs", "abc"], cli.EXIT_CONFIG, id="argv2"),
+        pytest.param(["bench", "--landscape", "deep-linear-chain"], cli.EXIT_CONFIG,
+                     id="argv3"),
+        pytest.param(["train", "--out", "{missing}/r.csv"] + BLOBS_ARGS, cli.EXIT_DATA,
+                     id="train-out-unwritable"),
+        pytest.param(["bench", "--starts", "1e-2", "--lrs", "0.1", "--max-iter", "100",
+                      "--out", "{missing}/b.csv"], cli.EXIT_DATA, id="bench-out-unwritable"),
     ])
-    def test_bad_argument_is_one_line_config_error(self, argv, tmp_path, capsys):
-        code = cli.main(argv + ["--out", str(tmp_path / "out.csv")])
-        assert code == cli.EXIT_CONFIG
+    def test_bad_argument_is_one_line_config_error(self, argv, code, tmp_path, capsys):
+        argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == code
         err = capsys.readouterr().err
-        assert err.startswith("config error: ")
+        prefix = {cli.EXIT_CONFIG: "config error: ", cli.EXIT_DATA: "data error: "}[code]
+        assert err.startswith(prefix)
         assert err.count("\n") == 1
         assert "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
+        assert not (tmp_path / "missing").exists()
 
 
 class TestSubcommands:

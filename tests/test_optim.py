@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from layerlr import rng
 from layerlr.errors import ConfigError, NumericError
 from layerlr.optim import (
+    EPSILON_DIV,
     SGD,
     AdaGrad,
     LrSchedule,
@@ -18,6 +20,7 @@ from layerlr.optim import (
     make_optimizer,
     schedule_rate,
 )
+from layerlr.tensor import group_norm
 
 # High-precision multiplier values (50-digit evaluation of 1 + ln(1 + 1/n)).
 MULT_AT_1 = 1.6931471805599453094
@@ -376,3 +379,158 @@ def test_momentum_mu_zero_bitwise_equals_sgd_long_run():
     a = _run_trajectory(SGD(0.03), 100, grad_seq, start)
     b = _run_trajectory(Momentum(0.03, mu=0.0), 100, grad_seq, start)
     assert np.array_equal(a, b)
+
+
+def _reference_run(kind, schedule, params, grad_seq, layerwise, bias_separate,
+                   weight_decay, mu=0.9):
+    """The four update rules with one temporary per operation, in the
+    operation order of Optimizer.step. Yields, per step, the NAG lookahead
+    point (None for other kinds), the parameters and the state."""
+    state = {}
+    for k, grads in enumerate(grad_seq):
+        ahead = None
+        if kind == "nag":
+            ahead = []
+            for li, group in enumerate(params):
+                keys = [(li, ti, 0) if bias_separate else (li, ti) for ti in range(len(group))]
+                ahead.append([p + mu * state[key] if key in state else p.copy()
+                              for key, p in zip(keys, group)])
+        t_k = schedule.rate(k)
+        for li, (pg, gg) in enumerate(zip(params, grads)):
+            ges = [g + weight_decay * p if weight_decay else g for p, g in zip(pg, gg)]
+            if not pg:
+                continue
+            if bias_separate:
+                groups = [((li, ti), [ti]) for ti in range(len(pg))]
+            else:
+                groups = [((li,), list(range(len(pg))))]
+            for gkey, idx in groups:
+                m = layer_multiplier(group_norm([ges[i] for i in idx])) if layerwise else 1.0
+                t_eff = t_k * m
+                for pos, i in enumerate(idx):
+                    key, p, g = gkey + (pos,), pg[i], ges[i]
+                    if kind == "sgd":
+                        pg[i] = p - t_eff * g
+                    elif kind == "adagrad":
+                        acc = state.get(key, np.zeros_like(p)) + g * g
+                        state[key] = acc
+                        pg[i] = p - t_eff * g / (np.sqrt(acc) + EPSILON_DIV)
+                    else:
+                        v = mu * state.get(key, np.zeros_like(p)) - t_eff * g
+                        state[key] = v
+                        pg[i] = p + v
+        yield ahead, params, state
+
+
+def _layered_problem(seed, steps):
+    gen = rng.generator(seed, 9)
+    shapes = [[(7, 5), (5,)], [], [(5, 3), (3,)], [(1,)]]
+    params = [[gen.standard_normal(s) for s in group] for group in shapes]
+    # Gradient scales spread over 8 decades, so multipliers differ by layer.
+    grad_seq = [[[gen.standard_normal(s) * 10.0 ** gen.integers(-6, 3) for s in group]
+                 for group in shapes] for _ in range(steps)]
+    return params, grad_seq
+
+
+def _nested_copy(params):
+    return [[p.copy() for p in group] for group in params]
+
+
+@pytest.mark.parametrize("layerwise, bias_separate, weight_decay",
+                         [(False, False, 0.0), (True, False, 0.0), (True, True, 1e-3)])
+@pytest.mark.parametrize("kind", ["sgd", "momentum", "nag", "adagrad"])
+def test_in_place_updates_match_allocating_reference_bitwise(
+        kind, layerwise, bias_separate, weight_decay):
+    schedule = LrSchedule(kind="inverse-time", t0=0.05, gamma=0.01, p=1.0)
+    params, grad_seq = _layered_problem(12, 25)
+    reference = _reference_run(kind, schedule, _nested_copy(params), grad_seq,
+                               layerwise, bias_separate, weight_decay)
+    opt = make_optimizer(kind, schedule, layerwise=layerwise,
+                         bias_separate=bias_separate, weight_decay=weight_decay)
+    for grads, (want_ahead, want_params, want_state) in zip(grad_seq, reference):
+        if opt.needs_lookahead:
+            with opt.at_lookahead(params):
+                ahead = _nested_copy(params)
+            assert pickle.dumps(ahead) == pickle.dumps(want_ahead)
+        opt.step(params, grads)
+        assert pickle.dumps(params) == pickle.dumps(want_params)
+        assert pickle.dumps(opt.state_arrays()) == pickle.dumps(want_state)
+
+
+@pytest.mark.parametrize("layerwise", [False, True])
+@pytest.mark.parametrize("kind", ["sgd", "momentum", "nag", "adagrad"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_last_layer_aborts_before_any_update(kind, layerwise, bad):
+    params, grad_seq = _layered_problem(13, 4)
+    opt = make_optimizer(kind, 0.05, layerwise=layerwise)
+    for grads in grad_seq[:3]:
+        opt.step(params, grads)
+    grads = grad_seq[3]
+    grads[-1][0] = grads[-1][0].copy()
+    grads[-1][0][0] = bad
+    before = pickle.dumps((params, opt.state_arrays(), opt.k))
+    with pytest.raises(NumericError, match="layer 3 at iteration 3"):
+        opt.step(params, grads)
+    assert pickle.dumps((params, opt.state_arrays(), opt.k)) == before
+
+
+@pytest.mark.parametrize("kind", ["momentum", "nag", "adagrad"])
+def test_state_arrays_is_a_snapshot(kind):
+    params, grad_seq = _layered_problem(14, 3)
+    opt = make_optimizer(kind, 0.05, layerwise=True)
+    opt.step(params, grad_seq[0])
+    snap = opt.state_arrays()
+    frozen = pickle.dumps(snap)
+    opt.step(params, grad_seq[1])
+    assert pickle.dumps(snap) == frozen
+    assert pickle.dumps(opt.state_arrays()) != frozen
+
+
+class TestLookaheadSwap:
+    def _stepped(self, bias_separate=False):
+        params, grad_seq = _layered_problem(15, 2)
+        opt = NAG(0.05, mu=0.8, layerwise=True, bias_separate=bias_separate)
+        for grads in grad_seq:
+            with opt.at_lookahead(params):
+                pass
+            opt.step(params, grads)
+        return opt, params
+
+    @pytest.mark.parametrize("bias_separate", [False, True])
+    def test_originals_back_in_place_and_untouched(self, bias_separate):
+        opt, params = self._stepped(bias_separate)
+        objects = [list(group) for group in params]
+        values = pickle.dumps(params)
+        with opt.at_lookahead(params):
+            for group, originals in zip(params, objects):
+                for p, orig in zip(group, originals):
+                    assert p is not orig
+                    assert not np.array_equal(p, orig)
+            # x itself never holds the shifted value.
+            assert pickle.dumps(objects) == values
+        assert all(p is orig for group, originals in zip(params, objects)
+                   for p, orig in zip(group, originals))
+        assert pickle.dumps(params) == values
+
+    def test_originals_back_after_exception_in_body(self):
+        opt, params = self._stepped()
+        objects = [list(group) for group in params]
+        values = pickle.dumps(params)
+        with pytest.raises(NumericError):
+            with opt.at_lookahead(params):
+                raise NumericError("loss went non-finite")
+        assert all(p is orig for group, originals in zip(params, objects)
+                   for p, orig in zip(group, originals))
+        assert pickle.dumps(params) == values
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["sgd", "momentum", "nag", "adagrad"])
+def test_overflowing_norm_of_finite_gradient_gives_multiplier_one(kind):
+    params = [[np.zeros(3)], [np.zeros(2)]]
+    grads = [[np.full(3, 1e200)], [np.array([1e-3, 0.0])]]
+    opt = make_optimizer(kind, 1e-210, layerwise=True)
+    multipliers = opt.step(params, grads)
+    assert multipliers[0] == 1.0
+    assert multipliers[1] == layer_multiplier(group_norm(grads[1]))
+    assert np.all(np.isfinite(params[0][0]))
