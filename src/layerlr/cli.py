@@ -11,11 +11,12 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric abort.
 import argparse
 import os
 import sys
+import tarfile
 
 from . import harness
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .landscapes import LANDSCAPE_KINDS, Landscape, run_escape_trial
-from .nn import gradient_check, network_from_spec
+from .nn import CIFAR_QUICK_INPUT, LENET_INPUT, gradient_check, network_from_spec
 from .optim import make_optimizer
 from . import rng
 
@@ -65,8 +66,9 @@ def _config_from_args(args, extras):
 def _cmd_train(args, extras) -> int:
     cfg = _config_from_args(args, extras)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
-    records = harness.run_experiment(cfg, seed)
     out = args.out or "records.csv"
+    harness.check_writable(out)
+    records = harness.run_experiment(cfg, seed)
     lines = ["seed,iteration,train_loss,test_error_percent,wall_ms"]
     for r in records:
         lines.append(f"{r.seed},{r.iteration},{r.train_loss:.6g},"
@@ -81,8 +83,9 @@ def _cmd_train(args, extras) -> int:
 
 def _cmd_table(args, extras) -> int:
     cfg = _config_from_args(args, extras)
-    table = harness.repeat_runs(cfg, processes=args.processes)
     out = args.out or cfg.out
+    harness.check_writable(out)
+    table = harness.repeat_runs(cfg, processes=args.processes)
     harness.emit_csv(table, out)
     for row in table.sorted_rows():
         print(f"{row.variant:>14}  iter {row.iteration:>7}  "
@@ -110,6 +113,7 @@ def _cmd_bench(args, extras) -> int:
     landscape = LANDSCAPE_KINDS[args.landscape]()
     starts = _float_list("--starts", args.starts)
     lrs = _float_list("--lrs", args.lrs)
+    harness.check_writable(args.out)
     kinds = args.optimizers.split(",")
     lines = ["landscape,optimizer,start,lr,escape_iterations"]
     for lr in lrs:
@@ -137,9 +141,9 @@ def _cmd_gradcheck(args, extras) -> int:
     failed = False
     for arch in archs:
         if arch == "lenet":
-            input_shape, classes = (1, 28, 28), 10
+            input_shape, classes = LENET_INPUT, 10
         elif arch == "cifar-quick":
-            input_shape, classes = (3, 32, 32), 10
+            input_shape, classes = CIFAR_QUICK_INPUT, 10
         else:
             input_shape, classes = (args.mlp_dim,), args.mlp_classes
         worst = 0.0
@@ -170,6 +174,26 @@ def _download(url: str, dest: str) -> bool:
         return False
 
 
+def _extract(tar, root):
+    """Extract `tar` under `root` after checking every member: an absolute
+    or `..` name is a DataError, and so is what Python's "data" filter
+    rejects (links out of `root`, special files) or, where that filter is
+    missing, any member but a plain file or directory."""
+    has_filter = hasattr(tarfile, "data_filter")
+    for member in tar.getmembers():
+        name = member.name.replace("\\", "/")
+        if os.path.isabs(name) or ".." in name.split("/"):
+            raise DataError(f"archive member {member.name!r} points outside {root}")
+        if has_filter:
+            tarfile.data_filter(member, root)
+        elif not (member.isfile() or member.isdir()):
+            raise DataError(f"archive member {member.name!r} is not a plain file or directory")
+    if has_filter:
+        tar.extractall(root, filter="data")
+    else:
+        tar.extractall(root)
+
+
 def _cmd_fetch_data(args, extras) -> int:
     if extras:
         raise ConfigError(f"unrecognized arguments: {extras}")
@@ -187,13 +211,15 @@ def _cmd_fetch_data(args, extras) -> int:
         print(f"MNIST ready under {target}")
         return EXIT_OK
     if args.dataset == "cifar10":
-        import tarfile
         os.makedirs(root, exist_ok=True)
         archive = os.path.join(root, "cifar-10-binary.tar.gz")
         if not os.path.exists(archive) and not _download(CIFAR_URL, archive):
             raise DataError(f"could not download {CIFAR_URL}")
-        with tarfile.open(archive, "r:gz") as tar:
-            tar.extractall(root)
+        try:
+            with tarfile.open(archive, "r:gz") as tar:
+                _extract(tar, root)
+        except tarfile.TarError as exc:
+            raise DataError(f"cannot extract {archive}: {exc}") from exc
         print(f"CIFAR-10 ready under {os.path.join(root, 'cifar-10-batches-bin')}")
         return EXIT_OK
     raise ConfigError(f"unknown dataset {args.dataset!r} (mnist or cifar10)")

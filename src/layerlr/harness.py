@@ -379,33 +379,37 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
     checkpoints = set(cfg.checkpoint_iterations)
     records = []
     norm_history = deque(maxlen=10)
-    for k in range(cfg.max_iterations):
-        x, y = stream.next_batch()
-        targets = _targets_for(net, y, train.num_classes)
-        try:
-            if opt.needs_lookahead:
-                with opt.at_lookahead(params):
+    try:
+        for k in range(cfg.max_iterations):
+            x, y = stream.next_batch()
+            targets = _targets_for(net, y, train.num_classes)
+            try:
+                if opt.needs_lookahead:
+                    with opt.at_lookahead(params):
+                        loss, cache = net.forward(x, targets)
+                        grads = net.backward(cache)
+                else:
                     loss, cache = net.forward(x, targets)
                     grads = net.backward(cache)
-            else:
-                loss, cache = net.forward(x, targets)
-                grads = net.backward(cache)
-            norm_history.append([group_norm(g) for g in grads])
-            opt.step(params, grads)
-        except NumericError as exc:
-            raise NumericError(
-                f"run aborted at iteration {k}: {exc}",
-                iteration=k,
-                layer_norms=list(norm_history),
-            ) from exc
-        iteration = k + 1
-        if iteration in checkpoints:
-            err = evaluate_error_percent(net, test, cfg.eval_batch_size)
-            records.append(MetricsRecord(
-                seed=seed, iteration=iteration, train_loss=loss,
-                test_error_percent=err,
-                wall_ms=1000.0 * (time.perf_counter() - t_start),
-            ))
+                norm_history.append([group_norm(g) for g in grads])
+                opt.step(params, grads)
+            except NumericError as exc:
+                raise NumericError(
+                    f"run aborted at iteration {k}: {exc}",
+                    iteration=k,
+                    layer_norms=list(norm_history),
+                ) from exc
+            iteration = k + 1
+            if iteration in checkpoints:
+                err = evaluate_error_percent(net, test, cfg.eval_batch_size)
+                records.append(MetricsRecord(
+                    seed=seed, iteration=iteration, train_loss=loss,
+                    test_error_percent=err,
+                    wall_ms=1000.0 * (time.perf_counter() - t_start),
+                ))
+    finally:
+        # A caller that keeps the net would keep its buffers alive too.
+        net.workspace.clear()
     return records
 
 
@@ -429,10 +433,6 @@ class SummaryTable:
 
     def sorted_rows(self):
         return sorted(self.rows, key=lambda r: (r.variant, r.iteration))
-
-    def merged(self, other: "SummaryTable") -> "SummaryTable":
-        return SummaryTable(rows=self.rows + other.rows,
-                            aborted=self.aborted + other.aborted)
 
     def lookup(self, variant: str, iteration: int) -> SummaryRow:
         for row in self.rows:
@@ -513,6 +513,24 @@ def emit_csv(table: SummaryTable, path: str) -> None:
     for row in table.sorted_rows():
         lines.append(f"{row.variant},{row.iteration},{row.mean:.6g},{row.std:.6g},{row.n}")
     write_csv(path, lines)
+
+
+def check_writable(path: str) -> None:
+    """DataError unless a file can be written at `path`: its directory
+    exists and is writable, and `path` is no directory or read-only file.
+    Creates nothing, so a run that fails later leaves no file behind."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        reason = f"no directory {directory}"
+    elif not os.access(directory, os.W_OK):
+        reason = f"directory {directory} is not writable"
+    elif os.path.isdir(path):
+        reason = "it is a directory"
+    elif os.path.exists(path) and not os.access(path, os.W_OK):
+        reason = "the file is not writable"
+    else:
+        return
+    raise DataError(f"cannot write CSV to {path}: {reason}")
 
 
 def write_csv(path: str, lines) -> None:

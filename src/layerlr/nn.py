@@ -1,8 +1,19 @@
 """Layered feed-forward networks with reverse-mode gradients grouped per layer.
 
 Forward passes return an explicit cache object instead of storing state on
-the layers, so evaluation passes can never perturb training state. All math
-is float64; convolution uses im2col backed by BLAS matmul.
+the layers. All math is float64; convolution uses im2col backed by BLAS
+matmul.
+
+Run by a Network, Conv2D, MaxPool2D and ReLU write every array of at least
+WORKSPACE_FLOOR_BYTES into grow-only buffers that the network keeps from one
+pass to the next; smaller arrays are allocated as usual. Contents that die
+inside one layer call share buffers across all layers; only a layer's
+output and the state it keeps from forward to backward are private to it.
+So a pass may overwrite what an earlier pass left in the buffers, and
+every pass (forward, predict, loss_value, loss_and_pattern) advances the
+network's pass counter: backward refuses the cache of any pass but the
+latest, and predict and loss_and_pattern copy out any result that sits in
+a buffer. Layers called directly, with no workspace, allocate every array.
 
 Backward never forms the first layer's input gradient, the gradient with
 respect to the data, because nothing reads it. Max-pool ties go to the first
@@ -13,13 +24,127 @@ import numpy as np
 
 from . import rng
 from .errors import DimensionError, NumericError, UsageError
-from .tensor import concat_flat
 
 
 def _prod(shape):
     out = 1
     for s in shape:
         out *= int(s)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Workspace
+
+# Arrays of at least this size come from a Network's workspace buffers.
+# glibc maps an array over its 32 MiB mmap ceiling as fresh zeroed pages on
+# every allocation and unmaps it on free, and arrays from 16 MiB up churn
+# the heap top the same way. The floor takes in every such cifar-quick array
+# at batch 64 and no lenet array (the largest, conv2's im2col, is 15.6 MiB),
+# so lenet and mlp make the same numpy calls as with no workspace.
+WORKSPACE_FLOOR_BYTES = 16 << 20
+
+
+class Workspace:
+    """Grow-only byte buffers, keyed by name, that a Network's passes reuse.
+
+    `get` returns None for an array under WORKSPACE_FLOOR_BYTES, so that a
+    numpy call given it as `out=` allocates as usual.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def get(self, key, shape, dtype=np.float64):
+        """An array of `shape` and `dtype` on buffer `key`, which grows to
+        fit; None under the floor."""
+        dtype = np.dtype(dtype)
+        nbytes = _prod(shape) * dtype.itemsize
+        if nbytes < WORKSPACE_FLOOR_BYTES:
+            return None
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < nbytes:
+            buf = self._buffers[key] = np.empty(nbytes, dtype=np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
+
+    def layer(self, index):
+        """What layer `index` of the network writes through."""
+        return _LayerSpace(self, index)
+
+    def detached(self, a):
+        """`a`, or a copy of it if it lives in one of the buffers."""
+        if a is not None and any(a.base is buf for buf in self._buffers.values()):
+            return a.copy()
+        return a
+
+    def clear(self):
+        """Drop every buffer."""
+        self._buffers.clear()
+
+
+class _LayerSpace:
+    """One layer's access to a Workspace."""
+
+    __slots__ = ("_ws", "_index")
+
+    def __init__(self, ws, index):
+        self._ws = ws
+        self._index = index
+
+    def own(self, name, shape, dtype=np.float64):
+        """A buffer private to this layer: its output, or state it keeps
+        from forward to backward."""
+        return self._ws.get((self._index, name), shape, dtype)
+
+    def scratch(self, name, shape, dtype=np.float64):
+        """A buffer every layer shares, for contents that die in the call."""
+        return self._ws.get(name, shape, dtype)
+
+    def grad_in(self, shape):
+        """The buffer for this layer's input gradient. It dies in the
+        backward of the layer below, so layers alternate between two."""
+        return self._ws.get(("grad_in", self._index % 2), shape)
+
+
+class _Allocate:
+    """The workspace of a layer called directly: every array is allocated."""
+
+    def own(self, name, shape, dtype=np.float64):
+        return None
+
+    scratch = own
+
+    def grad_in(self, shape):
+        return None
+
+
+_ALLOCATE = _Allocate()
+
+
+def _copy(a, out):
+    """`a` as a C-contiguous array, written into `out` when one is given."""
+    if out is None:
+        return np.ascontiguousarray(a)
+    np.copyto(out, a)
+    return out
+
+
+def _empty(out, shape, dtype=np.float64):
+    return np.empty(shape, dtype=dtype) if out is None else out
+
+
+def _pad(x, lead, tail_h, tail_w, value, out):
+    """`x` padded with `value` on its last two axes, `lead` before both and
+    `tail_h`/`tail_w` after; written into `out` when one is given."""
+    if out is None:
+        return np.pad(x, ((0, 0), (0, 0), (lead, tail_h), (lead, tail_w)),
+                      constant_values=value)
+    h, w = x.shape[2:]
+    out[:, :, :lead] = value
+    out[:, :, lead + h:] = value
+    out[:, :, :, :lead] = value
+    out[:, :, :, lead + w:] = value
+    out[:, :, lead:lead + h, lead:lead + w] = x
     return out
 
 
@@ -41,16 +166,17 @@ class Layer:
         DimensionError if the input is incompatible."""
         raise NotImplementedError
 
-    def forward(self, x):
-        """Return (output, cache)."""
+    def forward(self, x, ws=_ALLOCATE):
+        """Return (output, cache). A Network passes `ws`, its workspace for
+        this layer, and the layer may write its arrays there."""
         raise NotImplementedError
 
-    def backward(self, grad_out, cache):
+    def backward(self, grad_out, cache, ws=_ALLOCATE):
         """Return (grad_in, [grad per param tensor]).
 
         Network.backward does not call this on a parameterless layer 0, and
         calls a layer 0 with parameters as backward(grad_out, cache,
-        need_grad_in=False), which returns None for grad_in.
+        need_grad_in=False, ws=...), which returns None for grad_in.
         """
         raise NotImplementedError
 
@@ -83,7 +209,7 @@ class Dense(Layer):
             )
         return (self.out_features,)
 
-    def forward(self, x):
+    def forward(self, x, ws=_ALLOCATE):
         n = x.shape[0]
         x2 = x.reshape(n, -1)
         if x2.shape[1] != self.in_features:
@@ -95,7 +221,7 @@ class Dense(Layer):
         out = x2 @ w + b
         return out, (x2, x.shape)
 
-    def backward(self, grad_out, cache, need_grad_in=True):
+    def backward(self, grad_out, cache, need_grad_in=True, ws=_ALLOCATE):
         x2, x_shape = cache
         w, _ = self.params
         grad_w = x2.T @ grad_out
@@ -143,32 +269,36 @@ class Conv2D(Layer):
             )
         return (self.out_channels, oh, ow)
 
-    def forward(self, x):
+    def forward(self, x, ws=_ALLOCATE):
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise DimensionError(
                 f"conv layer expects {self.in_channels} channels, got {c}"
             )
         k, s, p = self.kernel_size, self.stride, self.padding
+        oc = self.out_channels
         oh, ow = self._spatial_out(h, w)
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+        if p:
+            x = _pad(x, p, p, p, 0.0, ws.scratch("pad", (n, c, h + 2 * p, w + 2 * p)))
         # im2col laid out (c*k*k, n*oh*ow) so the forward product and both
         # backward products are single GEMMs with no large transposes.
-        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+        win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
         win = win[:, :, ::s, ::s]                                # (n,c,oh,ow,k,k)
-        col2 = win.transpose(1, 4, 5, 0, 2, 3).reshape(c * k * k, n * oh * ow)
-        w2 = self.params[0].reshape(self.out_channels, -1)
-        out2 = w2 @ col2                                         # (oc, n*L)
+        col2 = _copy(win.transpose(1, 4, 5, 0, 2, 3), ws.own("col", (c, k, k, n, oh, ow)))
+        col2 = col2.reshape(c * k * k, n * oh * ow)
+        w2 = self.params[0].reshape(oc, -1)
+        out2 = np.matmul(w2, col2, out=ws.scratch("gemm", (oc, n * oh * ow)))
         out2 += self.params[1][:, None]
-        out = out2.reshape(self.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
-        return np.ascontiguousarray(out), (col2, (n, c, h, w))
+        out = out2.reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
+        return _copy(out, ws.own("out", out.shape)), (col2, (n, c, h, w))
 
-    def backward(self, grad_out, cache, need_grad_in=True):
+    def backward(self, grad_out, cache, need_grad_in=True, ws=_ALLOCATE):
         col2, (n, c, h, w) = cache
         k, s, p = self.kernel_size, self.stride, self.padding
+        oc = self.out_channels
         oh, ow = self._spatial_out(h, w)
-        g2 = np.ascontiguousarray(grad_out.transpose(1, 0, 2, 3))
-        g2 = g2.reshape(self.out_channels, n * oh * ow)
+        g2 = _copy(grad_out.transpose(1, 0, 2, 3), ws.scratch("g2", (oc, n, oh, ow)))
+        g2 = g2.reshape(oc, n * oh * ow)
         grad_w = (g2 @ col2.T).reshape(self.params[0].shape)
         grad_b = g2.sum(axis=1)
         if not need_grad_in:
@@ -177,13 +307,18 @@ class Conv2D(Layer):
         # the (c*k*k, n*oh*ow) column gradient is never held whole.
         wt = np.ascontiguousarray(self.params[0].transpose(2, 3, 1, 0))  # (k,k,c,oc)
         hp, wp = h + 2 * p, w + 2 * p
-        gxp = np.zeros((c, n, hp, wp))
+        gxp = ws.scratch("pad", (c, n, hp, wp))
+        if gxp is None:
+            gxp = np.zeros((c, n, hp, wp))
+        else:
+            gxp.fill(0.0)
+        prod = ws.scratch("gemm", (c, n * oh * ow))
         for dr in range(k):
             for dc in range(k):
                 gxp[:, :, dr:dr + s * oh:s, dc:dc + s * ow:s] += \
-                    (wt[dr, dc] @ g2).reshape(c, n, oh, ow)
+                    np.matmul(wt[dr, dc], g2, out=prod).reshape(c, n, oh, ow)
         gx = gxp[:, :, p:hp - p, p:wp - p] if p else gxp
-        return np.ascontiguousarray(gx.transpose(1, 0, 2, 3)), [grad_w, grad_b]
+        return _copy(gx.transpose(1, 0, 2, 3), ws.grad_in((n, c, h, w))), [grad_w, grad_b]
 
 
 class MaxPool2D(Layer):
@@ -209,45 +344,49 @@ class MaxPool2D(Layer):
         oh, ow = self._spatial_out(in_shape[1], in_shape[2])
         return (in_shape[0], oh, ow)
 
-    def forward(self, x):
+    def forward(self, x, ws=_ALLOCATE):
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
         oh, ow = self._spatial_out(h, w)
         hp, wp = (oh - 1) * s + k, (ow - 1) * s + k
         if hp > h or wp > w:
-            xp = np.pad(x, ((0, 0), (0, 0), (0, hp - h), (0, wp - w)),
-                        constant_values=-np.inf)
-        else:
-            xp, hp, wp = x, h, w
-        win = np.empty((k * k, n, c, oh, ow))
+            x = _pad(x, 0, hp - h, wp - w, -np.inf, ws.scratch("pad", (n, c, hp, wp)))
+        shape = (k * k, n, c, oh, ow)
+        win = _empty(ws.scratch("win", shape), shape)
         for dr in range(k):
             for dc in range(k):
-                win[dr * k + dc] = xp[:, :, dr:dr + s * oh:s, dc:dc + s * ow:s]
-        out = win.max(axis=0)                                    # (n, c, oh, ow)
+                win[dr * k + dc] = x[:, :, dr:dr + s * oh:s, dc:dc + s * ow:s]
+        out = win.max(axis=0, out=ws.own("out", shape[1:]))     # (n, c, oh, ow)
         # Winner: the first maximum in row-major window order, as np.argmax
         # picks it. Offset j weighs k*k - j, so the largest weight among the
         # maxima marks the first. A NaN window has no maximum and gets k*k,
         # out of range; the non-finite loss it leads to stops training first.
         weights = np.arange(k * k, 0, -1, dtype=np.min_scalar_type(k * k))
-        hit = np.equal(win, out, out=np.empty(win.shape, dtype=weights.dtype))
+        hit = np.equal(win, out, out=_empty(ws.scratch("hit", shape, weights.dtype),
+                                            shape, weights.dtype))
         hit *= weights[:, None, None, None, None]
         winner = k * k - hit.max(axis=0)
-        return out, (winner, (n, c, h, w), (hp, wp))
+        return out, (winner, (n, c, h, w))
 
-    def backward(self, grad_out, cache):
-        winner, (n, c, h, w), (hp, wp) = cache
+    def backward(self, grad_out, cache, ws=_ALLOCATE):
+        winner, (n, c, h, w) = cache
         k, s = self.kernel_size, self.stride
         oh, ow = self._spatial_out(h, w)
-        # Winner offset within the window -> flat position in the padded map.
+        # Winner offset within the window -> flat position in the input. A
+        # window always holds an input element, which beats the -inf edge.
         row = s * np.arange(oh)[:, None] + winner // k
         col = s * np.arange(ow)[None, :] + winner % k
-        flat = row * wp + col
-        plane = hp * wp
-        offsets = (np.arange(n * c) * plane).reshape(n, c, 1, 1)
-        gx = np.bincount((flat + offsets).ravel(),
-                         weights=grad_out.ravel(),
-                         minlength=n * c * plane).reshape(n, c, hp, wp)
-        return np.ascontiguousarray(gx[:, :, :h, :w]), []
+        offsets = (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
+        index = (row * w + col + offsets).ravel()
+        gx = ws.grad_in((n, c, h, w))
+        if gx is None:
+            return np.bincount(index, weights=grad_out.ravel(),
+                               minlength=n * c * h * w).reshape(n, c, h, w), []
+        # bincount has no out=; np.add.at sums each element's contributions
+        # in the same order, so the result is bitwise the same.
+        gx.fill(0.0)
+        np.add.at(gx.reshape(-1), index, grad_out.ravel())
+        return gx, []
 
     def pattern(self, cache):
         return cache[0]
@@ -259,11 +398,12 @@ class ReLU(Layer):
     def output_shape(self, in_shape):
         return tuple(in_shape)
 
-    def forward(self, x):
-        return np.maximum(x, 0.0), x > 0
+    def forward(self, x, ws=_ALLOCATE):
+        return (np.maximum(x, 0.0, out=ws.own("out", x.shape)),
+                np.greater(x, 0, out=ws.own("mask", x.shape, bool)))
 
-    def backward(self, grad_out, cache):
-        return grad_out * cache, []
+    def backward(self, grad_out, cache, ws=_ALLOCATE):
+        return np.multiply(grad_out, cache, out=ws.grad_in(grad_out.shape)), []
 
     def pattern(self, cache):
         return cache
@@ -275,7 +415,7 @@ class Sigmoid(Layer):
     def output_shape(self, in_shape):
         return tuple(in_shape)
 
-    def forward(self, x):
+    def forward(self, x, ws=_ALLOCATE):
         out = np.empty_like(x)
         pos = x >= 0
         out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -283,7 +423,7 @@ class Sigmoid(Layer):
         out[~pos] = ex / (1.0 + ex)
         return out, out
 
-    def backward(self, grad_out, cache):
+    def backward(self, grad_out, cache, ws=_ALLOCATE):
         return grad_out * cache * (1.0 - cache), []
 
 
@@ -293,11 +433,11 @@ class Tanh(Layer):
     def output_shape(self, in_shape):
         return tuple(in_shape)
 
-    def forward(self, x):
+    def forward(self, x, ws=_ALLOCATE):
         out = np.tanh(x)
         return out, out
 
-    def backward(self, grad_out, cache):
+    def backward(self, grad_out, cache, ws=_ALLOCATE):
         return grad_out * (1.0 - cache * cache), []
 
 
@@ -309,11 +449,11 @@ class Softmax(Layer):
     def output_shape(self, in_shape):
         return tuple(in_shape)
 
-    def forward(self, x):
+    def forward(self, x, ws=_ALLOCATE):
         out = softmax(x)
         return out, out
 
-    def backward(self, grad_out, cache):
+    def backward(self, grad_out, cache, ws=_ALLOCATE):
         s = cache
         inner = np.sum(grad_out * s, axis=-1, keepdims=True)
         return s * (grad_out - inner), []
@@ -380,10 +520,6 @@ class LayerGradients:
     def __iter__(self):
         return iter(self.by_layer)
 
-    def flat(self, layer_index):
-        """Flattened concatenation of one layer's gradient tensors."""
-        return concat_flat(self.by_layer[layer_index])
-
 
 class ForwardCache:
     """Opaque result of Network.forward, consumed by Network.backward."""
@@ -396,7 +532,11 @@ class ForwardCache:
 
 
 class Network:
-    """Ordered layer stack plus a loss; shapes validated at construction."""
+    """Ordered layer stack plus a loss; shapes validated at construction.
+
+    `workspace` holds the buffers its passes reuse; `workspace.clear()`
+    drops them, and the next pass maps new ones.
+    """
 
     def __init__(self, input_shape, layers, loss="softmax-cross-entropy"):
         if loss not in LOSSES:
@@ -411,6 +551,7 @@ class Network:
             self.layer_shapes.append(shape)
         self.output_shape = shape
         self._serial = 0
+        self.workspace = Workspace()
 
     def parameters(self):
         """Parameter tensors grouped per layer (empty list for layers
@@ -431,65 +572,64 @@ class Network:
             return _squared_error(out, targets)
         return _softmax_cross_entropy(out, targets)
 
-    def forward(self, inputs, targets):
-        """Run the full forward pass; returns (mean loss, cache)."""
+    def _pass(self, inputs, keep=None):
+        """Run every layer through the workspace. Returns the final output
+        and the list of keep(layer, cache) per layer (empty without keep)."""
         inputs = np.asarray(inputs, dtype=np.float64)
         self._check_input(inputs)
-        caches = []
+        self._serial += 1
         out = inputs
-        for layer in self.layers:
-            out, cache = layer.forward(out)
-            caches.append(cache)
+        kept = []
+        for i, layer in enumerate(self.layers):
+            out, cache = layer.forward(out, ws=self.workspace.layer(i))
+            if keep is not None:
+                kept.append(keep(layer, cache))
+        return out, kept
+
+    def forward(self, inputs, targets):
+        """Run the full forward pass; returns (mean loss, cache)."""
+        out, caches = self._pass(inputs, lambda layer, cache: cache)
         loss, loss_grad = self._run_loss(out, targets)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss {loss!r} in forward pass")
-        self._serial += 1
         return loss, ForwardCache(self, self._serial, caches, loss_grad)
 
     def backward(self, cache, targets=None):
-        """Gradients for every parameter tensor, from the most recent
-        forward call's cache."""
+        """Gradients for every parameter tensor, from the cache of the most
+        recent pass, which must be a forward call."""
         if not isinstance(cache, ForwardCache) or cache._net is not self:
             raise UsageError("backward requires the cache returned by forward on this network")
         if cache._serial != self._serial:
-            raise UsageError("stale cache: another forward ran after this one")
+            raise UsageError("stale cache: another pass ran after this forward")
         grad = cache.loss_grad
         by_layer = [[] for _ in self.layers]
         for i in range(len(self.layers) - 1, 0, -1):
-            grad, by_layer[i] = self.layers[i].backward(grad, cache.layer_caches[i])
+            grad, by_layer[i] = self.layers[i].backward(
+                grad, cache.layer_caches[i], ws=self.workspace.layer(i))
         # Layer 0's input gradient is the gradient with respect to the data,
         # which nothing reads.
         if self.layers and self.layers[0].params:
             _, by_layer[0] = self.layers[0].backward(
-                grad, cache.layer_caches[0], need_grad_in=False)
+                grad, cache.layer_caches[0], need_grad_in=False, ws=self.workspace.layer(0))
         return LayerGradients(by_layer)
 
     def predict(self, inputs):
-        """Forward pass returning the final layer output; intermediate
-        caches are discarded and no training state is touched."""
-        inputs = np.asarray(inputs, dtype=np.float64)
-        self._check_input(inputs)
-        out = inputs
-        for layer in self.layers:
-            out, _ = layer.forward(out)
-        return out
+        """Forward pass returning the final layer output, which no later
+        pass overwrites; intermediate caches are discarded."""
+        out, _ = self._pass(inputs)
+        return self.workspace.detached(out)
 
     def loss_value(self, inputs, targets) -> float:
         """Mean loss without retaining caches (used by finite differences)."""
-        out = self.predict(inputs)
+        out, _ = self._pass(inputs)
         loss, _ = self._run_loss(out, targets)
         return loss
 
     def loss_and_pattern(self, inputs, targets):
         """Mean loss plus the discrete decision pattern (ReLU masks, pool
-        argmax indices) of the pass."""
-        inputs = np.asarray(inputs, dtype=np.float64)
-        self._check_input(inputs)
-        out = inputs
-        pattern = []
-        for layer in self.layers:
-            out, cache = layer.forward(out)
-            pattern.append(layer.pattern(cache))
+        winners) of the pass, which no later pass overwrites."""
+        out, pattern = self._pass(
+            inputs, lambda layer, cache: self.workspace.detached(layer.pattern(cache)))
         loss, _ = self._run_loss(out, targets)
         return loss, pattern
 
@@ -678,7 +818,13 @@ def network_from_spec(spec: str, input_shape, num_classes: int,
         net = build_cifar_quick(seed)
     elif spec == "mlp" or spec.startswith("mlp:"):
         widths_part = spec[4:] if spec.startswith("mlp:") else ""
-        widths = [int(w) for w in widths_part.replace(",", "-").split("-") if w]
+        try:
+            widths = [int(w) for w in widths_part.replace(",", "-").split("-") if w]
+        except ValueError:
+            widths = None
+        if widths is None or min(widths, default=1) < 1:
+            raise DimensionError(
+                f"architecture {spec!r}: mlp widths must be positive integers")
         return build_mlp(input_shape, widths, num_classes,
                          activation=activation, seed=seed, loss=loss)
     else:

@@ -51,20 +51,14 @@ def axpy(alpha: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y + alpha * x
 
 
-def concat_flat(tensors) -> np.ndarray:
-    """1-D concatenation of arbitrarily shaped arrays, in list order."""
-    if not tensors:
-        return np.empty(0, dtype=np.float64)
-    return np.concatenate([np.asarray(t, dtype=np.float64).ravel() for t in tensors])
-
-
 def group_norm(tensors) -> float:
     """l2 norm of the flattened concatenation of `tensors`.
 
-    Equals l2_norm(concat_flat(tensors)) up to summation order: each
-    tensor's sum of squares is one np.vdot(t, t), with no squared temporary
-    and no copy. Any NaN or inf entry makes the result non-finite, and so
-    does a sum of squares that overflows (say, entries of 1e155).
+    Equals l2_norm of the tensors' concatenation up to summation order:
+    each tensor's sum of squares is one np.vdot(t, t), with no squared
+    temporary and no copy. Any NaN or inf entry makes the result
+    non-finite, and so does a sum of squares that overflows (say, entries
+    of 1e155).
     """
     total = 0.0
     for t in tensors:

@@ -1,6 +1,9 @@
+import io
+import tarfile
+
 import pytest
 
-from layerlr import cli
+from layerlr import cli, harness
 
 BLOBS_ARGS = [
     "--dataset=blobs", "--blobs.n=120", "--blobs.test_n=60", "--blobs.classes=3",
@@ -58,6 +61,7 @@ class TestExitCodes:
                      id="train-out-unwritable"),
         pytest.param(["bench", "--starts", "1e-2", "--lrs", "0.1", "--max-iter", "100",
                       "--out", "{missing}/b.csv"], cli.EXIT_DATA, id="bench-out-unwritable"),
+        pytest.param(["train", "--arch=mlp:abc"], cli.EXIT_CONFIG, id="mlp-width-not-int"),
     ])
     def test_bad_argument_is_one_line_config_error(self, argv, code, tmp_path, capsys):
         argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
@@ -71,6 +75,91 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "missing").exists()
+
+
+    @pytest.mark.parametrize("command", [["train"], ["table", "--processes", "1"]])
+    def test_unwritable_out_fails_before_training(self, command, tmp_path, capsys,
+                                                  monkeypatch):
+        def no_run(*args):
+            raise AssertionError("run_experiment called")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        out = tmp_path / "missing" / "r.csv"
+        argv = command + ["--out", str(out), "--seeds=0,1"] + BLOBS_ARGS
+        assert cli.main(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot write CSV to ")
+        assert err.count("\n") == 1
+
+
+def _cifar_archive(root, members):
+    """Write root/cifar-10-binary.tar.gz holding `members`: (name, bytes)
+    pairs, or TarInfo objects for links."""
+    with tarfile.open(root / "cifar-10-binary.tar.gz", "w:gz") as tar:
+        for member in members:
+            if isinstance(member, tarfile.TarInfo):
+                tar.addfile(member)
+            else:
+                name, data = member
+                info = tarfile.TarInfo(name)
+                info.size = len(data)
+                tar.addfile(info, io.BytesIO(data))
+
+
+def _symlink(name, target):
+    info = tarfile.TarInfo(name)
+    info.type, info.linkname = tarfile.SYMTYPE, target
+    return info
+
+
+class TestFetchCifar:
+    # An existing archive skips the download. Members are checked with and
+    # without Python's "data" extraction filter (added in 3.10.12/3.11.4).
+    @pytest.fixture(autouse=True, params=["data-filter", "no-filter"])
+    def no_download(self, request, monkeypatch):
+        def refuse(url, dest):
+            raise AssertionError(f"download attempted: {url}")
+
+        monkeypatch.setattr(cli, "_download", refuse)
+        if request.param == "no-filter" and hasattr(tarfile, "data_filter"):
+            monkeypatch.delattr(tarfile, "data_filter")
+
+    def test_existing_archive_is_extracted(self, tmp_path):
+        _cifar_archive(tmp_path, [("cifar-10-batches-bin/test_batch.bin", b"\x03" * 3073)])
+        assert cli.main(["fetch-data", "--dataset", "cifar10", "--root", str(tmp_path)]) == 0
+        assert (tmp_path / "cifar-10-batches-bin" / "test_batch.bin").read_bytes() == \
+            b"\x03" * 3073
+
+    def test_corrupt_archive_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "cifar-10-binary.tar.gz").write_bytes(b"not a gzip stream")
+        assert cli.main(["fetch-data", "--dataset", "cifar10", "--root", str(tmp_path)]) == \
+            cli.EXIT_DATA
+        assert capsys.readouterr().err.startswith("data error: cannot extract ")
+
+    @pytest.mark.parametrize("member", [
+        pytest.param(("../escaped.bin", b"x"), id="dotdot"),
+        pytest.param(("cifar-10-batches-bin/../../escaped.bin", b"x"), id="inner-dotdot"),
+        pytest.param(("{outside}/escaped.bin", b"x"), id="absolute"),
+        pytest.param(_symlink("cifar-10-batches-bin/link", "{outside}/escaped.bin"),
+                     id="symlink-out"),
+    ])
+    def test_member_outside_root_is_data_error(self, member, tmp_path, capsys):
+        root = tmp_path / "root"
+        root.mkdir()
+        outside = str(tmp_path)
+        if isinstance(member, tarfile.TarInfo):
+            member.linkname = member.linkname.replace("{outside}", outside)
+        else:
+            member = (member[0].replace("{outside}", outside), member[1])
+        _cifar_archive(root, [("cifar-10-batches-bin/data_batch_1.bin", b"ok"), member])
+        assert cli.main(["fetch-data", "--dataset", "cifar10", "--root", str(root)]) == \
+            cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert err.count("\n") == 1
+        # Every member is checked before any is extracted.
+        assert sorted(p.name for p in root.iterdir()) == ["cifar-10-binary.tar.gz"]
+        assert not (tmp_path / "escaped.bin").exists()
 
 
 class TestSubcommands:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from layerlr import rng
+from layerlr import harness, nn, rng
 from layerlr.errors import DimensionError, NumericError, UsageError
 from layerlr.nn import (
     Conv2D,
@@ -20,6 +20,7 @@ from layerlr.nn import (
     network_from_spec,
     softmax,
 )
+from layerlr.optim import make_optimizer
 
 
 def identity_dense(n):
@@ -494,3 +495,133 @@ class TestNetworkFromSpec:
     def test_unknown_activation(self):
         with pytest.raises(DimensionError):
             network_from_spec("mlp:4", (6,), 3, activation="gelu")
+
+    @pytest.mark.parametrize("spec", ["mlp:abc", "mlp:8-x", "mlp:8-0", "mlp:1.5"])
+    def test_bad_mlp_width(self, spec):
+        with pytest.raises(DimensionError, match="positive integers"):
+            network_from_spec(spec, (6,), 3)
+
+
+def _relu_mlp(seed=4):
+    return build_mlp((1, 28, 28), [40, 24], 10, activation="relu", seed=seed)
+
+
+WORKSPACE_NETS = {"lenet": build_lenet, "cifar-quick": build_cifar_quick, "relu-mlp": _relu_mlp}
+
+
+def _nag_run(build, floor, monkeypatch):
+    """Losses, eval predictions and final parameters of 4 layer-wise NAG
+    steps at batches 64, 64, 33, 64 and an eval whose last batch is short,
+    with every array of at least `floor` bytes in the workspace."""
+    monkeypatch.setattr(nn, "WORKSPACE_FLOOR_BYTES", floor)
+    net = build(seed=4)
+    gen = rng.generator(4, 0x5ACE)
+    opt = make_optimizer("nag", 0.01, layerwise=True)
+    params = net.parameters()
+    losses = []
+    for batch in (64, 64, 33, 64):
+        x = gen.standard_normal((batch,) + net.input_shape)
+        y = gen.integers(0, 10, size=batch)
+        with opt.at_lookahead(params):
+            loss, cache = net.forward(x, y)
+            grads = net.backward(cache)
+        losses.append(loss)
+        opt.step(params, grads)
+    x = gen.standard_normal((97,) + net.input_shape)
+    preds = [net.predict(x[:64]), net.predict(x[64:])]
+    return losses, preds, [p.copy() for group in params for p in group]
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("arch", sorted(WORKSPACE_NETS))
+    def test_workspace_path_is_bitwise_the_allocating_path(self, arch, monkeypatch):
+        # Floor 0 puts every array of conv, pool and ReLU in the workspace;
+        # an unreachable floor leaves every one to numpy.
+        build = WORKSPACE_NETS[arch]
+        got = _nag_run(build, 0, monkeypatch)
+        want = _nag_run(build, 1 << 62, monkeypatch)
+        assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+        for g, w in zip(got[1] + got[2], want[1] + want[2]):
+            assert g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
+    def test_any_pass_makes_the_forward_cache_stale(self):
+        net = build_mlp((3,), [4], 2, activation="relu")
+        x = np.ones((2, 3))
+        y = np.zeros(2, dtype=np.int64)
+        for later_pass in (lambda: net.predict(x), lambda: net.loss_value(x, y),
+                           lambda: net.loss_and_pattern(x, y)):
+            _, cache = net.forward(x, y)
+            later_pass()
+            with pytest.raises(UsageError, match="stale"):
+                net.backward(cache)
+
+    def test_predictions_and_patterns_survive_later_passes(self, monkeypatch):
+        monkeypatch.setattr(nn, "WORKSPACE_FLOOR_BYTES", 0)
+        gen = rng.generator(5, 0)
+        # A ReLU output layer, so the prediction itself sits in a buffer.
+        net = Network((1, 8, 8), [Conv2D(1, 2, 3, padding=1, init_gen=gen), ReLU(),
+                                  MaxPool2D(3, 2), Dense(2 * 4 * 4, 6, init_gen=gen),
+                                  ReLU()], loss="squared-error")
+        x1, x2 = gen.standard_normal((2, 3, 1, 8, 8))
+        targets = np.zeros((3, 6))
+        pred = net.predict(x1)
+        _, pattern = net.loss_and_pattern(x1, targets)
+        pred_before = pred.copy()
+        pattern_before = [None if p is None else p.copy() for p in pattern]
+        net.predict(x2)
+        net.loss_and_pattern(x2, targets)
+        _, cache = net.forward(x2, targets)
+        net.backward(cache)
+        assert np.array_equal(pred, pred_before)
+        assert not np.array_equal(net.predict(x2), pred)
+        assert all(b is None if p is None else np.array_equal(p, b)
+                   for p, b in zip(pattern, pattern_before))
+        assert any(p is not None and p.dtype == bool for p in pattern)
+
+    def test_second_step_at_a_fixed_shape_maps_no_new_buffer(self, monkeypatch):
+        monkeypatch.setattr(nn, "WORKSPACE_FLOOR_BYTES", 0)
+        net = build_cifar_quick(seed=6)
+        gen = rng.generator(6, 0)
+        x = gen.standard_normal((3,) + net.input_shape)
+        y = gen.integers(0, 10, size=3)
+
+        def step_and_eval():
+            _, cache = net.forward(x, y)
+            net.backward(cache)
+            net.predict(x[:2])
+
+        step_and_eval()
+        buffers = dict(net.workspace._buffers)
+        assert buffers
+        step_and_eval()
+        assert net.workspace._buffers.keys() == buffers.keys()
+        assert all(net.workspace._buffers[k] is b for k, b in buffers.items())
+
+    def test_floor_keeps_lenet_out_and_cifar_quick_in(self):
+        # Lenet at batch 64 makes no array as large as the floor; cifar-quick
+        # holds its im2col, pool window and large activation arrays there.
+        for build, held in ((build_lenet, False), (build_cifar_quick, True)):
+            net = build(seed=0)
+            x = np.zeros((64,) + net.input_shape)
+            _, cache = net.forward(x, np.zeros(64, dtype=np.int64))
+            net.backward(cache)
+            assert bool(net.workspace._buffers) == held
+
+    def test_run_experiment_drops_the_buffers(self, monkeypatch):
+        monkeypatch.setattr(nn, "WORKSPACE_FLOOR_BYTES", 0)
+        nets = []
+        build = harness.build_network
+
+        def keeping(*args):
+            nets.append(build(*args))
+            return nets[-1]
+
+        monkeypatch.setattr(harness, "build_network", keeping)
+        cfg = harness.ExperimentConfig(dataset="blobs", blobs_n=64, blobs_test_n=40,
+                                       arch="mlp:8", arch_activation="relu",
+                                       batch_size=16, max_iterations=3)
+        harness.run_experiment(cfg, 0)
+        assert nets[0].workspace._buffers == {}
+        nets[0].predict(np.zeros((2,) + nets[0].input_shape))
+        assert nets[0].workspace._buffers

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerlr.errors import DimensionError
-from layerlr.tensor import as_tensor, axpy, concat_flat, group_norm, l2_norm, matmul
+from layerlr.tensor import as_tensor, axpy, group_norm, l2_norm, matmul
 
 
 def naive_matmul(a, b):
@@ -115,11 +115,6 @@ def test_as_tensor_contiguous_float64():
 
 def test_concat_flat_and_group_norm_agree():
     parts = [np.array([[3.0]]), np.array([4.0, 0.0])]
-    flat = concat_flat(parts)
-    assert flat.shape == (3,)
+    flat = np.concatenate([p.ravel() for p in parts])
     assert l2_norm(flat) == pytest.approx(group_norm(parts), rel=1e-15)
     assert group_norm(parts) == 5.0
-
-
-def test_concat_flat_empty():
-    assert concat_flat([]).shape == (0,)
