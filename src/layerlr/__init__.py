@@ -16,18 +16,15 @@ from .landscapes import (
     MonkeySaddle,
     QuadraticSaddle,
     chain_gradient_profile,
-    eval_grad,
     run_escape_trial,
 )
 from .nn import (
     Conv2D,
     Dense,
-    LayerGradients,
     MaxPool2D,
     Network,
     ReLU,
     Sigmoid,
-    Softmax,
     Tanh,
     build_cifar_quick,
     build_lenet,
@@ -39,13 +36,13 @@ from .nn import (
 from .optim import (
     SGD,
     AdaGrad,
+    GroupStats,
     LrSchedule,
     Momentum,
     NAG,
     Optimizer,
     layer_multiplier,
     make_optimizer,
-    schedule_rate,
 )
 from .harness import (
     ExperimentConfig,

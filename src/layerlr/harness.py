@@ -21,7 +21,8 @@ from . import data as data_io
 from .errors import ConfigError, DataError, NumericError
 from .nn import Network, network_from_spec
 from .optim import LrSchedule, make_optimizer
-from .tensor import group_norm
+# Unused here: benchmarks/workloads.py wraps harness.group_norm in traced runs.
+from .tensor import group_norm  # noqa: F401
 
 DATA_DIR_ENV = "LAYERLR_DATA_DIR"
 
@@ -157,32 +158,18 @@ class ExperimentConfig:
         return opt
 
 
-# Mapping from config-file keys to attributes and value parsers.
 def _field_registry():
+    """Config-file key -> (attribute, value parser), the parser read off
+    the field's annotation."""
+    special = {bool: _parse_bool, tuple: _parse_int_list}
     registry = {}
-    parsers = {
-        "dataset": str, "data_dir": str, "arch": str, "arch_activation": str,
-        "loss": str, "opt_kind": str, "schedule_kind": str, "out": str,
-        "variant": str, "report": str,
-        "blobs_n": int, "blobs_test_n": int, "blobs_classes": int,
-        "blobs_dim": int, "blobs_seed": int, "batch_size": int,
-        "max_iterations": int, "eval_batch_size": int,
-        "blobs_separation": float, "opt_mu": float, "opt_weight_decay": float,
-        "opt_epsilon_norm": float, "opt_epsilon_div": float,
-        "schedule_t0": float, "schedule_gamma": float, "schedule_p": float,
-        "schedule_factor": float,
-        "opt_layerwise": _parse_bool, "opt_bias_separate": _parse_bool,
-        "schedule_milestones": _parse_int_list, "checkpoints": _parse_int_list,
-        "seeds": _parse_int_list,
-    }
     for f in fields(ExperimentConfig):
-        key = f.name
-        dotted = key
+        dotted = f.name
         for prefix in ("blobs", "opt", "schedule", "arch"):
-            if key.startswith(prefix + "_"):
-                dotted = prefix + "." + key[len(prefix) + 1:]
+            if f.name.startswith(prefix + "_"):
+                dotted = prefix + "." + f.name[len(prefix) + 1:]
                 break
-        registry[dotted] = (key, parsers[key])
+        registry[dotted] = (f.name, special.get(f.type, f.type))
     return registry
 
 
@@ -367,8 +354,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
     """Train one seed for max_iterations minibatch steps, evaluating the
     held-out test set at each checkpoint. Returns the MetricsRecord list.
 
-    Raises NumericError (with the last 10 per-layer gradient norm rows
-    attached) if the loss or a gradient goes non-finite.
+    Raises NumericError if the loss or a gradient goes non-finite, with
+    the (key, norm) pairs of the last 10 steps' GroupStats attached.
     """
     t_start = time.perf_counter()
     train, test = load_datasets(cfg)
@@ -384,21 +371,17 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
             x, y = stream.next_batch()
             targets = _targets_for(net, y, train.num_classes)
             try:
-                if opt.needs_lookahead:
-                    with opt.at_lookahead(params):
-                        loss, cache = net.forward(x, targets)
-                        grads = net.backward(cache)
-                else:
+                with opt.at_lookahead(params):
                     loss, cache = net.forward(x, targets)
                     grads = net.backward(cache)
-                norm_history.append([group_norm(g) for g in grads])
-                opt.step(params, grads)
+                stats = opt.step(params, grads)
             except NumericError as exc:
                 raise NumericError(
                     f"run aborted at iteration {k}: {exc}",
                     iteration=k,
                     layer_norms=list(norm_history),
                 ) from exc
+            norm_history.append([(s.key, s.norm) for s in stats])
             iteration = k + 1
             if iteration in checkpoints:
                 err = evaluate_error_percent(net, test, cfg.eval_batch_size)

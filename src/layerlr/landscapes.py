@@ -10,7 +10,7 @@ gradient shrinkage typical of vanishing gradients.
 import numpy as np
 
 from .errors import DimensionError, NumericError
-from .optim import Optimizer, layer_multiplier
+from .optim import Optimizer
 from .tensor import l2_norm
 
 DEFAULT_ESCAPE_RADIUS = 1.0
@@ -111,11 +111,6 @@ LANDSCAPE_KINDS = {
 }
 
 
-def eval_grad(landscape: Landscape, point):
-    """(value, per-layer gradients) of a landscape at a point."""
-    return landscape.value_grad(point)
-
-
 def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
                      escape_radius: float = DEFAULT_ESCAPE_RADIUS,
                      max_iter: int = DEFAULT_MAX_ITER) -> int:
@@ -130,13 +125,8 @@ def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
         raise ValueError("start must lie within escape_radius of the saddle")
     trail = []
     for k in range(1, max_iter + 1):
-        if opt.needs_lookahead:
-            with opt.at_lookahead(params):
-                point = [float(group[0][0]) for group in params]
-                _, grads = landscape.value_grad(point)
-        else:
-            point = [float(group[0][0]) for group in params]
-            _, grads = landscape.value_grad(point)
+        with opt.at_lookahead(params):
+            _, grads = landscape.value_grad([float(group[0][0]) for group in params])
         try:
             opt.step(params, [[g] for g in grads])
         except NumericError as exc:
@@ -167,8 +157,3 @@ def chain_gradient_profile(depth: int, point):
     chain = DeepLinearChain(depth)
     _, grads = chain.value_grad(point)
     return [l2_norm(g) for g in grads]
-
-
-def chain_multiplier_profile(depth: int, point):
-    """Layer-rate multipliers the adaptive rule assigns along the chain."""
-    return [layer_multiplier(n) for n in chain_gradient_profile(depth, point)]

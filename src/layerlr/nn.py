@@ -20,6 +20,8 @@ respect to the data, because nothing reads it. Max-pool ties go to the first
 maximum in row-major window order, the element np.argmax would pick.
 """
 
+import math
+
 import numpy as np
 
 from . import rng
@@ -441,24 +443,6 @@ class Tanh(Layer):
         return grad_out * (1.0 - cache * cache), []
 
 
-class Softmax(Layer):
-    """Row-wise softmax over the last axis."""
-
-    kind = "softmax"
-
-    def output_shape(self, in_shape):
-        return tuple(in_shape)
-
-    def forward(self, x, ws=_ALLOCATE):
-        out = softmax(x)
-        return out, out
-
-    def backward(self, grad_out, cache, ws=_ALLOCATE):
-        s = cache
-        inner = np.sum(grad_out * s, axis=-1, keepdims=True)
-        return s * (grad_out - inner), []
-
-
 def softmax(logits):
     """Numerically stable softmax over the last axis."""
     z = logits - np.max(logits, axis=-1, keepdims=True)
@@ -502,23 +486,6 @@ def _softmax_cross_entropy(logits, labels):
 
 # ---------------------------------------------------------------------------
 # Network
-
-
-class LayerGradients:
-    """Gradients of the loss, grouped per layer (one array per parameter
-    tensor, shapes mirroring the parameters)."""
-
-    def __init__(self, by_layer):
-        self.by_layer = by_layer
-
-    def __len__(self):
-        return len(self.by_layer)
-
-    def __getitem__(self, i):
-        return self.by_layer[i]
-
-    def __iter__(self):
-        return iter(self.by_layer)
 
 
 class ForwardCache:
@@ -595,8 +562,9 @@ class Network:
         return loss, ForwardCache(self, self._serial, caches, loss_grad)
 
     def backward(self, cache, targets=None):
-        """Gradients for every parameter tensor, from the cache of the most
-        recent pass, which must be a forward call."""
+        """Gradients of the loss, one list per layer with one array per
+        parameter tensor, from the cache of the most recent pass, which
+        must be a forward call."""
         if not isinstance(cache, ForwardCache) or cache._net is not self:
             raise UsageError("backward requires the cache returned by forward on this network")
         if cache._serial != self._serial:
@@ -611,7 +579,7 @@ class Network:
         if self.layers and self.layers[0].params:
             _, by_layer[0] = self.layers[0].backward(
                 grad, cache.layer_caches[0], need_grad_in=False, ws=self.workspace.layer(0))
-        return LayerGradients(by_layer)
+        return by_layer
 
     def predict(self, inputs):
         """Forward pass returning the final layer output, which no later
@@ -638,31 +606,40 @@ class Network:
 # Finite-difference oracle and gradient checking
 
 
+def _central_differences(net: Network, evaluate, eps: float, coords=range):
+    """Yield (li, ti, i, up, down) for each flat coordinate i that
+    coords(size) picks in tensor ti of layer li, where up and down are
+    evaluate() with that coordinate shifted by +eps and by -eps. The
+    coordinate is put back before anything else runs, also when evaluate
+    raises."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    for li, group in enumerate(net.parameters()):
+        for ti, p in enumerate(group):
+            flat = p.ravel()
+            for i in coords(flat.size):
+                orig = flat[i]
+                try:
+                    flat[i] = orig + eps
+                    up = evaluate()
+                    flat[i] = orig - eps
+                    down = evaluate()
+                finally:
+                    flat[i] = orig
+                yield li, ti, i, up, down
+
+
 def finite_difference_gradient(net: Network, inputs, targets, eps: float = 1e-6):
-    """Central-difference gradient of the loss for every parameter.
+    """Central-difference gradient of the loss for every parameter, grouped
+    per layer like Network.backward.
 
     Exact to O(eps^2); intended as an independent oracle for backward().
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    by_layer = []
-    for group in net.parameters():
-        grads = []
-        for p in group:
-            g = np.empty_like(p)
-            flat_p = p.ravel()
-            flat_g = g.ravel()
-            for i in range(flat_p.size):
-                orig = flat_p[i]
-                flat_p[i] = orig + eps
-                up = net.loss_value(inputs, targets)
-                flat_p[i] = orig - eps
-                down = net.loss_value(inputs, targets)
-                flat_p[i] = orig
-                flat_g[i] = (up - down) / (2.0 * eps)
-            grads.append(g)
-        by_layer.append(grads)
-    return LayerGradients(by_layer)
+    grads = [[np.empty_like(p) for p in group] for group in net.parameters()]
+    for li, ti, i, up, down in _central_differences(
+            net, lambda: net.loss_value(inputs, targets), eps):
+        grads[li][ti].flat[i] = (up - down) / (2.0 * eps)
+    return grads
 
 
 def _patterns_equal(a, b):
@@ -693,9 +670,16 @@ def gradient_check(net: Network, inputs, targets, eps: float = 1e-6,
     Relative error per coordinate is |a - b| / max(1, |a|, |b|). Coordinates
     whose +/-eps perturbation flips a ReLU mask or max-pool winner sit on a
     kink where the two sides legitimately disagree; they are skipped and
-    counted. `samples_per_tensor` bounds the coordinates checked per
+    counted. A NaN error, from a non-finite gradient on either side, counts
+    as infinite. `samples_per_tensor` bounds the coordinates checked per
     parameter tensor (None checks all of them).
     """
+    def coords(size):
+        if samples_per_tensor is None or samples_per_tensor >= size:
+            return range(size)
+        gen = sample_gen if sample_gen is not None else rng.generator(0, 0xC0DE)
+        return gen.choice(size, size=samples_per_tensor, replace=False)
+
     loss, cache = net.forward(inputs, targets)
     analytic = net.backward(cache)
     _, base_pattern = net.loss_and_pattern(inputs, targets)
@@ -703,34 +687,21 @@ def gradient_check(net: Network, inputs, targets, eps: float = 1e-6,
     worst = None
     checked = 0
     skipped = 0
-    for li, group in enumerate(net.parameters()):
-        for ti, p in enumerate(group):
-            flat_p = p.ravel()
-            flat_a = analytic[li][ti].ravel()
-            size = flat_p.size
-            if samples_per_tensor is None or samples_per_tensor >= size:
-                coords = np.arange(size)
-            else:
-                gen = sample_gen if sample_gen is not None else rng.generator(0, 0xC0DE)
-                coords = gen.choice(size, size=samples_per_tensor, replace=False)
-            for i in coords:
-                orig = flat_p[i]
-                flat_p[i] = orig + eps
-                up, pat_up = net.loss_and_pattern(inputs, targets)
-                flat_p[i] = orig - eps
-                down, pat_down = net.loss_and_pattern(inputs, targets)
-                flat_p[i] = orig
-                if not (_patterns_equal(pat_up, base_pattern)
-                        and _patterns_equal(pat_down, base_pattern)):
-                    skipped += 1
-                    continue
-                fd = (up - down) / (2.0 * eps)
-                a = flat_a[i]
-                rel = abs(a - fd) / max(1.0, abs(a), abs(fd))
-                checked += 1
-                if rel > max_rel:
-                    max_rel = rel
-                    worst = (li, ti, int(i))
+    for li, ti, i, (up, pat_up), (down, pat_down) in _central_differences(
+            net, lambda: net.loss_and_pattern(inputs, targets), eps, coords):
+        if not (_patterns_equal(pat_up, base_pattern)
+                and _patterns_equal(pat_down, base_pattern)):
+            skipped += 1
+            continue
+        fd = (up - down) / (2.0 * eps)
+        a = analytic[li][ti].flat[i]
+        rel = abs(a - fd) / max(1.0, abs(a), abs(fd))
+        checked += 1
+        if math.isnan(rel):
+            rel = math.inf
+        if rel > max_rel:
+            max_rel = rel
+            worst = (li, ti, int(i))
     return GradCheckResult(max_rel, checked, skipped, worst)
 
 

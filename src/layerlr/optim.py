@@ -7,11 +7,17 @@ gradient norms (shallow layers, low-curvature regions) get a larger step;
 for large norms the multiplier tends to 1 and the base optimizer is
 recovered. It composes with any rule that consumes a global learning rate:
 SGD, classical momentum, Nesterov momentum, and AdaGrad are provided.
+
+Optimizer.step returns one GroupStats per norm group: the gradient norm it
+computed, the multiplier and the effective rate it applied. Every optimizer
+has at_lookahead(params), the context in which a caller takes the gradient
+the next step consumes; only NAG moves the point there.
 """
 
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,6 +29,10 @@ EPSILON_DIV = 1e-12
 
 OPTIMIZER_KINDS = ("sgd", "momentum", "nag", "adagrad")
 SCHEDULE_KINDS = ("constant", "inverse-time", "step-decay")
+
+# nullcontext is reusable, and one shared instance is half the cost of a new
+# one on every step of a scalar landscape.
+_NO_LOOKAHEAD = nullcontext()
 
 
 def layer_multiplier(norm: float, epsilon_norm: float = EPSILON_NORM) -> float:
@@ -78,17 +88,24 @@ class LrSchedule:
         return self.t0 * self.factor ** drops
 
 
-def schedule_rate(schedule: LrSchedule, k: int) -> float:
-    """Global learning rate t(k) for iteration k."""
-    return schedule.rate(k)
-
-
 def constant(t0: float) -> LrSchedule:
     return LrSchedule(kind="constant", t0=t0)
 
 
 # ---------------------------------------------------------------------------
 # Optimizers
+
+
+class GroupStats(NamedTuple):
+    """What one step did to one norm group: its state-key prefix ((li,), or
+    (li, ti) under bias_separate), the l2 norm of its gradient (weight decay
+    included), the multiplier (1.0 when layerwise is off) and the effective
+    rate t(k) * multiplier."""
+
+    key: tuple
+    norm: float
+    multiplier: float
+    t_eff: float
 
 
 class Optimizer:
@@ -101,13 +118,11 @@ class Optimizer:
     """
 
     kind = "base"
-    needs_lookahead = False
 
     def __init__(self, schedule, layerwise: bool = False,
                  bias_separate: bool = False, weight_decay: float = 0.0,
                  epsilon_norm: float = EPSILON_NORM,
-                 epsilon_div: float = EPSILON_DIV,
-                 multiplier_fn=None):
+                 epsilon_div: float = EPSILON_DIV):
         if isinstance(schedule, (int, float)):
             schedule = constant(float(schedule))
         if weight_decay < 0:
@@ -122,7 +137,7 @@ class Optimizer:
         self.epsilon_div = epsilon_div
         # Test hook: forcing the multiplier to 1 must reproduce the
         # layerwise=False trajectory exactly.
-        self.multiplier_fn = multiplier_fn if multiplier_fn is not None else layer_multiplier
+        self.multiplier_fn = layer_multiplier
         self.k = 0
         # One scratch array per parameter tensor, keyed like the state, so
         # updates and the NAG lookahead allocate nothing after the first step.
@@ -132,9 +147,14 @@ class Optimizer:
         """Global learning rate for the upcoming step."""
         return self.schedule.rate(self.k)
 
+    def at_lookahead(self, params):
+        """Context in which `params` hold the point the next gradient is
+        taken at; here the parameters themselves, so it does nothing."""
+        return _NO_LOOKAHEAD
+
     def step(self, params, grads):
-        """Apply one update from per-layer gradients; returns the per-group
-        multipliers actually used (1.0 entries when layerwise is off).
+        """Apply one update from per-layer gradients; returns the GroupStats
+        of every norm group, in update order.
 
         Every group is checked, and its norm computed, before any tensor is
         updated: a NumericError leaves parameters, state and k untouched.
@@ -144,8 +164,8 @@ class Optimizer:
                 f"params have {len(params)} layers but grads have {len(grads)}"
             )
         t_k = self.schedule.rate(self.k)
-        multipliers = []
-        updates = []
+        stats = []
+        groups = []
         for li, (pgroup, ggroup) in enumerate(zip(params, grads)):
             if len(pgroup) != len(ggroup):
                 raise ConfigError(f"layer {li}: parameter/gradient count mismatch")
@@ -166,24 +186,20 @@ class Optimizer:
             # Per-tensor state keys become group_key + (position,): (li, ti)
             # normally, (li, ti, 0) under bias_separate.
             for key, ps, gs in subgroups:
-                if self.layerwise:
-                    # A finite norm proves every entry finite; an infinite
-                    # one may be an overflowed sum of squares of finite
-                    # entries, which gives multiplier 1 rather than an abort.
-                    norm = group_norm(gs)
-                    if not math.isfinite(norm):
-                        self._check_finite(li, gs)
-                    m = self.multiplier_fn(norm, self.epsilon_norm)
-                else:
+                # A finite norm proves every entry finite; an infinite one
+                # may be an overflowed sum of squares of finite entries,
+                # which gives multiplier 1 rather than an abort.
+                norm = group_norm(gs)
+                if not math.isfinite(norm):
                     self._check_finite(li, gs)
-                    m = 1.0
-                multipliers.append(m)
-                updates.append((key, ps, gs, t_k * m))
-        for key, ps, gs, t_eff in updates:
+                m = self.multiplier_fn(norm, self.epsilon_norm) if self.layerwise else 1.0
+                stats.append(GroupStats(key, norm, m, t_k * m))
+                groups.append((ps, gs))
+        for (key, _, _, t_eff), (ps, gs) in zip(stats, groups):
             for ti, (p, g) in enumerate(zip(ps, gs)):
                 self._update(key + (ti,), p, g, t_eff)
         self.k += 1
-        return multipliers
+        return stats
 
     def _check_finite(self, li, tensors):
         for g in tensors:
@@ -251,7 +267,6 @@ class NAG(Momentum):
     """
 
     kind = "nag"
-    needs_lookahead = True
 
     @contextmanager
     def at_lookahead(self, params):

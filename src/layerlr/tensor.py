@@ -14,11 +14,6 @@ import numpy as np
 from .errors import DimensionError
 
 
-def as_tensor(values) -> np.ndarray:
-    """Materialize `values` as a contiguous float64 array."""
-    return np.ascontiguousarray(values, dtype=np.float64)
-
-
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of a 2-D (m,k) by a 2-D (k,n) array."""
     a = np.asarray(a, dtype=np.float64)

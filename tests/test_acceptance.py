@@ -107,11 +107,7 @@ def _train_trajectory(opt, seed, steps=100):
     for _ in range(steps):
         x, y = stream.next_batch()
         x = x.reshape(x.shape[0], -1)
-        if opt.needs_lookahead:
-            with opt.at_lookahead(params):
-                _, cache = net.forward(x, y)
-                grads = net.backward(cache)
-        else:
+        with opt.at_lookahead(params):
             _, cache = net.forward(x, y)
             grads = net.backward(cache)
         opt.step(params, grads)

@@ -4,6 +4,7 @@ import tarfile
 import pytest
 
 from layerlr import cli, harness
+from layerlr.nn import GradCheckResult
 
 BLOBS_ARGS = [
     "--dataset=blobs", "--blobs.n=120", "--blobs.test_n=60", "--blobs.classes=3",
@@ -62,10 +63,18 @@ class TestExitCodes:
         pytest.param(["bench", "--starts", "1e-2", "--lrs", "0.1", "--max-iter", "100",
                       "--out", "{missing}/b.csv"], cli.EXIT_DATA, id="bench-out-unwritable"),
         pytest.param(["train", "--arch=mlp:abc"], cli.EXIT_CONFIG, id="mlp-width-not-int"),
+        pytest.param(["gradcheck", "--samples", "-1"], cli.EXIT_CONFIG, id="gradcheck-samples-neg"),
+        pytest.param(["gradcheck", "--samples", "0"], cli.EXIT_CONFIG, id="gradcheck-samples-0"),
+        pytest.param(["gradcheck", "--batch", "0"], cli.EXIT_CONFIG, id="gradcheck-batch-0"),
+        pytest.param(["gradcheck", "--batch", "-1"], cli.EXIT_CONFIG, id="gradcheck-batch-neg"),
+        pytest.param(["gradcheck", "--seeds", "0"], cli.EXIT_CONFIG, id="gradcheck-seeds-0"),
+        pytest.param(["gradcheck", "--mlp-classes", "0"], cli.EXIT_CONFIG,
+                     id="gradcheck-mlp-classes-0"),
     ])
     def test_bad_argument_is_one_line_config_error(self, argv, code, tmp_path, capsys):
         argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
-        if "--out" not in argv:
+        # gradcheck writes no file and would reject --out itself.
+        if argv[0] != "gradcheck" and "--out" not in argv:
             argv += ["--out", str(tmp_path / "out.csv")]
         assert cli.main(argv) == code
         err = capsys.readouterr().err
@@ -73,6 +82,8 @@ class TestExitCodes:
         assert err.startswith(prefix)
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        if argv[0] == "gradcheck":
+            assert argv[1] in err
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "missing").exists()
 
@@ -197,6 +208,13 @@ class TestSubcommands:
         plain = int(lines[1].split(",")[-1])
         ours = int(lines[2].split(",")[-1])
         assert ours <= plain
+
+    def test_gradcheck_with_no_checked_coordinate_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "gradient_check",
+                            lambda *args, **kwargs: GradCheckResult(0.0, 0, 5, None))
+        code = cli.main(["gradcheck", "--archs", "mlp:6", "--seeds", "1"])
+        assert code == cli.EXIT_NUMERIC
+        assert "over 0 coordinates" in capsys.readouterr().out
 
     def test_gradcheck_passes_on_small_mlp(self, capsys):
         code = cli.main(["gradcheck", "--archs", "mlp:6", "--seeds", "1",

@@ -64,11 +64,7 @@ def trajectory(arch, kind, layerwise):
     losses, norms = [], []
     for _ in range(STEPS):
         x, y = batches()
-        if opt.needs_lookahead:
-            with opt.at_lookahead(params):
-                loss, cache = net.forward(x, y)
-                grads = net.backward(cache)
-        else:
+        with opt.at_lookahead(params):
             loss, cache = net.forward(x, y)
             grads = net.backward(cache)
         losses.append(loss)

@@ -1,5 +1,6 @@
 import pickle
 import statistics
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -56,6 +57,16 @@ class TestConfigParsing:
         assert cfg.schedule_milestones == (100, 200)
         assert cfg.checkpoints == (10, 20)
         assert cfg.seeds == (1, 2)
+
+    def test_every_default_round_trips_through_the_file_format(self):
+        default = ExperimentConfig()
+        lines = []
+        for key, (attr, _) in harness._REGISTRY.items():
+            value = getattr(default, attr)
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            lines.append(f"{key} = {text}")
+        assert len(lines) == len(fields(ExperimentConfig))
+        assert parse_config_text("\n".join(lines)) == default
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -173,6 +184,17 @@ class TestRunExperiment:
             run_experiment(cfg, seed=0)
         assert err.value.layer_norms
         assert len(err.value.layer_norms) <= 10
+        # Rows are the (key, norm) pairs of the steps' GroupStats.
+        assert all([key for key, _ in row] == [(0,)] for row in err.value.layer_norms)
+
+    def test_run_experiment_takes_the_norms_the_optimizer_reports(self, monkeypatch):
+        def refuse(tensors):
+            raise AssertionError("the harness computed a gradient norm")
+
+        monkeypatch.setattr(harness, "group_norm", refuse)
+        cfg = blobs_config(opt_kind="nag", opt_layerwise=True, schedule_t0=0.005,
+                           max_iterations=5)
+        assert [r.iteration for r in run_experiment(cfg, seed=0)] == [5]
 
     def test_nag_uses_lookahead_path(self):
         cfg = blobs_config(opt_kind="nag", opt_mu=0.9, schedule_t0=0.02,

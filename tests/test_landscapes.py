@@ -10,8 +10,6 @@ from layerlr.landscapes import (
     MonkeySaddle,
     QuadraticSaddle,
     chain_gradient_profile,
-    chain_multiplier_profile,
-    eval_grad,
     run_escape_trial,
 )
 from layerlr.optim import SGD, layer_multiplier, make_optimizer
@@ -23,37 +21,37 @@ def closed_form_escape(y0, t, radius=1.0):
 
 class TestGradients:
     def test_quadratic_saddle_at_origin(self):
-        value, grads = eval_grad(QuadraticSaddle(), [0.0, 0.0])
+        value, grads = QuadraticSaddle().value_grad([0.0, 0.0])
         assert value == 0.0
         assert grads[0][0] == 0.0 and grads[1][0] == 0.0
 
     def test_quadratic_saddle_at_point(self):
-        value, grads = eval_grad(QuadraticSaddle(), [1.0, 2.0])
+        value, grads = QuadraticSaddle().value_grad([1.0, 2.0])
         assert value == pytest.approx(0.5 - 2.0)
         assert grads[0][0] == 1.0
         assert grads[1][0] == -2.0
 
     def test_chain_depth_three_hand_differentiated(self):
-        value, grads = eval_grad(DeepLinearChain(3), [1.0, 1.0, 2.0])
+        value, grads = DeepLinearChain(3).value_grad([1.0, 1.0, 2.0])
         assert value == 0.5
         assert [g[0] for g in grads] == [2.0, 2.0, 1.0]
 
     def test_chain_depth_two_product_rule(self):
         a, b = 0.3, -1.7
-        _, grads = eval_grad(DeepLinearChain(2), [a, b])
+        _, grads = DeepLinearChain(2).value_grad([a, b])
         assert grads[0][0] == pytest.approx(b * (a * b - 1.0), rel=1e-14)
         assert grads[1][0] == pytest.approx(a * (a * b - 1.0), rel=1e-14)
 
     def test_monkey_saddle_gradient(self):
         x, y = 0.7, -0.4
-        value, grads = eval_grad(MonkeySaddle(), [x, y])
+        value, grads = MonkeySaddle().value_grad([x, y])
         assert value == pytest.approx(x ** 3 - 3 * x * y * y, rel=1e-14)
         assert grads[0][0] == pytest.approx(3 * x * x - 3 * y * y, rel=1e-14)
         assert grads[1][0] == pytest.approx(-6 * x * y, rel=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            eval_grad(QuadraticSaddle(), [1.0, 2.0, 3.0])
+            QuadraticSaddle().value_grad([1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("landscape", [
         QuadraticSaddle(), MonkeySaddle(), DeepLinearChain(4), DeepLinearChain(7),
@@ -138,7 +136,7 @@ class TestChainProfiles:
         # All w_i = 0.5, d = 10: every layer shares one tiny gradient norm,
         # so the rate multiplier is large and identical across layers.
         norms = chain_gradient_profile(10, [0.5] * 10)
-        mults = chain_multiplier_profile(10, [0.5] * 10)
+        mults = [layer_multiplier(n) for n in norms]
         assert norms[0] == pytest.approx(0.0019512176513671875, rel=1e-12)
         assert mults[0] == pytest.approx(7.24125098118618, rel=1e-12)
         assert max(mults) / min(mults) == 1.0
@@ -146,7 +144,7 @@ class TestChainProfiles:
 
     def test_heterogeneous_point_spreads_multipliers_golden(self):
         point = [0.5 + 0.04 * i for i in range(10)]
-        mults = chain_multiplier_profile(10, point)
+        mults = [layer_multiplier(n) for n in chain_gradient_profile(10, point)]
         assert max(mults) / min(mults) == pytest.approx(1.1209384660759816, rel=1e-10)
         assert max(mults) / min(mults) > 1.0
 

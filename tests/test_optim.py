@@ -18,7 +18,6 @@ from layerlr.optim import (
     constant,
     layer_multiplier,
     make_optimizer,
-    schedule_rate,
 )
 from layerlr.tensor import group_norm
 
@@ -34,26 +33,26 @@ def single_layer(*values):
 class TestSchedule:
     def test_constant(self):
         s = constant(0.3)
-        assert schedule_rate(s, 0) == 0.3
-        assert schedule_rate(s, 10 ** 6) == 0.3
+        assert s.rate(0) == 0.3
+        assert s.rate(10 ** 6) == 0.3
 
     def test_inverse_time_at_zero_is_t0(self):
         s = LrSchedule(kind="inverse-time", t0=0.25, gamma=0.5, p=2.0)
-        assert schedule_rate(s, 0) == 0.25
+        assert s.rate(0) == 0.25
 
     def test_inverse_time_halving(self):
         s = LrSchedule(kind="inverse-time", t0=0.1, gamma=0.01, p=1.0)
-        assert schedule_rate(s, 100) == pytest.approx(0.05, abs=1e-15)
+        assert s.rate(100) == pytest.approx(0.05, abs=1e-15)
 
     def test_step_decay_between_milestones(self):
         s = LrSchedule(kind="step-decay", t0=0.001, milestones=(60000, 65000), factor=0.1)
-        assert schedule_rate(s, 62000) == pytest.approx(0.0001, rel=1e-12)
-        assert schedule_rate(s, 59999) == pytest.approx(0.001, rel=1e-12)
-        assert schedule_rate(s, 65000) == pytest.approx(0.00001, rel=1e-12)
+        assert s.rate(62000) == pytest.approx(0.0001, rel=1e-12)
+        assert s.rate(59999) == pytest.approx(0.001, rel=1e-12)
+        assert s.rate(65000) == pytest.approx(0.00001, rel=1e-12)
 
     def test_inverse_time_non_increasing(self):
         s = LrSchedule(kind="inverse-time", t0=1.0, gamma=0.3, p=0.7)
-        rates = [schedule_rate(s, k) for k in range(0, 2000, 37)]
+        rates = [s.rate(k) for k in range(0, 2000, 37)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
         assert all(r > 0 for r in rates)
 
@@ -350,9 +349,8 @@ class TestMakeOptimizer:
 def _run_trajectory(opt, steps, grad_seq, start):
     params = [[start.copy()]]
     for g in grad_seq[:steps]:
-        if opt.needs_lookahead:
-            with opt.at_lookahead(params):
-                pass
+        with opt.at_lookahead(params):
+            pass
         opt.step(params, [[g.copy()]])
     return params[0][0]
 
@@ -384,17 +382,16 @@ def test_momentum_mu_zero_bitwise_equals_sgd_long_run():
 def _reference_run(kind, schedule, params, grad_seq, layerwise, bias_separate,
                    weight_decay, mu=0.9):
     """The four update rules with one temporary per operation, in the
-    operation order of Optimizer.step. Yields, per step, the NAG lookahead
-    point (None for other kinds), the parameters and the state."""
+    operation order of Optimizer.step. Yields, per step, the lookahead
+    point (the parameters themselves but for NAG), the parameters and the
+    state."""
     state = {}
     for k, grads in enumerate(grad_seq):
-        ahead = None
-        if kind == "nag":
-            ahead = []
-            for li, group in enumerate(params):
-                keys = [(li, ti, 0) if bias_separate else (li, ti) for ti in range(len(group))]
-                ahead.append([p + mu * state[key] if key in state else p.copy()
-                              for key, p in zip(keys, group)])
+        ahead = []
+        for li, group in enumerate(params):
+            keys = [(li, ti, 0) if bias_separate else (li, ti) for ti in range(len(group))]
+            ahead.append([p + mu * state[key] if kind == "nag" and key in state else p.copy()
+                          for key, p in zip(keys, group)])
         t_k = schedule.rate(k)
         for li, (pg, gg) in enumerate(zip(params, grads)):
             ges = [g + weight_decay * p if weight_decay else g for p, g in zip(pg, gg)]
@@ -448,10 +445,9 @@ def test_in_place_updates_match_allocating_reference_bitwise(
     opt = make_optimizer(kind, schedule, layerwise=layerwise,
                          bias_separate=bias_separate, weight_decay=weight_decay)
     for grads, (want_ahead, want_params, want_state) in zip(grad_seq, reference):
-        if opt.needs_lookahead:
-            with opt.at_lookahead(params):
-                ahead = _nested_copy(params)
-            assert pickle.dumps(ahead) == pickle.dumps(want_ahead)
+        with opt.at_lookahead(params):
+            ahead = _nested_copy(params)
+        assert pickle.dumps(ahead) == pickle.dumps(want_ahead)
         opt.step(params, grads)
         assert pickle.dumps(params) == pickle.dumps(want_params)
         assert pickle.dumps(opt.state_arrays()) == pickle.dumps(want_state)
@@ -530,7 +526,55 @@ def test_overflowing_norm_of_finite_gradient_gives_multiplier_one(kind):
     params = [[np.zeros(3)], [np.zeros(2)]]
     grads = [[np.full(3, 1e200)], [np.array([1e-3, 0.0])]]
     opt = make_optimizer(kind, 1e-210, layerwise=True)
-    multipliers = opt.step(params, grads)
-    assert multipliers[0] == 1.0
-    assert multipliers[1] == layer_multiplier(group_norm(grads[1]))
+    stats = opt.step(params, grads)
+    assert stats[0].multiplier == 1.0
+    assert stats[1].multiplier == layer_multiplier(group_norm(grads[1]))
     assert np.all(np.isfinite(params[0][0]))
+
+
+@pytest.mark.parametrize("layerwise, bias_separate, weight_decay",
+                         [(False, False, 0.0), (True, False, 0.0), (False, True, 0.0),
+                          (True, True, 0.0), (True, False, 1e-1)])
+@pytest.mark.parametrize("kind", ["sgd", "nag"])
+def test_step_reports_norm_multiplier_and_rate_of_every_group(
+        kind, layerwise, bias_separate, weight_decay):
+    schedule = LrSchedule(kind="inverse-time", t0=0.05, gamma=0.5, p=1.0)
+    params, grad_seq = _layered_problem(16, 3)
+    opt = make_optimizer(kind, schedule, layerwise=layerwise,
+                         bias_separate=bias_separate, weight_decay=weight_decay)
+    for k, grads in enumerate(grad_seq):
+        want = []
+        for li, (pg, gg) in enumerate(zip(params, grads)):
+            ges = [g + weight_decay * p if weight_decay else g for p, g in zip(pg, gg)]
+            if not ges:
+                continue
+            parts = ([((li, ti), [g]) for ti, g in enumerate(ges)] if bias_separate
+                     else [((li,), ges)])
+            for key, gs in parts:
+                norm = group_norm(gs)
+                m = layer_multiplier(norm) if layerwise else 1.0
+                want.append((key, norm, m, schedule.rate(k) * m))
+        if weight_decay:
+            assert want[0][1] != group_norm(grads[0])
+        with opt.at_lookahead(params):
+            pass
+        assert opt.step(params, grads) == want
+    # Layer 1 holds no parameters and reports no group.
+    assert [s.key for s in opt.step(params, grad_seq[0])] == (
+        [(0, 0), (0, 1), (2, 0), (2, 1), (3, 0)] if bias_separate else [(0,), (2,), (3,)])
+
+
+@pytest.mark.parametrize("kind", ["sgd", "momentum", "adagrad"])
+def test_base_at_lookahead_leaves_the_same_parameters_in_place(kind):
+    params, grad_seq = _layered_problem(17, 2)
+    opt = make_optimizer(kind, 0.05, layerwise=True)
+    for grads in grad_seq:
+        opt.step(params, grads)
+    objects = [list(group) for group in params]
+    values = pickle.dumps(params)
+    with opt.at_lookahead(params):
+        assert all(p is orig for group, originals in zip(params, objects)
+                   for p, orig in zip(group, originals))
+        assert pickle.dumps(params) == values
+    assert all(p is orig for group, originals in zip(params, objects)
+               for p, orig in zip(group, originals))

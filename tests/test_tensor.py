@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerlr.errors import DimensionError
-from layerlr.tensor import as_tensor, axpy, group_norm, l2_norm, matmul
+from layerlr.tensor import axpy, group_norm, l2_norm, matmul
 
 
 def naive_matmul(a, b):
@@ -105,12 +105,6 @@ class TestAxpy:
         rhs = axpy(a + b, x, y)
         scale = np.maximum(np.abs(rhs), 1.0)
         assert np.max(np.abs(lhs - rhs) / scale) <= 1e-12
-
-
-def test_as_tensor_contiguous_float64():
-    t = as_tensor([[1, 2], [3, 4]])
-    assert t.dtype == np.float64
-    assert t.flags["C_CONTIGUOUS"]
 
 
 def test_concat_flat_and_group_norm_agree():
