@@ -355,7 +355,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
     held-out test set at each checkpoint. Returns the MetricsRecord list.
 
     Raises NumericError if the loss or a gradient goes non-finite, with
-    the (key, norm) pairs of the last 10 steps' GroupStats attached.
+    the (key, norm) pairs of the last 10 steps' GroupStats attached; after
+    a non-finite gradient the last row holds the failing step's pairs up
+    to the failing group.
     """
     t_start = time.perf_counter()
     train, test = load_datasets(cfg)
@@ -376,6 +378,8 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
                     grads = net.backward(cache)
                 stats = opt.step(params, grads)
             except NumericError as exc:
+                # A gradient abort carries the failing step's pairs.
+                norm_history.extend(exc.layer_norms or ())
                 raise NumericError(
                     f"run aborted at iteration {k}: {exc}",
                     iteration=k,

@@ -191,7 +191,7 @@ class Optimizer:
                 # which gives multiplier 1 rather than an abort.
                 norm = group_norm(gs)
                 if not math.isfinite(norm):
-                    self._check_finite(li, gs)
+                    self._check_finite(li, gs, [(s.key, s.norm) for s in stats] + [(key, norm)])
                 m = self.multiplier_fn(norm, self.epsilon_norm) if self.layerwise else 1.0
                 stats.append(GroupStats(key, norm, m, t_k * m))
                 groups.append((ps, gs))
@@ -201,12 +201,15 @@ class Optimizer:
         self.k += 1
         return stats
 
-    def _check_finite(self, li, tensors):
+    def _check_finite(self, li, tensors, norms):
+        """Raise if an entry is not finite, carrying `norms`, the (key, norm)
+        pairs this step has computed, as the error's one row."""
         for g in tensors:
             if not np.isfinite(g).all():
                 raise NumericError(
                     f"non-finite gradient in layer {li} at iteration {self.k}",
                     iteration=self.k,
+                    layer_norms=[norms],
                 )
 
     def _buffer(self, key, like):

@@ -23,6 +23,7 @@ from layerlr.harness import (
     run_experiment,
     summarize_records,
 )
+from layerlr.nn import Network
 
 BLOBS_KW = dict(dataset="blobs", blobs_n=240, blobs_test_n=120, blobs_classes=4,
                 blobs_dim=8, arch="mlp:16", batch_size=32)
@@ -186,6 +187,22 @@ class TestRunExperiment:
         assert len(err.value.layer_norms) <= 10
         # Rows are the (key, norm) pairs of the steps' GroupStats.
         assert all([key for key, _ in row] == [(0,)] for row in err.value.layer_norms)
+
+    def test_gradient_abort_ends_with_the_failing_steps_norms(self, monkeypatch):
+        backward = Network.backward
+
+        def nan_last_layer(net, cache):
+            grads = backward(net, cache)
+            grads[-1][0][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(Network, "backward", nan_last_layer)
+        with pytest.raises(NumericError, match="iteration 0") as err:
+            run_experiment(blobs_config(opt_layerwise=True), seed=0)
+        # mlp:16 is Dense, ReLU, Dense: groups (0,) and (2,), and (2,) fails.
+        [row] = err.value.layer_norms
+        assert [key for key, _ in row] == [(0,), (2,)]
+        assert np.isfinite(row[0][1]) and np.isnan(row[1][1])
 
     def test_run_experiment_takes_the_norms_the_optimizer_reports(self, monkeypatch):
         def refuse(tensors):

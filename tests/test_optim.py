@@ -150,12 +150,15 @@ class TestSGDStep:
         assert ratio > 1.0
 
     def test_non_finite_gradient_reports_layer_and_iteration(self):
-        params = [[np.zeros(2)], [np.zeros(2)]]
-        grads = [[np.zeros(2)], [np.array([1.0, np.inf])]]
+        params = [[np.zeros(2)], [], [np.zeros(2)], [np.zeros(1)]]
+        grads = [[np.array([3.0, 4.0])], [], [np.array([1.0, np.inf])], [np.ones(1)]]
         opt = SGD(0.1)
         opt.k = 7
-        with pytest.raises(NumericError, match="layer 1.*iteration 7"):
+        with pytest.raises(NumericError, match="layer 2.*iteration 7") as err:
             opt.step(params, grads)
+        # The norms computed so far: empty layers have none, and groups after
+        # the failing one are not reached.
+        assert err.value.layer_norms == [[((0,), 5.0), ((2,), math.inf)]]
 
     def test_weight_decay_enters_gradient_and_norm(self):
         params = single_layer([2.0])
