@@ -9,9 +9,12 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric abort.
 """
 
 import argparse
+import itertools
 import os
 import sys
 import tarfile
+
+import numpy as np
 
 from . import harness
 from .errors import ConfigError, DataError, DimensionError, NumericError
@@ -116,18 +119,18 @@ def _cmd_bench(args, extras) -> int:
     harness.check_writable(args.out)
     kinds = args.optimizers.split(",")
     lines = ["landscape,optimizer,start,lr,escape_iterations"]
-    for lr in lrs:
-        for y0 in starts:
-            for kind in kinds:
-                layerwise = kind.startswith("ours-")
-                base = kind[5:] if layerwise else kind
-                opt = make_optimizer(base, lr, layerwise=layerwise)
-                start = [0.0] * (landscape.n_layers - 1) + [y0]
-                iters = run_escape_trial(opt, landscape, start,
-                                         escape_radius=args.radius,
-                                         max_iter=args.max_iter)
-                lines.append(f"{landscape.kind},{kind},{y0:.6g},{lr:.6g},{iters}")
-                print(lines[-1])
+    # A trial that overflows ends in NumericError, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lr, y0, kind in itertools.product(lrs, starts, kinds):
+            layerwise = kind.startswith("ours-")
+            base = kind[5:] if layerwise else kind
+            opt = make_optimizer(base, lr, layerwise=layerwise)
+            start = [0.0] * (landscape.n_layers - 1) + [y0]
+            iters = run_escape_trial(opt, landscape, start,
+                                     escape_radius=args.radius,
+                                     max_iter=args.max_iter)
+            lines.append(f"{landscape.kind},{kind},{y0:.6g},{lr:.6g},{iters}")
+            print(lines[-1])
     harness.write_csv(args.out, lines)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -295,9 +298,9 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        if exc.layer_norms:
-            print(f"last per-group gradient norms: {exc.layer_norms[-1]}", file=sys.stderr)
+        norms = exc.layer_norms
+        tail = f"; last per-group gradient norms: {norms[-1]}" if norms else ""
+        print(f"numeric error: {exc}{tail}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

@@ -1,13 +1,15 @@
 """Dataset ingestion and deterministic minibatch streaming.
 
 Loaders read MNIST IDX and CIFAR-10 binary files from local paths only;
-fetching the public archives is the CLI's job. Images come out as float64
-(n, c, h, w) arrays scaled to [0, 1], labels as an int64 vector.
+fetching the public archives is the CLI's job. A Dataset keeps its pixels
+as stored, uint8 (n, c, h, w) for IDX and CIFAR-10 files, and decodes only
+the rows asked for into float64: bytes scaled to [0, 1], then shifted by
+the per-channel means if the dataset is centred. Labels are an int64 vector.
 """
 
 import gzip
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,19 +19,21 @@ from .errors import ConfigError, DataError
 MNIST_IMAGE_MAGIC = 0x00000803
 MNIST_LABEL_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 32*32*3 pixels
+PIXEL_MAX = 255.0  # uint8 pixels decode to value / PIXEL_MAX
 
 
 @dataclass
 class Dataset:
-    images: np.ndarray       # (n, c, h, w) float64
+    pixels: np.ndarray       # (n, c, h, w) uint8 as read, or float64
     labels: np.ndarray       # (n,) int64, values in [0, num_classes)
     num_classes: int
     split: str = "train"
+    means: np.ndarray = None  # (c,) subtracted after scaling; None: not centred
 
     def __post_init__(self):
-        if self.images.shape[0] != self.labels.shape[0]:
+        if self.pixels.shape[0] != self.labels.shape[0]:
             raise DataError(
-                f"image count {self.images.shape[0]} != label count {self.labels.shape[0]}"
+                f"image count {self.pixels.shape[0]} != label count {self.labels.shape[0]}"
             )
         bad = self.labels[(self.labels < 0) | (self.labels >= self.num_classes)]
         if bad.size:
@@ -38,11 +42,32 @@ class Dataset:
             )
 
     def __len__(self):
-        return self.images.shape[0]
+        return self.pixels.shape[0]
 
     @property
     def input_shape(self):
-        return self.images.shape[1:]
+        return self.pixels.shape[1:]
+
+    def decode(self, index):
+        """float64 images of the rows `index` (a slice or index array)
+        selects: uint8 pixels as `u / PIXEL_MAX`, then minus `means` per
+        channel. Float pixels with no means come back as indexed, which
+        for a slice is a view."""
+        x = self.pixels[index]
+        if x.dtype == np.uint8:
+            x = x.astype(np.float64)
+            x /= PIXEL_MAX
+            if self.means is not None:
+                x -= self.means[:, None, None]
+        elif self.means is not None:
+            x = x - self.means[:, None, None]
+        return x
+
+    @property
+    def images(self):
+        """The whole split decoded: a float64 array 8 times the size of
+        uint8 pixels, built on every access."""
+        return self.decode(slice(None))
 
 
 def _open_maybe_gzip(path):
@@ -55,8 +80,7 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
     """Load an MNIST-style IDX image/label file pair.
 
     Validates the big-endian magic numbers (0x803 images, 0x801 labels) and
-    cross-checks the item counts between the two files. Pixels are scaled
-    by 1/255.
+    cross-checks the item counts between the two files. Pixels stay uint8.
     """
     with _open_maybe_gzip(images_path) as f:
         header = f.read(16)
@@ -91,13 +115,12 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
             f"item count mismatch: {images_path} has {n} images "
             f"but {labels_path} has {n_labels} labels"
         )
-    return Dataset(images.astype(np.float64) / 255.0,
-                   labels.astype(np.int64), num_classes=10, split=split)
+    return Dataset(images, labels.astype(np.int64), num_classes=10, split=split)
 
 
 def load_cifar10_bin(paths, split: str = "train") -> Dataset:
     """Load CIFAR-10 binary batch files (3073-byte records: label byte then
-    3072 pixel bytes in channel-major order)."""
+    3072 pixel bytes in channel-major order). Pixels stay uint8."""
     if isinstance(paths, (str, bytes)) or not hasattr(paths, "__iter__"):
         paths = [paths]
     image_parts, label_parts = [], []
@@ -112,21 +135,28 @@ def load_cifar10_bin(paths, split: str = "train") -> Dataset:
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
         label_parts.append(records[:, 0])
         image_parts.append(records[:, 1:].reshape(-1, 3, 32, 32))
-    images = np.concatenate(image_parts).astype(np.float64) / 255.0
+    images = np.concatenate(image_parts)
     labels = np.concatenate(label_parts).astype(np.int64)
     return Dataset(images, labels, num_classes=10, split=split)
 
 
 def channel_mean_center(train: Dataset, test: Dataset):
-    """Subtract the per-channel mean of the train split from both splits.
+    """Centre both splits on the per-channel mean of the train split's
+    pixels; the pixels are shared, not copied, and decoding subtracts the
+    means.
 
-    Returns (train, test, means); means has shape (c,).
+    For uint8 pixels the means come from exact integer sums, so each is the
+    exact mean correctly rounded. Means are always those of the stored
+    pixels, so centring twice is centring once. Returns (train, test,
+    means); means has shape (c,).
     """
-    means = train.images.mean(axis=(0, 2, 3))
-    shaped = means[None, :, None, None]
-    train_c = Dataset(train.images - shaped, train.labels, train.num_classes, train.split)
-    test_c = Dataset(test.images - shaped, test.labels, test.num_classes, test.split)
-    return train_c, test_c, means
+    pixels = train.pixels
+    if pixels.dtype == np.uint8:
+        sums = pixels.sum(axis=(0, 2, 3), dtype=np.int64)
+        means = sums / (PIXEL_MAX * (pixels.size // pixels.shape[1]))
+    else:
+        means = pixels.mean(axis=(0, 2, 3))
+    return replace(train, means=means), replace(test, means=means), means
 
 
 def synth_blobs(seed: int, n: int, classes: int, dim: int,
@@ -182,4 +212,4 @@ class BatchStream:
             self._cursor = 0
         idx = self._perm[self._cursor:self._cursor + self.batch_size]
         self._cursor += len(idx)
-        return self.dataset.images[idx], self.dataset.labels[idx]
+        return self.dataset.decode(idx), self.dataset.labels[idx]

@@ -8,11 +8,13 @@ aside). Seed-runs share no mutable state and may execute in parallel.
 """
 
 import math
+import multiprocessing
 import os
 import time
 import warnings
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -25,6 +27,7 @@ from .optim import LrSchedule, make_optimizer
 from .tensor import group_norm  # noqa: F401
 
 DATA_DIR_ENV = "LAYERLR_DATA_DIR"
+BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
 
 # Baseline-tuned global rates for the bundled architectures. The layer-wise
 # wrapper only ever increases the effective rate, so reusing the baseline t0
@@ -342,7 +345,7 @@ def evaluate_error_percent(net: Network, dataset: data_io.Dataset,
     wrong = 0
     n = len(dataset)
     for start in range(0, n, batch_size):
-        x = dataset.images[start:start + batch_size]
+        x = dataset.decode(slice(start, start + batch_size))
         y = dataset.labels[start:start + batch_size]
         logits = net.predict(x)
         pred = np.argmax(logits, axis=1)
@@ -463,10 +466,29 @@ def _run_worker(args):
         return seed, None, str(exc)
 
 
+@contextmanager
+def _one_blas_thread():
+    """Processes spawned in this block run OpenBLAS on one thread: the
+    workers already fill the cores, and each reads the thread count from
+    the environment it inherits when it imports numpy."""
+    saved = os.environ.get(BLAS_THREADS_ENV)
+    os.environ[BLAS_THREADS_ENV] = "1"
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ[BLAS_THREADS_ENV]
+        else:
+            os.environ[BLAS_THREADS_ENV] = saved
+
+
 def repeat_runs(cfg: ExperimentConfig, seeds=None, processes: int = None) -> SummaryTable:
     """Run every seed and reduce to a SummaryTable; results are ordered by
     seed regardless of execution order. Aborted seeds are flagged and the
-    summary covers the completed ones."""
+    summary covers the completed ones. With `processes` > 1 (default: one
+    per seed, up to the CPU count) every seed runs in a spawned worker with
+    one BLAS thread; a script that calls this at import time must then
+    guard its entry point with `if __name__ == "__main__":`."""
     seeds = tuple(seeds) if seeds is not None else cfg.seeds
     if len(seeds) < 2:
         raise ConfigError(f"repeat_runs needs at least 2 seeds, got {seeds}")
@@ -476,7 +498,8 @@ def repeat_runs(cfg: ExperimentConfig, seeds=None, processes: int = None) -> Sum
     if processes is None:
         processes = min(len(jobs), os.cpu_count() or 1)
     if processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as pool:
+        spawn = multiprocessing.get_context("spawn")
+        with _one_blas_thread(), ProcessPoolExecutor(processes, mp_context=spawn) as pool:
             results = list(pool.map(_run_worker, jobs))
     else:
         results = [_run_worker(job) for job in jobs]

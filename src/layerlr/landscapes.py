@@ -118,7 +118,9 @@ def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
     landscape's descent coordinate; returns max_iter if it never does.
 
     The optimizer owns its own state; NAG gradients are evaluated at the
-    lookahead point.
+    lookahead point. A non-finite iterate or gradient raises NumericError
+    with the last 10 iterates in its message; a gradient abort keeps the
+    optimizer's norm row as `layer_norms`.
     """
     params = landscape.make_params(start)
     if landscape.escape_distance([float(g[0][0]) for g in params]) > escape_radius:
@@ -134,7 +136,7 @@ def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
                 f"{landscape.kind} trial diverged at iteration {k}: {exc}; "
                 f"trailing iterates: {trail}",
                 iteration=k,
-                layer_norms=trail,
+                layer_norms=exc.layer_norms,
             ) from exc
         point = [float(group[0][0]) for group in params]
         trail.append(point)
@@ -145,7 +147,6 @@ def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
                 f"{landscape.kind} trial diverged at iteration {k}; "
                 f"trailing iterates: {trail}",
                 iteration=k,
-                layer_norms=trail,
             )
         if landscape.escape_distance(point) > escape_radius:
             return k

@@ -70,7 +70,12 @@ class TestExitCodes:
         pytest.param(["gradcheck", "--seeds", "0"], cli.EXIT_CONFIG, id="gradcheck-seeds-0"),
         pytest.param(["gradcheck", "--mlp-classes", "0"], cli.EXIT_CONFIG,
                      id="gradcheck-mlp-classes-0"),
+        # The first SGD step overflows to inf: an abort, not a numpy warning.
+        pytest.param(["bench", "--landscape", "monkey-saddle", "--lrs", "1e308",
+                      "--starts", "0.9", "--optimizers", "sgd"], cli.EXIT_NUMERIC,
+                     id="bench-overflow"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_argument_is_one_line_config_error(self, argv, code, tmp_path, capsys):
         argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
         # gradcheck writes no file and would reject --out itself.
@@ -78,7 +83,8 @@ class TestExitCodes:
             argv += ["--out", str(tmp_path / "out.csv")]
         assert cli.main(argv) == code
         err = capsys.readouterr().err
-        prefix = {cli.EXIT_CONFIG: "config error: ", cli.EXIT_DATA: "data error: "}[code]
+        prefix = {cli.EXIT_CONFIG: "config error: ", cli.EXIT_DATA: "data error: ",
+                  cli.EXIT_NUMERIC: "numeric error: "}[code]
         assert err.startswith(prefix)
         assert err.count("\n") == 1
         assert "Traceback" not in err

@@ -1,5 +1,6 @@
 import gzip
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -219,3 +220,79 @@ class TestDatasetValidation:
     def test_label_range(self):
         with pytest.raises(DataError):
             Dataset(np.zeros((3, 1, 2, 2)), np.array([0, 1, 5]), 2)
+
+
+def bits(x):
+    """The float64 bit patterns of `x`, so that -0.0 != 0.0 and NaN == NaN."""
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestDecode:
+    """Batches decode from the stored pixels to exactly the float64 values
+    a whole-split decode followed by indexing gives."""
+
+    def assert_same_batches(self, ds, ref, batch_size, steps=9):
+        """Equal-seed streams over `ds` and a float64 dataset holding the
+        reference values `ref` must emit bitwise equal batches."""
+        ref_ds = Dataset(ref, ds.labels, ds.num_classes)
+        got, want = BatchStream(ds, batch_size, seed=3), BatchStream(ref_ds, batch_size, seed=3)
+        for _ in range(steps):  # several epochs, with ragged last batches
+            (x, y), (x_ref, y_ref) = got.next_batch(), want.next_batch()
+            assert x.dtype == np.float64 and x.shape == x_ref.shape
+            assert np.array_equal(bits(x), bits(x_ref))
+            assert np.array_equal(y, y_ref)
+        for start in range(0, len(ds), batch_size):  # eval slices
+            rows = slice(start, start + batch_size)
+            assert np.array_equal(bits(ds.decode(rows)), bits(ref[rows]))
+
+    def test_mnist_batches_are_bytes_over_255(self, tmp_path):
+        img, lbl, pixels, _ = write_idx_pair(tmp_path, n=12)
+        ds = load_mnist_idx(img, lbl)
+        assert ds.pixels.dtype == np.uint8
+        self.assert_same_batches(ds, pixels[:, None].astype(np.float64) / 255.0, 5)
+
+    def test_blobs_batches_are_the_points(self):
+        ds = synth_blobs(4, 24, 3, 5)
+        assert ds.pixels.dtype == np.float64
+        self.assert_same_batches(ds, ds.pixels.copy(), 7)
+
+    def test_cifar_batches_are_scaled_then_centred(self, tmp_path):
+        p, q = tmp_path / "data_batch_1.bin", tmp_path / "test_batch.bin"
+        TestCifar10Bin().make_file(p, n=11)
+        TestCifar10Bin().make_file(q, n=6)
+        train, test, means = channel_mean_center(load_cifar10_bin([p]), load_cifar10_bin([q]))
+        for ds in (train, test):
+            assert ds.pixels.dtype == np.uint8
+            ref = ds.pixels / 255.0 - means[None, :, None, None]
+            self.assert_same_batches(ds, ref, 4)
+
+    def test_equal_seeds_identical_sequences_on_stored_bytes(self, tmp_path):
+        img, lbl, _, _ = write_idx_pair(tmp_path, n=12)
+        ds = load_mnist_idx(img, lbl)
+        s1, s2 = BatchStream(ds, 5, seed=8), BatchStream(ds, 5, seed=8)
+        for _ in range(7):
+            (x1, y1), (x2, y2) = s1.next_batch(), s2.next_batch()
+            assert np.array_equal(bits(x1), bits(x2))
+            assert np.array_equal(y1, y2)
+
+    def test_integer_sum_means_are_exact_and_near_float_means(self):
+        gen = rng.generator(2, 0x3EA7)
+        pixels = gen.integers(0, 256, size=(500, 3, 32, 32)).astype(np.uint8)
+        ds = Dataset(pixels, np.zeros(500, dtype=np.int64), 10)
+        _, _, means = channel_mean_center(ds, ds)
+        count = pixels.size // 3
+        for c in range(3):
+            exact = Fraction(int(pixels[:, c].sum(dtype=np.int64)), 255 * count)
+            assert means[c] == float(exact)  # correctly rounded
+        # Within 64 ulp of the mean of the whole-split float64 decode.
+        float_means = (pixels / 255.0).mean(axis=(0, 2, 3))
+        assert np.all(np.abs(means - float_means) <= 64 * np.spacing(float_means))
+
+    def test_centring_twice_is_centring_once(self, tmp_path):
+        p = tmp_path / "data_batch_1.bin"
+        TestCifar10Bin().make_file(p, n=5)
+        ds = load_cifar10_bin([p])
+        once, _, m1 = channel_mean_center(ds, ds)
+        twice, _, m2 = channel_mean_center(once, once)
+        assert np.array_equal(m1, m2)
+        assert np.array_equal(bits(once.images), bits(twice.images))

@@ -1,5 +1,10 @@
+import multiprocessing
+import os
 import pickle
 import statistics
+import struct
+import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -284,6 +289,13 @@ class TestSummaries:
         assert table.lookup("sgd", 20).n == 2
         assert [(v, s) for v, s, _ in table.aborted] == [("sgd", 1)]
 
+    def test_spawned_workers_get_one_blas_thread(self, monkeypatch):
+        monkeypatch.setenv(harness.BLAS_THREADS_ENV, "2")
+        spawn = multiprocessing.get_context("spawn")
+        with harness._one_blas_thread(), ProcessPoolExecutor(1, mp_context=spawn) as pool:
+            assert pool.submit(os.getenv, harness.BLAS_THREADS_ENV).result() == "1"
+        assert os.environ[harness.BLAS_THREADS_ENV] == "2"
+
     def test_all_aborted_raises(self, monkeypatch):
         def always_fail(cfg, seed):
             raise NumericError("boom")
@@ -372,3 +384,50 @@ class TestDatasetsFromConfig:
     def test_unknown_dataset(self):
         with pytest.raises(ConfigError):
             load_datasets(ExperimentConfig(dataset="svhn"))
+
+    @staticmethod
+    def write_mnist(root, n_train, n_test):
+        gen = np.random.default_rng(5)
+        paths = harness.mnist_paths(str(root))
+        os.makedirs(os.path.dirname(paths["train_images"]))
+        for split, n in (("train", n_train), ("test", n_test)):
+            with open(paths[f"{split}_images"].removesuffix(".gz"), "wb") as f:
+                f.write(struct.pack(">IIII", 0x803, n, 28, 28))
+                f.write(gen.integers(0, 256, n * 784, dtype=np.uint8).tobytes())
+            with open(paths[f"{split}_labels"].removesuffix(".gz"), "wb") as f:
+                f.write(struct.pack(">II", 0x801, n))
+                f.write(gen.integers(0, 10, n, dtype=np.uint8).tobytes())
+
+    @staticmethod
+    def write_cifar10(root, n_per_file, n_test):
+        gen = np.random.default_rng(6)
+        paths = harness.cifar10_paths(str(root))
+        os.makedirs(os.path.dirname(paths["test"][0]))
+        for path in paths["train"] + paths["test"]:
+            n = n_test if path in paths["test"] else n_per_file
+            records = gen.integers(0, 256, (n, 3073), dtype=np.uint8)
+            records[:, 0] %= 10
+            with open(path, "wb") as f:
+                f.write(records.tobytes())
+
+    @pytest.mark.parametrize("dataset", ["mnist", "cifar10"])
+    def test_loaded_splits_hold_stored_bytes(self, dataset, tmp_path):
+        if dataset == "mnist":
+            self.write_mnist(tmp_path, 2000, 100)
+        else:
+            self.write_cifar10(tmp_path, 100, 20)
+        cfg = ExperimentConfig(dataset=dataset, data_dir=str(tmp_path))
+        tracemalloc.start()
+        try:
+            train, test = load_datasets(cfg)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for ds in (train, test):
+            assert ds.pixels.dtype == np.uint8
+            assert ds.pixels.nbytes == len(ds) * int(np.prod(ds.input_shape))
+        # A whole-split float64 decode takes 8 bytes per pixel; the load
+        # keeps 1 and at its peak held the file bytes and one copy.
+        decoded = 8 * train.pixels.nbytes
+        assert current < decoded / 4
+        assert peak < decoded / 2

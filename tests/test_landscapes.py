@@ -116,7 +116,10 @@ class TestEscapeTrials:
             run_escape_trial(SGD(10.0), chain, [0.9, 0.9],
                              escape_radius=1e300, max_iter=10 ** 4)
         assert "diverged" in str(err.value)
-        assert err.value.layer_norms  # trailing iterates attached
+        assert "trailing iterates: [[" in str(err.value)
+        # The gradient abort keeps the optimizer's norm row, not the iterates.
+        (row,) = err.value.layer_norms
+        assert row[-1][0] == (0,) and not np.isfinite(row[-1][1])
 
     def test_momentum_also_escapes(self):
         plain = run_escape_trial(SGD(0.01), QuadraticSaddle(), [0.0, 1e-3], max_iter=10 ** 5)

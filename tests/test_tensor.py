@@ -5,47 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerlr.errors import DimensionError
-from layerlr.tensor import axpy, group_norm, l2_norm, matmul
-
-
-def naive_matmul(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(matmul(np.eye(2), b), b)
-
-    def test_inner_product(self):
-        out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == 11.0
-
-    def test_matches_naive_triple_loop(self):
-        gen = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
-        a = gen.standard_normal((3, 4))
-        b = gen.standard_normal((4, 2))
-        expected = naive_matmul(a, b)
-        assert np.max(np.abs(matmul(a, b) - expected)) < 1e-12
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_rejects_non_2d(self):
-        with pytest.raises(DimensionError):
-            matmul(np.zeros(3), np.zeros((3, 1)))
+from layerlr.tensor import group_norm, l2_norm
 
 
 class TestL2Norm:
@@ -75,36 +35,6 @@ class TestL2Norm:
         lhs = l2_norm(c * v)
         rhs = abs(c) * l2_norm(v)
         assert abs(lhs - rhs) <= 1e-12 * max(rhs, 1e-300)
-
-
-class TestAxpy:
-    def test_zero_alpha_leaves_y(self):
-        x = np.array([1.0, 2.0])
-        y = np.array([3.0, 4.0])
-        assert np.array_equal(axpy(0.0, x, y), y)
-
-    def test_doubling(self):
-        y = np.array([1.5, -2.0, 0.25])
-        assert np.array_equal(axpy(1.0, y, y), 2.0 * y)
-
-    def test_scaled_step(self):
-        out = axpy(-0.1, np.array([2.0, 2.0]), np.array([1.0, 1.0]))
-        assert np.allclose(out, [0.8, 0.8], atol=1e-15)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            axpy(1.0, np.zeros(2), np.zeros(3))
-
-    @given(st.floats(-100, 100), st.floats(-100, 100))
-    @settings(max_examples=40, deadline=None)
-    def test_composition(self, a, b):
-        gen = np.random.Generator(np.random.Philox(key=np.array([17, 0], dtype=np.uint64)))
-        x = gen.standard_normal(9)
-        y = gen.standard_normal(9)
-        lhs = axpy(a, x, axpy(b, x, y))
-        rhs = axpy(a + b, x, y)
-        scale = np.maximum(np.abs(rhs), 1.0)
-        assert np.max(np.abs(lhs - rhs) / scale) <= 1e-12
 
 
 def test_concat_flat_and_group_norm_agree():
