@@ -119,6 +119,15 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
         if self.report not in ("", "error", "accuracy"):
             raise ConfigError(f"report must be 'error' or 'accuracy', got {self.report!r}")
+        if self.eval_batch_size < 1:
+            raise ConfigError(f"eval_batch_size must be >= 1, got {self.eval_batch_size}")
+        for key in ("n", "test_n", "classes"):
+            value = getattr(self, "blobs_" + key)
+            if value < 1:
+                raise ConfigError(f"blobs.{key} must be >= 1, got {value}")
+        if not math.isfinite(self.blobs_separation):
+            raise ConfigError(f"blobs.separation must be finite, got {self.blobs_separation}")
+        self.schedule()  # rejects a bad schedule before any data loads
 
     @property
     def checkpoint_iterations(self) -> tuple:
@@ -553,19 +562,3 @@ def write_csv(path: str, lines) -> None:
         raise DataError(f"cannot write CSV to {path}: {exc}") from exc
 
 
-def read_summary_csv(path: str) -> SummaryTable:
-    """Round-trip reader for emit_csv output."""
-    try:
-        with open(path) as f:
-            lines = f.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read CSV from {path}: {exc}") from exc
-    if not lines or lines[0] != "variant,iteration,mean,std,n":
-        raise DataError(f"{path}: unexpected CSV header")
-    rows = []
-    for line in lines[1:]:
-        if not line:
-            continue
-        variant, iteration, mean, std, n = line.split(",")
-        rows.append(SummaryRow(variant, int(iteration), float(mean), float(std), int(n)))
-    return SummaryTable(rows=rows)

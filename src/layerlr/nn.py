@@ -4,6 +4,13 @@ Forward passes return an explicit cache object instead of storing state on
 the layers. All math is float64; convolution uses im2col backed by BLAS
 matmul.
 
+Conv2D and MaxPool2D take and return batch-last (C, H, W, N) arrays, in
+which every window slice of a stride-1 convolution is a run of W*N
+contiguous elements; Dense takes (N, ...) and the elementwise layers take
+either. A Network moves the batch axis last once, before the first spatial
+layer, and first again before the first Dense (or the loss), and its
+backward mirrors both moves; its inputs and outputs stay batch-first.
+
 Run by a Network, Conv2D, MaxPool2D and ReLU write every array of at least
 WORKSPACE_FLOOR_BYTES into grow-only buffers that the network keeps from one
 pass to the next; smaller arrays are allocated as usual. Contents that die
@@ -28,30 +35,25 @@ from . import rng
 from .errors import DimensionError, NumericError, UsageError
 
 
-def _prod(shape):
-    out = 1
-    for s in shape:
-        out *= int(s)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Workspace
 
 # Arrays of at least this size come from a Network's workspace buffers.
 # glibc maps an array over its 32 MiB mmap ceiling as fresh zeroed pages on
 # every allocation and unmaps it on free, and arrays from 16 MiB up churn
-# the heap top the same way. The floor takes in every such cifar-quick array
-# at batch 64 and no lenet array (the largest, conv2's im2col, is 15.6 MiB),
-# so lenet and mlp make the same numpy calls as with no workspace.
+# the heap top the same way. At batch 64 the floor takes in cifar-quick's
+# three im2col matrices (37.5, 100 and 25 MiB) and four 16 MiB arrays: the
+# conv1 and relu1 outputs and the relu1 and pool1 input gradients. It takes
+# no lenet array (the largest, conv2's im2col, is 15.6 MiB), so lenet and
+# mlp get the fresh arrays that numpy calls with no `out=` would make.
 WORKSPACE_FLOOR_BYTES = 16 << 20
 
 
 class Workspace:
     """Grow-only byte buffers, keyed by name, that a Network's passes reuse.
 
-    `get` returns None for an array under WORKSPACE_FLOOR_BYTES, so that a
-    numpy call given it as `out=` allocates as usual.
+    `get` allocates an array under WORKSPACE_FLOOR_BYTES afresh, as a numpy
+    call with no `out=` would.
     """
 
     def __init__(self):
@@ -59,11 +61,11 @@ class Workspace:
 
     def get(self, key, shape, dtype=np.float64):
         """An array of `shape` and `dtype` on buffer `key`, which grows to
-        fit; None under the floor."""
+        fit; a new array under the floor."""
         dtype = np.dtype(dtype)
-        nbytes = _prod(shape) * dtype.itemsize
+        nbytes = math.prod(shape) * dtype.itemsize
         if nbytes < WORKSPACE_FLOOR_BYTES:
-            return None
+            return np.empty(shape, dtype)
         buf = self._buffers.get(key)
         if buf is None or buf.size < nbytes:
             buf = self._buffers[key] = np.empty(nbytes, dtype=np.uint8)
@@ -112,42 +114,15 @@ class _Allocate:
     """The workspace of a layer called directly: every array is allocated."""
 
     def own(self, name, shape, dtype=np.float64):
-        return None
+        return np.empty(shape, dtype)
 
     scratch = own
 
     def grad_in(self, shape):
-        return None
+        return np.empty(shape)
 
 
 _ALLOCATE = _Allocate()
-
-
-def _copy(a, out):
-    """`a` as a C-contiguous array, written into `out` when one is given."""
-    if out is None:
-        return np.ascontiguousarray(a)
-    np.copyto(out, a)
-    return out
-
-
-def _empty(out, shape, dtype=np.float64):
-    return np.empty(shape, dtype=dtype) if out is None else out
-
-
-def _pad(x, lead, tail_h, tail_w, value, out):
-    """`x` padded with `value` on its last two axes, `lead` before both and
-    `tail_h`/`tail_w` after; written into `out` when one is given."""
-    if out is None:
-        return np.pad(x, ((0, 0), (0, 0), (lead, tail_h), (lead, tail_w)),
-                      constant_values=value)
-    h, w = x.shape[2:]
-    out[:, :, :lead] = value
-    out[:, :, lead + h:] = value
-    out[:, :, :, :lead] = value
-    out[:, :, :, lead + w:] = value
-    out[:, :, lead:lead + h, lead:lead + w] = x
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +134,10 @@ class Layer:
     optimizers update them in place."""
 
     kind = "base"
+    # Where the batch axis of the arrays the layer takes and returns sits:
+    # first (N, ...), last (C, H, W, N), or None for an elementwise layer,
+    # which takes either and keeps it.
+    batch_last = False
 
     def __init__(self):
         self.params = []
@@ -204,7 +183,7 @@ class Dense(Layer):
         self.params = [w, b]
 
     def output_shape(self, in_shape):
-        if _prod(in_shape) != self.in_features:
+        if math.prod(in_shape) != self.in_features:
             raise DimensionError(
                 f"fully-connected layer expects {self.in_features} input features, "
                 f"got shape {tuple(in_shape)}"
@@ -212,13 +191,8 @@ class Dense(Layer):
         return (self.out_features,)
 
     def forward(self, x, ws=_ALLOCATE):
-        n = x.shape[0]
-        x2 = x.reshape(n, -1)
-        if x2.shape[1] != self.in_features:
-            raise DimensionError(
-                f"fully-connected layer expects {self.in_features} input features, "
-                f"got shape {x.shape[1:]}"
-            )
+        self.output_shape(x.shape[1:])
+        x2 = x.reshape(x.shape[0], -1)
         w, b = self.params
         out = x2 @ w + b
         return out, (x2, x.shape)
@@ -233,9 +207,11 @@ class Dense(Layer):
 
 
 class Conv2D(Layer):
-    """2-D convolution (cross-correlation), stride/padding, im2col based."""
+    """2-D convolution (cross-correlation), stride/padding, im2col based;
+    batch-last (C, H, W, N) in and out."""
 
     kind = "convolution-2d"
+    batch_last = True
 
     def __init__(self, in_channels, out_channels, kernel_size,
                  stride=1, padding=0, init_gen=None):
@@ -272,62 +248,63 @@ class Conv2D(Layer):
         return (self.out_channels, oh, ow)
 
     def forward(self, x, ws=_ALLOCATE):
-        n, c, h, w = x.shape
-        if c != self.in_channels:
-            raise DimensionError(
-                f"conv layer expects {self.in_channels} channels, got {c}"
-            )
+        c, h, w, n = x.shape
+        oc, oh, ow = self.output_shape((c, h, w))
         k, s, p = self.kernel_size, self.stride, self.padding
-        oc = self.out_channels
-        oh, ow = self._spatial_out(h, w)
         if p:
-            x = _pad(x, p, p, p, 0.0, ws.scratch("pad", (n, c, h + 2 * p, w + 2 * p)))
-        # im2col laid out (c*k*k, n*oh*ow) so the forward product and both
-        # backward products are single GEMMs with no large transposes.
-        win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-        win = win[:, :, ::s, ::s]                                # (n,c,oh,ow,k,k)
-        col2 = _copy(win.transpose(1, 4, 5, 0, 2, 3), ws.own("col", (c, k, k, n, oh, ow)))
-        col2 = col2.reshape(c * k * k, n * oh * ow)
-        w2 = self.params[0].reshape(oc, -1)
-        out2 = np.matmul(w2, col2, out=ws.scratch("gemm", (oc, n * oh * ow)))
-        out2 += self.params[1][:, None]
-        out = out2.reshape(oc, n, oh, ow).transpose(1, 0, 2, 3)
-        return _copy(out, ws.own("out", out.shape)), (col2, (n, c, h, w))
+            xp = ws.scratch("pad", (c, h + 2 * p, w + 2 * p, n))
+            xp.fill(0.0)
+            xp[:, p:p + h, p:p + w] = x
+            x = xp
+        # im2col as k*k slab copies into (c*k*k, oh*ow*n); at stride 1 each
+        # slab row is a run of ow*n contiguous elements. The GEMM output
+        # (oc, oh*ow*n) is the layer's output as it stands.
+        col = ws.own("col", (c, k, k, oh, ow, n))
+        for dr in range(k):
+            for dc in range(k):
+                col[:, dr, dc] = x[:, dr:dr + s * oh:s, dc:dc + s * ow:s]
+        col2 = col.reshape(c * k * k, oh * ow * n)
+        out = np.matmul(self.params[0].reshape(oc, -1), col2,
+                        out=ws.own("out", (oc, oh * ow * n)))
+        out += self.params[1][:, None]
+        return out.reshape(oc, oh, ow, n), (col2, (c, h, w, n))
 
     def backward(self, grad_out, cache, need_grad_in=True, ws=_ALLOCATE):
-        col2, (n, c, h, w) = cache
+        col2, (c, h, w, n) = cache
         k, s, p = self.kernel_size, self.stride, self.padding
         oc = self.out_channels
         oh, ow = self._spatial_out(h, w)
-        g2 = _copy(grad_out.transpose(1, 0, 2, 3), ws.scratch("g2", (oc, n, oh, ow)))
-        g2 = g2.reshape(oc, n * oh * ow)
+        g2 = grad_out.reshape(oc, oh * ow * n)
         grad_w = (g2 @ col2.T).reshape(self.params[0].shape)
         grad_b = g2.sum(axis=1)
         if not need_grad_in:
             return None, [grad_w, grad_b]
-        # col2im one kernel offset at a time, into a channel-major buffer:
-        # the (c*k*k, n*oh*ow) column gradient is never held whole.
+        # col2im one kernel offset at a time: the (c*k*k, oh*ow*n) column
+        # gradient is never held whole. Unpadded, the sums land in the input
+        # gradient itself.
         wt = np.ascontiguousarray(self.params[0].transpose(2, 3, 1, 0))  # (k,k,c,oc)
         hp, wp = h + 2 * p, w + 2 * p
-        gxp = ws.scratch("pad", (c, n, hp, wp))
-        if gxp is None:
-            gxp = np.zeros((c, n, hp, wp))
-        else:
-            gxp.fill(0.0)
-        prod = ws.scratch("gemm", (c, n * oh * ow))
+        gxp = ws.scratch("pad", (c, hp, wp, n)) if p else ws.grad_in((c, h, w, n))
+        gxp.fill(0.0)
+        prod = ws.scratch("gemm", (c, oh * ow * n))
         for dr in range(k):
             for dc in range(k):
-                gxp[:, :, dr:dr + s * oh:s, dc:dc + s * ow:s] += \
-                    np.matmul(wt[dr, dc], g2, out=prod).reshape(c, n, oh, ow)
-        gx = gxp[:, :, p:hp - p, p:wp - p] if p else gxp
-        return _copy(gx.transpose(1, 0, 2, 3), ws.grad_in((n, c, h, w))), [grad_w, grad_b]
+                gxp[:, dr:dr + s * oh:s, dc:dc + s * ow:s] += \
+                    np.matmul(wt[dr, dc], g2, out=prod).reshape(c, oh, ow, n)
+        if not p:
+            return gxp, [grad_w, grad_b]
+        gx = ws.grad_in((c, h, w, n))
+        gx[...] = gxp[:, p:hp - p, p:wp - p]
+        return gx, [grad_w, grad_b]
 
 
 class MaxPool2D(Layer):
     """Max pooling with Caffe-style ceil output sizing; windows that overrun
-    the input are clipped to its bounds (implemented by -inf edge padding)."""
+    the input are clipped to its bounds. Batch-last (C, H, W, N) in and
+    out."""
 
     kind = "max-pool-2d"
+    batch_last = True
 
     def __init__(self, kernel_size, stride=None):
         super().__init__()
@@ -335,10 +312,10 @@ class MaxPool2D(Layer):
         self.stride = stride if stride is not None else kernel_size
 
     def _spatial_out(self, h, w):
+        # Caffe's ceil sizing, less a last window that would start past the
+        # input, as a stride over the kernel size can give.
         k, s = self.kernel_size, self.stride
-        oh = max(-(-(h - k) // s) + 1, 1)
-        ow = max(-(-(w - k) // s) + 1, 1)
-        return oh, ow
+        return tuple(min(max(-(-(d - k) // s) + 1, 1), -(-d // s)) for d in (h, w))
 
     def output_shape(self, in_shape):
         if len(in_shape) != 3:
@@ -347,47 +324,44 @@ class MaxPool2D(Layer):
         return (in_shape[0], oh, ow)
 
     def forward(self, x, ws=_ALLOCATE):
-        n, c, h, w = x.shape
+        c, h, w, n = x.shape
         k, s = self.kernel_size, self.stride
         oh, ow = self._spatial_out(h, w)
-        hp, wp = (oh - 1) * s + k, (ow - 1) * s + k
-        if hp > h or wp > w:
-            x = _pad(x, 0, hp - h, wp - w, -np.inf, ws.scratch("pad", (n, c, hp, wp)))
-        shape = (k * k, n, c, oh, ow)
-        win = _empty(ws.scratch("win", shape), shape)
+        # Window offset (dr, dc) of every output: where it overruns the
+        # input, it reaches only the first `part` of the outputs.
+        views = []
         for dr in range(k):
             for dc in range(k):
-                win[dr * k + dc] = x[:, :, dr:dr + s * oh:s, dc:dc + s * ow:s]
-        out = win.max(axis=0, out=ws.own("out", shape[1:]))     # (n, c, oh, ow)
+                view = x[:, dr::s, dc::s][:, :oh, :ow]
+                views.append((view, np.s_[:, :view.shape[1], :view.shape[2]]))
+        out = ws.own("out", (c, oh, ow, n))
+        out[...] = views[0][0]
+        for view, part in views[1:]:
+            np.maximum(out[part], view, out=out[part])
         # Winner: the first maximum in row-major window order, as np.argmax
         # picks it. Offset j weighs k*k - j, so the largest weight among the
         # maxima marks the first. A NaN window has no maximum and gets k*k,
         # out of range; the non-finite loss it leads to stops training first.
-        weights = np.arange(k * k, 0, -1, dtype=np.min_scalar_type(k * k))
-        hit = np.equal(win, out, out=_empty(ws.scratch("hit", shape, weights.dtype),
-                                            shape, weights.dtype))
-        hit *= weights[:, None, None, None, None]
-        winner = k * k - hit.max(axis=0)
-        return out, (winner, (n, c, h, w))
+        weight = np.min_scalar_type(k * k).type
+        best = np.zeros(out.shape, weight)
+        for j, (view, part) in enumerate(views):
+            np.maximum(best[part], np.equal(view, out[part]) * weight(k * k - j),
+                       out=best[part])
+        return out, (k * k - best, (c, h, w, n))
 
     def backward(self, grad_out, cache, ws=_ALLOCATE):
-        winner, (n, c, h, w) = cache
+        winner, (c, h, w, n) = cache
         k, s = self.kernel_size, self.stride
         oh, ow = self._spatial_out(h, w)
-        # Winner offset within the window -> flat position in the input. A
-        # window always holds an input element, which beats the -inf edge.
-        row = s * np.arange(oh)[:, None] + winner // k
-        col = s * np.arange(ow)[None, :] + winner % k
-        offsets = (np.arange(n * c) * (h * w)).reshape(n, c, 1, 1)
-        index = (row * w + col + offsets).ravel()
-        gx = ws.grad_in((n, c, h, w))
-        if gx is None:
-            return np.bincount(index, weights=grad_out.ravel(),
-                               minlength=n * c * h * w).reshape(n, c, h, w), []
-        # bincount has no out=; np.add.at sums each element's contributions
-        # in the same order, so the result is bitwise the same.
+        # Flat position in the input of each window's first element, plus
+        # that of its winner within the window.
+        origin = (np.arange(c)[:, None, None] * h + s * np.arange(oh)[:, None]) * w \
+            + s * np.arange(ow)
+        index = (origin * n)[..., None] + np.arange(n)
+        index += (np.add.outer(np.arange(k) * w, np.arange(k)) * n).ravel()[winner]
+        gx = ws.grad_in((c, h, w, n))
         gx.fill(0.0)
-        np.add.at(gx.reshape(-1), index, grad_out.ravel())
+        np.add.at(gx.reshape(-1), index.ravel(), grad_out.ravel())
         return gx, []
 
     def pattern(self, cache):
@@ -396,6 +370,7 @@ class MaxPool2D(Layer):
 
 class ReLU(Layer):
     kind = "relu"
+    batch_last = None
 
     def output_shape(self, in_shape):
         return tuple(in_shape)
@@ -413,6 +388,7 @@ class ReLU(Layer):
 
 class Sigmoid(Layer):
     kind = "sigmoid"
+    batch_last = None
 
     def output_shape(self, in_shape):
         return tuple(in_shape)
@@ -431,6 +407,7 @@ class Sigmoid(Layer):
 
 class Tanh(Layer):
     kind = "tanh"
+    batch_last = None
 
     def output_shape(self, in_shape):
         return tuple(in_shape)
@@ -517,6 +494,16 @@ class Network:
             shape = layer.output_shape(shape)
             self.layer_shapes.append(shape)
         self.output_shape = shape
+        # Before layer i (index len(layers): before the loss) the batch axis
+        # moves last where _moves[i] is True and back first where it is
+        # False.
+        self._moves = {}
+        last = False
+        for i, layer in enumerate(self.layers):
+            if layer.batch_last is not None and layer.batch_last != last:
+                last = self._moves[i] = layer.batch_last
+        if last:
+            self._moves[len(self.layers)] = False
         self._serial = 0
         self.workspace = Workspace()
 
@@ -534,6 +521,15 @@ class Network:
                 f"network expects input shape {self.input_shape}, got {inputs.shape[1:]}"
             )
 
+    def _move(self, i, a, backward=False):
+        """`a` as layer i takes it: a copy with the batch axis moved where
+        _moves[i] says. In backward, a gradient moved back."""
+        last = self._moves.get(i)
+        if last is None:
+            return a
+        return np.ascontiguousarray(
+            np.moveaxis(a, 0, -1) if last != backward else np.moveaxis(a, -1, 0))
+
     def _run_loss(self, out, targets):
         if self.loss == "squared-error":
             return _squared_error(out, targets)
@@ -548,10 +544,10 @@ class Network:
         out = inputs
         kept = []
         for i, layer in enumerate(self.layers):
-            out, cache = layer.forward(out, ws=self.workspace.layer(i))
+            out, cache = layer.forward(self._move(i, out), ws=self.workspace.layer(i))
             if keep is not None:
                 kept.append(keep(layer, cache))
-        return out, kept
+        return self._move(len(self.layers), out), kept
 
     def forward(self, inputs, targets):
         """Run the full forward pass; returns (mean loss, cache)."""
@@ -573,12 +569,14 @@ class Network:
         by_layer = [[] for _ in self.layers]
         for i in range(len(self.layers) - 1, 0, -1):
             grad, by_layer[i] = self.layers[i].backward(
-                grad, cache.layer_caches[i], ws=self.workspace.layer(i))
+                self._move(i + 1, grad, backward=True), cache.layer_caches[i],
+                ws=self.workspace.layer(i))
         # Layer 0's input gradient is the gradient with respect to the data,
         # which nothing reads.
         if self.layers and self.layers[0].params:
             _, by_layer[0] = self.layers[0].backward(
-                grad, cache.layer_caches[0], need_grad_in=False, ws=self.workspace.layer(0))
+                self._move(1, grad, backward=True), cache.layer_caches[0],
+                need_grad_in=False, ws=self.workspace.layer(0))
         return by_layer
 
     def predict(self, inputs):
@@ -764,7 +762,7 @@ def build_mlp(input_shape, hidden_widths, num_classes: int,
     gen = rng.generator(seed, rng.SALT_INIT)
     act = _ACTIVATIONS[activation]
     layers = []
-    width = _prod(input_shape)
+    width = math.prod(input_shape)
     for h in hidden_widths:
         layers.append(Dense(width, int(h), init_gen=gen))
         layers.append(act())

@@ -69,11 +69,12 @@ class LrSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        if self.t0 <= 0:
+        # Written so that NaN fails each check.
+        if not self.t0 > 0:
             raise ConfigError(f"initial learning rate must be positive, got {self.t0}")
-        if self.gamma < 0 or self.p < 0:
+        if not (self.gamma >= 0 and self.p >= 0):
             raise ConfigError("inverse-time parameters gamma and p must be nonnegative")
-        if self.factor <= 0:
+        if not self.factor > 0:
             raise ConfigError(f"step-decay factor must be positive, got {self.factor}")
         object.__setattr__(self, "milestones", tuple(sorted(int(m) for m in self.milestones)))
 

@@ -70,6 +70,19 @@ class TestExitCodes:
         pytest.param(["gradcheck", "--seeds", "0"], cli.EXIT_CONFIG, id="gradcheck-seeds-0"),
         pytest.param(["gradcheck", "--mlp-classes", "0"], cli.EXIT_CONFIG,
                      id="gradcheck-mlp-classes-0"),
+        pytest.param(["train", "--eval_batch_size=-3"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="eval-batch-neg"),
+        pytest.param(["train", "--eval_batch_size=0"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="eval-batch-0"),
+        pytest.param(["train"] + BLOBS_ARGS + ["--blobs.n=0"], cli.EXIT_CONFIG, id="blobs-n-0"),
+        pytest.param(["train"] + BLOBS_ARGS + ["--blobs.test_n=0"], cli.EXIT_CONFIG,
+                     id="blobs-test-n-0"),
+        pytest.param(["train"] + BLOBS_ARGS + ["--blobs.classes=0"], cli.EXIT_CONFIG,
+                     id="blobs-classes-0"),
+        pytest.param(["train", "--blobs.separation=inf"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="blobs-separation-inf"),
+        pytest.param(["train", "--schedule.t0=nan"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="schedule-t0-nan"),
         # The first SGD step overflows to inf: an abort, not a numpy warning.
         pytest.param(["bench", "--landscape", "monkey-saddle", "--lrs", "1e308",
                       "--starts", "0.9", "--optimizers", "sgd"], cli.EXIT_NUMERIC,

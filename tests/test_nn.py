@@ -22,6 +22,15 @@ from layerlr.nn import (
 from layerlr.optim import make_optimizer
 
 
+def batch_last(x):
+    """(N, C, H, W) -> the (C, H, W, N) layout Conv2D and MaxPool2D take."""
+    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
+
+def batch_first(x):
+    return np.moveaxis(x, -1, 0)
+
+
 def identity_dense(n):
     layer = Dense(n, n)
     layer.params[0][...] = np.eye(n)
@@ -136,6 +145,10 @@ class TestBackward:
         got = net.backward(cache)
         grad = cache.loss_grad
         for i in range(len(net.layers) - 1, -1, -1):
+            # The first Dense takes (N, C, H, W); the pool below it gives and
+            # takes (C, H, W, N).
+            if grad.ndim == 4 and isinstance(net.layers[i + 1], Dense):
+                grad = batch_last(grad)
             grad, expected = net.layers[i].backward(grad, cache.layer_caches[i])
             assert len(got[i]) == len(expected)
             for g, e in zip(got[i], expected):
@@ -323,34 +336,36 @@ class TestConvAndPoolOracles:
                         out[i, o, r, q] = np.sum(patch * w[o]) + b[o]
         return out
 
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 2), (2, 1)])
+    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 2), (2, 0), (2, 1), (2, 2)])
     def test_conv_matches_brute_force(self, stride, pad):
         gen = rng.generator(23, stride * 10 + pad)
         layer = Conv2D(3, 4, 3, stride=stride, padding=pad, init_gen=gen)
         x = gen.standard_normal((2, 3, 8, 9))
-        out, _ = layer.forward(x)
+        out = batch_first(layer.forward(batch_last(x))[0])
         expected = self.brute_conv(x, layer.params[0], layer.params[1], stride, pad)
         assert out.shape == expected.shape
         assert np.allclose(out, expected, atol=1e-12)
 
     def brute_pool(self, x, k, s):
-        n, c, h, w = x.shape
-        oh = max(-(-(h - k) // s) + 1, 1)
-        ow = max(-(-(w - k) // s) + 1, 1)
-        out = np.empty((n, c, oh, ow))
-        for r in range(oh):
-            for q in range(ow):
-                out[:, :, r, q] = x[:, :, r * s:min(r * s + k, h),
-                                    q * s:min(q * s + k, w)].max(axis=(2, 3))
+        # A window starts every s elements inside the input, up to the first
+        # one that reaches its end; each is clipped to the input.
+        h, w = x.shape[2:]
+        rows = [r for r in range(0, h, s) if r == 0 or r - s + k < h]
+        cols = [q for q in range(0, w, s) if q == 0 or q - s + k < w]
+        out = np.empty(x.shape[:2] + (len(rows), len(cols)))
+        for i, r in enumerate(rows):
+            for j, q in enumerate(cols):
+                out[:, :, i, j] = x[:, :, r:r + k, q:q + k].max(axis=(2, 3))
         return out
 
-    @pytest.mark.parametrize("k,s,hw", [(2, 2, 24), (3, 2, 32), (3, 2, 8), (3, 3, 10)])
+    @pytest.mark.parametrize("k,s,hw", [(2, 2, 24), (3, 2, 32), (3, 2, 8), (3, 3, 10),
+                                        (2, 4, 11)])
     def test_pool_matches_brute_force(self, k, s, hw):
         gen = rng.generator(29, k * 100 + s * 10 + hw)
         layer = MaxPool2D(k, s)
         x = gen.standard_normal((3, 2, hw, hw))
-        out, _ = layer.forward(x)
-        assert np.array_equal(out, self.brute_pool(x, k, s))
+        out, _ = layer.forward(batch_last(x))
+        assert np.array_equal(batch_first(out), self.brute_pool(x, k, s))
 
     def tied_inputs(self, hw, seed):
         """Inputs rich in ties: ReLU'd noise (all-zero windows), constant
@@ -380,23 +395,38 @@ class TestConvAndPoolOracles:
 
     @pytest.mark.parametrize("k,s,hw", [(2, 2, 8), (3, 2, 8), (3, 2, 10), (3, 3, 10)])
     def test_pool_winners_are_first_maximum(self, k, s, hw):
-        # Even sizes under 3x3/2 take the -inf padded edge windows.
+        # Even sizes under 3x3/2 take the clipped edge windows.
         layer = MaxPool2D(k, s)
         x = self.tied_inputs(hw, k * 100 + s * 10 + hw)
-        _, cache = layer.forward(x)
-        assert np.array_equal(layer.pattern(cache), self.first_max_winners(x, k, s))
+        _, cache = layer.forward(batch_last(x))
+        assert np.array_equal(batch_first(layer.pattern(cache)),
+                              self.first_max_winners(x, k, s))
+
+    def test_nan_window_has_no_winner(self):
+        k, s = 3, 2
+        layer = MaxPool2D(k, s)
+        x = self.tied_inputs(8, 7)
+        want = self.first_max_winners(x, k, s)
+        x[1, 3, 4, 4] = np.nan  # in windows (1, 1), (1, 2), (2, 1) and (2, 2)
+        out, cache = layer.forward(batch_last(x))
+        got = batch_first(layer.pattern(cache))
+        nan = np.isnan(batch_first(out))
+        assert nan.sum() == 4 and nan[1, 3].sum() == 4
+        assert np.all(got[nan] == k * k)
+        assert np.array_equal(got[~nan], want[~nan])
 
     @pytest.mark.parametrize("k,s,hw", [(2, 2, 8), (3, 2, 8), (3, 3, 10)])
     def test_pool_backward_routes_to_first_maximum(self, k, s, hw):
         gen = rng.generator(34, k * 100 + s * 10 + hw)
         layer = MaxPool2D(k, s)
         x = self.tied_inputs(hw, hw)
-        out, cache = layer.forward(x)
+        out, cache = layer.forward(batch_last(x))
         grad_out = gen.standard_normal(out.shape)
         gx, param_grads = layer.backward(grad_out, cache)
+        gx, grad_out = batch_first(gx), batch_first(grad_out)
         winners = self.first_max_winners(x, k, s)
         expected = np.zeros_like(x)
-        n, c, oh, ow = out.shape
+        n, c, oh, ow = grad_out.shape
         for i in range(n):
             for ch in range(c):
                 for r in range(oh):
@@ -423,6 +453,19 @@ class TestConvAndPoolOracles:
         x = gen.standard_normal((3, 2, 6, 6))
         y = gen.integers(0, 2, size=3)
         result = gradient_check(net, x, y)
+        assert result.max_rel_err < 1e-5
+
+    def test_spatial_output_gradients_match_finite_differences(self):
+        # The batch axis moves last after the Tanh and first again before
+        # the loss, and backward mirrors both moves.
+        gen = rng.generator(35, 0)
+        layers = [Tanh(), Conv2D(2, 2, 3, padding=1, init_gen=gen), MaxPool2D(2, 2)]
+        net = Network((2, 6, 6), layers, loss="squared-error")
+        x = gen.standard_normal((3, 2, 6, 6))
+        targets = gen.standard_normal((3, 2, 3, 3))
+        assert net.predict(x).shape == targets.shape
+        result = gradient_check(net, x, targets)
+        assert result.checked == 38
         assert result.max_rel_err < 1e-5
 
     def test_strided_conv_gradients_match_finite_differences(self):
@@ -635,7 +678,7 @@ class TestWorkspace:
 
     def test_floor_keeps_lenet_out_and_cifar_quick_in(self):
         # Lenet at batch 64 makes no array as large as the floor; cifar-quick
-        # holds its im2col, pool window and large activation arrays there.
+        # holds its im2col matrices and large activation arrays there.
         for build, held in ((build_lenet, False), (build_cifar_quick, True)):
             net = build(seed=0)
             x = np.zeros((64,) + net.input_shape)
