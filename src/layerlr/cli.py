@@ -13,12 +13,13 @@ import itertools
 import os
 import sys
 import tarfile
+from dataclasses import replace
 
 import numpy as np
 
 from . import harness
 from .errors import ConfigError, DataError, DimensionError, NumericError
-from .landscapes import LANDSCAPE_KINDS, Landscape, run_escape_trial
+from .landscapes import LANDSCAPE_KINDS, Landscape, check_escape_trial, run_escape_trial
 from .nn import CIFAR_QUICK_INPUT, LENET_INPUT, gradient_check, network_from_spec
 from .optim import make_optimizer
 from . import rng
@@ -68,7 +69,9 @@ def _config_from_args(args, extras):
 
 def _cmd_train(args, extras) -> int:
     cfg = _config_from_args(args, extras)
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
+    if args.seed is not None:
+        cfg = replace(cfg, seeds=(args.seed,))  # validates it as a config seed
+    seed = cfg.seeds[0]
     out = args.out or "records.csv"
     harness.check_writable(out)
     records = harness.run_experiment(cfg, seed)
@@ -114,22 +117,24 @@ def _cmd_bench(args, extras) -> int:
             f"landscape {args.landscape!r} has no escape trial; options: {ESCAPE_LANDSCAPES}"
         )
     landscape = LANDSCAPE_KINDS[args.landscape]()
-    starts = _float_list("--starts", args.starts)
+    starts = [[0.0] * (landscape.n_layers - 1) + [y0]
+              for y0 in _float_list("--starts", args.starts)]
+    for start in starts:  # before any row is printed
+        check_escape_trial(landscape, start, args.radius, args.max_iter)
     lrs = _float_list("--lrs", args.lrs)
     harness.check_writable(args.out)
     kinds = args.optimizers.split(",")
     lines = ["landscape,optimizer,start,lr,escape_iterations"]
     # A trial that overflows ends in NumericError, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        for lr, y0, kind in itertools.product(lrs, starts, kinds):
+        for lr, start, kind in itertools.product(lrs, starts, kinds):
             layerwise = kind.startswith("ours-")
             base = kind[5:] if layerwise else kind
             opt = make_optimizer(base, lr, layerwise=layerwise)
-            start = [0.0] * (landscape.n_layers - 1) + [y0]
             iters = run_escape_trial(opt, landscape, start,
                                      escape_radius=args.radius,
                                      max_iter=args.max_iter)
-            lines.append(f"{landscape.kind},{kind},{y0:.6g},{lr:.6g},{iters}")
+            lines.append(f"{landscape.kind},{kind},{start[-1]:.6g},{lr:.6g},{iters}")
             print(lines[-1])
     harness.write_csv(args.out, lines)
     print(f"wrote {args.out}")

@@ -34,6 +34,10 @@ BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
 # unchanged can over-step; the harness warns when that is detected.
 BASELINE_T0 = {"lenet": 0.01, "cifar-quick": 0.001}
 
+# The blobs test split is keyed blobs.seed + BLOBS_TEST_OFFSET. Philox keys
+# are uint64, so every seed lies in [0, 2**64) with the offset added.
+BLOBS_TEST_OFFSET = 0x7E57
+
 
 def default_data_dir() -> str:
     return os.environ.get(DATA_DIR_ENV, "data")
@@ -117,6 +121,11 @@ class ExperimentConfig:
             raise ConfigError("seeds must be nonempty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
+        if not all(0 <= s < 2 ** 64 for s in self.seeds):
+            raise ConfigError(f"seeds must lie in [0, 2**64), got {self.seeds}")
+        if not 0 <= self.blobs_seed < 2 ** 64 - BLOBS_TEST_OFFSET:
+            raise ConfigError(f"blobs.seed must lie in [0, 2**64 - {BLOBS_TEST_OFFSET:#x}), "
+                              f"got {self.blobs_seed}")
         if self.report not in ("", "error", "accuracy"):
             raise ConfigError(f"report must be 'error' or 'accuracy', got {self.report!r}")
         if self.eval_batch_size < 1:
@@ -285,7 +294,7 @@ def load_datasets(cfg: ExperimentConfig):
     if cfg.dataset == "blobs":
         train = data_io.synth_blobs(cfg.blobs_seed, cfg.blobs_n, cfg.blobs_classes,
                                     cfg.blobs_dim, cfg.blobs_separation, split="train")
-        test = data_io.synth_blobs(cfg.blobs_seed + 0x7E57, cfg.blobs_test_n,
+        test = data_io.synth_blobs(cfg.blobs_seed + BLOBS_TEST_OFFSET, cfg.blobs_test_n,
                                    cfg.blobs_classes, cfg.blobs_dim,
                                    cfg.blobs_separation, split="test")
         return train, test
@@ -372,9 +381,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
     to the failing group.
     """
     t_start = time.perf_counter()
+    opt = cfg.optimizer()  # rejects bad optimizer values before any data loads
     train, test = load_datasets(cfg)
     net = build_network(cfg, train, seed)
-    opt = cfg.optimizer()
     stream = data_io.BatchStream(train, cfg.batch_size, seed)
     params = net.parameters()
     checkpoints = set(cfg.checkpoint_iterations)
@@ -389,6 +398,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
                     loss, cache = net.forward(x, targets)
                     grads = net.backward(cache)
                 stats = opt.step(params, grads)
+                # Let the step's cache and gradients die before the next
+                # forward and the checkpoint eval.
+                del cache, grads
             except NumericError as exc:
                 # A gradient abort carries the failing step's pairs.
                 norm_history.extend(exc.layer_norms or ())
@@ -408,7 +420,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
                 ))
     finally:
         # A caller that keeps the net would keep its buffers alive too.
-        net.workspace.clear()
+        net.release()
     return records
 
 

@@ -7,9 +7,11 @@ direction; the deep linear chain produces the multiplicative per-layer
 gradient shrinkage typical of vanishing gradients.
 """
 
+import math
+
 import numpy as np
 
-from .errors import DimensionError, NumericError
+from .errors import ConfigError, DimensionError, NumericError
 from .optim import Optimizer
 from .tensor import l2_norm
 
@@ -111,6 +113,20 @@ LANDSCAPE_KINDS = {
 }
 
 
+def check_escape_trial(landscape: Landscape, start, escape_radius: float,
+                       max_iter: int):
+    """Raise ConfigError unless an escape trial can run: a positive finite
+    radius, max_iter >= 1 and `start` within the radius of the saddle."""
+    # Written so that NaN fails each check.
+    if not 0 < escape_radius < math.inf:
+        raise ConfigError(f"escape radius must be positive and finite, got {escape_radius}")
+    if max_iter < 1:
+        raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
+    if not landscape.escape_distance(start) <= escape_radius:
+        raise ConfigError(f"start {list(start)} does not lie within escape radius "
+                          f"{escape_radius} of the saddle")
+
+
 def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
                      escape_radius: float = DEFAULT_ESCAPE_RADIUS,
                      max_iter: int = DEFAULT_MAX_ITER) -> int:
@@ -123,8 +139,7 @@ def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
     optimizer's norm row as `layer_norms`.
     """
     params = landscape.make_params(start)
-    if landscape.escape_distance([float(g[0][0]) for g in params]) > escape_radius:
-        raise ValueError("start must lie within escape_radius of the saddle")
+    check_escape_trial(landscape, start, escape_radius, max_iter)
     trail = []
     for k in range(1, max_iter + 1):
         with opt.at_lookahead(params):

@@ -11,16 +11,17 @@ either. A Network moves the batch axis last once, before the first spatial
 layer, and first again before the first Dense (or the loss), and its
 backward mirrors both moves; its inputs and outputs stay batch-first.
 
-Run by a Network, Conv2D, MaxPool2D and ReLU write every array of at least
-WORKSPACE_FLOOR_BYTES into grow-only buffers that the network keeps from one
-pass to the next; smaller arrays are allocated as usual. Contents that die
-inside one layer call share buffers across all layers; only a layer's
-output and the state it keeps from forward to backward are private to it.
-So a pass may overwrite what an earlier pass left in the buffers, and
-every pass (forward, predict, loss_value, loss_and_pattern) advances the
-network's pass counter: backward refuses the cache of any pass but the
-latest, and predict and loss_and_pattern copy out any result that sits in
-a buffer. Layers called directly, with no workspace, allocate every array.
+Conv2D, MaxPool2D and ReLU write every array of at least BUFFER_FLOOR_BYTES
+into grow-only buffers of their own, one per name, that they keep from one
+call to the next; smaller arrays are allocated as usual. At batch 64 only
+cifar-quick reaches the floor: conv1's, conv2's and conv3's im2col
+matrices, the conv1 and relu1 outputs and the relu1 and pool1 input
+gradients, seven buffers of 226.5 MiB in all. So a call overwrites what the
+layer's last call left in its buffers, whether a Network or other code
+calls it. Every Network pass (forward, predict, loss_value,
+loss_and_pattern) advances the network's pass counter: backward refuses the
+cache of any pass but the latest, and predict and loss_and_pattern copy out
+any result that is a view. Network.release drops the buffers.
 
 Backward never forms the first layer's input gradient, the gradient with
 respect to the data, because nothing reads it. Max-pool ties go to the first
@@ -35,94 +36,16 @@ from . import rng
 from .errors import DimensionError, NumericError, UsageError
 
 
-# ---------------------------------------------------------------------------
-# Workspace
-
-# Arrays of at least this size come from a Network's workspace buffers.
+# Arrays of at least this size are views of a layer's reuse buffers.
 # glibc maps an array over its 32 MiB mmap ceiling as fresh zeroed pages on
 # every allocation and unmaps it on free, and arrays from 16 MiB up churn
 # the heap top the same way. At batch 64 the floor takes in cifar-quick's
 # three im2col matrices (37.5, 100 and 25 MiB) and four 16 MiB arrays: the
-# conv1 and relu1 outputs and the relu1 and pool1 input gradients. It takes
-# no lenet array (the largest, conv2's im2col, is 15.6 MiB), so lenet and
-# mlp get the fresh arrays that numpy calls with no `out=` would make.
-WORKSPACE_FLOOR_BYTES = 16 << 20
-
-
-class Workspace:
-    """Grow-only byte buffers, keyed by name, that a Network's passes reuse.
-
-    `get` allocates an array under WORKSPACE_FLOOR_BYTES afresh, as a numpy
-    call with no `out=` would.
-    """
-
-    def __init__(self):
-        self._buffers = {}
-
-    def get(self, key, shape, dtype=np.float64):
-        """An array of `shape` and `dtype` on buffer `key`, which grows to
-        fit; a new array under the floor."""
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        if nbytes < WORKSPACE_FLOOR_BYTES:
-            return np.empty(shape, dtype)
-        buf = self._buffers.get(key)
-        if buf is None or buf.size < nbytes:
-            buf = self._buffers[key] = np.empty(nbytes, dtype=np.uint8)
-        return buf[:nbytes].view(dtype).reshape(shape)
-
-    def layer(self, index):
-        """What layer `index` of the network writes through."""
-        return _LayerSpace(self, index)
-
-    def detached(self, a):
-        """`a`, or a copy of it if it lives in one of the buffers."""
-        if a is not None and any(a.base is buf for buf in self._buffers.values()):
-            return a.copy()
-        return a
-
-    def clear(self):
-        """Drop every buffer."""
-        self._buffers.clear()
-
-
-class _LayerSpace:
-    """One layer's access to a Workspace."""
-
-    __slots__ = ("_ws", "_index")
-
-    def __init__(self, ws, index):
-        self._ws = ws
-        self._index = index
-
-    def own(self, name, shape, dtype=np.float64):
-        """A buffer private to this layer: its output, or state it keeps
-        from forward to backward."""
-        return self._ws.get((self._index, name), shape, dtype)
-
-    def scratch(self, name, shape, dtype=np.float64):
-        """A buffer every layer shares, for contents that die in the call."""
-        return self._ws.get(name, shape, dtype)
-
-    def grad_in(self, shape):
-        """The buffer for this layer's input gradient. It dies in the
-        backward of the layer below, so layers alternate between two."""
-        return self._ws.get(("grad_in", self._index % 2), shape)
-
-
-class _Allocate:
-    """The workspace of a layer called directly: every array is allocated."""
-
-    def own(self, name, shape, dtype=np.float64):
-        return np.empty(shape, dtype)
-
-    scratch = own
-
-    def grad_in(self, shape):
-        return np.empty(shape)
-
-
-_ALLOCATE = _Allocate()
+# conv1 and relu1 outputs and the relu1 and pool1 input gradients, each
+# array one layer's own. It takes no lenet array (the largest, conv2's
+# im2col, is 15.6 MiB), so lenet and mlp get the fresh arrays that numpy
+# calls with no `out=` would make.
+BUFFER_FLOOR_BYTES = 16 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -141,25 +64,37 @@ class Layer:
 
     def __init__(self):
         self.params = []
+        self._buffers = {}
 
     def output_shape(self, in_shape):
         """Output shape (excluding batch) for a given input shape; raises
         DimensionError if the input is incompatible."""
         raise NotImplementedError
 
-    def forward(self, x, ws=_ALLOCATE):
-        """Return (output, cache). A Network passes `ws`, its workspace for
-        this layer, and the layer may write its arrays there."""
+    def forward(self, x):
+        """Return (output, cache)."""
         raise NotImplementedError
 
-    def backward(self, grad_out, cache, ws=_ALLOCATE):
+    def backward(self, grad_out, cache):
         """Return (grad_in, [grad per param tensor]).
 
         Network.backward does not call this on a parameterless layer 0, and
         calls a layer 0 with parameters as backward(grad_out, cache,
-        need_grad_in=False, ws=...), which returns None for grad_in.
+        need_grad_in=False), which returns None for grad_in.
         """
         raise NotImplementedError
+
+    def _array(self, name, shape, dtype=np.float64):
+        """An array of `shape` and `dtype`: a new one under the floor, else
+        a view of this layer's grow-only buffer `name`."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes < BUFFER_FLOOR_BYTES:
+            return np.empty(shape, dtype)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < nbytes:
+            buf = self._buffers[name] = np.empty(nbytes, dtype=np.uint8)
+        return buf[:nbytes].view(dtype).reshape(shape)
 
     def pattern(self, cache):
         """Discrete decisions made during forward (ReLU masks, pool winners),
@@ -190,14 +125,14 @@ class Dense(Layer):
             )
         return (self.out_features,)
 
-    def forward(self, x, ws=_ALLOCATE):
+    def forward(self, x):
         self.output_shape(x.shape[1:])
         x2 = x.reshape(x.shape[0], -1)
         w, b = self.params
         out = x2 @ w + b
         return out, (x2, x.shape)
 
-    def backward(self, grad_out, cache, need_grad_in=True, ws=_ALLOCATE):
+    def backward(self, grad_out, cache, need_grad_in=True):
         x2, x_shape = cache
         w, _ = self.params
         grad_w = x2.T @ grad_out
@@ -247,29 +182,29 @@ class Conv2D(Layer):
             )
         return (self.out_channels, oh, ow)
 
-    def forward(self, x, ws=_ALLOCATE):
+    def forward(self, x):
         c, h, w, n = x.shape
         oc, oh, ow = self.output_shape((c, h, w))
         k, s, p = self.kernel_size, self.stride, self.padding
         if p:
-            xp = ws.scratch("pad", (c, h + 2 * p, w + 2 * p, n))
+            xp = self._array("pad", (c, h + 2 * p, w + 2 * p, n))
             xp.fill(0.0)
             xp[:, p:p + h, p:p + w] = x
             x = xp
         # im2col as k*k slab copies into (c*k*k, oh*ow*n); at stride 1 each
         # slab row is a run of ow*n contiguous elements. The GEMM output
         # (oc, oh*ow*n) is the layer's output as it stands.
-        col = ws.own("col", (c, k, k, oh, ow, n))
+        col = self._array("col", (c, k, k, oh, ow, n))
         for dr in range(k):
             for dc in range(k):
                 col[:, dr, dc] = x[:, dr:dr + s * oh:s, dc:dc + s * ow:s]
         col2 = col.reshape(c * k * k, oh * ow * n)
         out = np.matmul(self.params[0].reshape(oc, -1), col2,
-                        out=ws.own("out", (oc, oh * ow * n)))
+                        out=self._array("out", (oc, oh * ow * n)))
         out += self.params[1][:, None]
         return out.reshape(oc, oh, ow, n), (col2, (c, h, w, n))
 
-    def backward(self, grad_out, cache, need_grad_in=True, ws=_ALLOCATE):
+    def backward(self, grad_out, cache, need_grad_in=True):
         col2, (c, h, w, n) = cache
         k, s, p = self.kernel_size, self.stride, self.padding
         oc = self.out_channels
@@ -283,18 +218,17 @@ class Conv2D(Layer):
         # gradient is never held whole. Unpadded, the sums land in the input
         # gradient itself.
         wt = np.ascontiguousarray(self.params[0].transpose(2, 3, 1, 0))  # (k,k,c,oc)
-        hp, wp = h + 2 * p, w + 2 * p
-        gxp = ws.scratch("pad", (c, hp, wp, n)) if p else ws.grad_in((c, h, w, n))
+        gxp = self._array("pad" if p else "grad_in", (c, h + 2 * p, w + 2 * p, n))
         gxp.fill(0.0)
-        prod = ws.scratch("gemm", (c, oh * ow * n))
+        prod = self._array("gemm", (c, oh * ow * n))
         for dr in range(k):
             for dc in range(k):
                 gxp[:, dr:dr + s * oh:s, dc:dc + s * ow:s] += \
                     np.matmul(wt[dr, dc], g2, out=prod).reshape(c, oh, ow, n)
         if not p:
             return gxp, [grad_w, grad_b]
-        gx = ws.grad_in((c, h, w, n))
-        gx[...] = gxp[:, p:hp - p, p:wp - p]
+        gx = self._array("grad_in", (c, h, w, n))
+        gx[...] = gxp[:, p:p + h, p:p + w]
         return gx, [grad_w, grad_b]
 
 
@@ -323,7 +257,7 @@ class MaxPool2D(Layer):
         oh, ow = self._spatial_out(in_shape[1], in_shape[2])
         return (in_shape[0], oh, ow)
 
-    def forward(self, x, ws=_ALLOCATE):
+    def forward(self, x):
         c, h, w, n = x.shape
         k, s = self.kernel_size, self.stride
         oh, ow = self._spatial_out(h, w)
@@ -334,7 +268,7 @@ class MaxPool2D(Layer):
             for dc in range(k):
                 view = x[:, dr::s, dc::s][:, :oh, :ow]
                 views.append((view, np.s_[:, :view.shape[1], :view.shape[2]]))
-        out = ws.own("out", (c, oh, ow, n))
+        out = self._array("out", (c, oh, ow, n))
         out[...] = views[0][0]
         for view, part in views[1:]:
             np.maximum(out[part], view, out=out[part])
@@ -349,7 +283,7 @@ class MaxPool2D(Layer):
                        out=best[part])
         return out, (k * k - best, (c, h, w, n))
 
-    def backward(self, grad_out, cache, ws=_ALLOCATE):
+    def backward(self, grad_out, cache):
         winner, (c, h, w, n) = cache
         k, s = self.kernel_size, self.stride
         oh, ow = self._spatial_out(h, w)
@@ -359,7 +293,7 @@ class MaxPool2D(Layer):
             + s * np.arange(ow)
         index = (origin * n)[..., None] + np.arange(n)
         index += (np.add.outer(np.arange(k) * w, np.arange(k)) * n).ravel()[winner]
-        gx = ws.grad_in((c, h, w, n))
+        gx = self._array("grad_in", (c, h, w, n))
         gx.fill(0.0)
         np.add.at(gx.reshape(-1), index.ravel(), grad_out.ravel())
         return gx, []
@@ -375,12 +309,12 @@ class ReLU(Layer):
     def output_shape(self, in_shape):
         return tuple(in_shape)
 
-    def forward(self, x, ws=_ALLOCATE):
-        return (np.maximum(x, 0.0, out=ws.own("out", x.shape)),
-                np.greater(x, 0, out=ws.own("mask", x.shape, bool)))
+    def forward(self, x):
+        return (np.maximum(x, 0.0, out=self._array("out", x.shape)),
+                np.greater(x, 0, out=self._array("mask", x.shape, bool)))
 
-    def backward(self, grad_out, cache, ws=_ALLOCATE):
-        return np.multiply(grad_out, cache, out=ws.grad_in(grad_out.shape)), []
+    def backward(self, grad_out, cache):
+        return np.multiply(grad_out, cache, out=self._array("grad_in", grad_out.shape)), []
 
     def pattern(self, cache):
         return cache
@@ -393,7 +327,7 @@ class Sigmoid(Layer):
     def output_shape(self, in_shape):
         return tuple(in_shape)
 
-    def forward(self, x, ws=_ALLOCATE):
+    def forward(self, x):
         out = np.empty_like(x)
         pos = x >= 0
         out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -401,7 +335,7 @@ class Sigmoid(Layer):
         out[~pos] = ex / (1.0 + ex)
         return out, out
 
-    def backward(self, grad_out, cache, ws=_ALLOCATE):
+    def backward(self, grad_out, cache):
         return grad_out * cache * (1.0 - cache), []
 
 
@@ -412,19 +346,12 @@ class Tanh(Layer):
     def output_shape(self, in_shape):
         return tuple(in_shape)
 
-    def forward(self, x, ws=_ALLOCATE):
+    def forward(self, x):
         out = np.tanh(x)
         return out, out
 
-    def backward(self, grad_out, cache, ws=_ALLOCATE):
+    def backward(self, grad_out, cache):
         return grad_out * (1.0 - cache * cache), []
-
-
-def softmax(logits):
-    """Numerically stable softmax over the last axis."""
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +402,23 @@ class ForwardCache:
         self.loss_grad = loss_grad
 
 
+def _unshared(a):
+    """`a`, or a copy of it if it is a view, as of a layer's buffer."""
+    return a.copy() if a is not None and a.base is not None else a
+
+
 class Network:
     """Ordered layer stack plus a loss; shapes validated at construction.
-
-    `workspace` holds the buffers its passes reuse; `workspace.clear()`
-    drops them, and the next pass maps new ones.
-    """
+    A layer instance may sit at one position of one network only, since its
+    buffers hold that position's arrays."""
 
     def __init__(self, input_shape, layers, loss="softmax-cross-entropy"):
         if loss not in LOSSES:
             raise DimensionError(f"unknown loss {loss!r}; expected one of {LOSSES}")
         self.input_shape = tuple(int(s) for s in input_shape)
         self.layers = list(layers)
+        if len({id(layer) for layer in self.layers}) != len(self.layers):
+            raise DimensionError("a layer instance appears twice in the network")
         self.loss = loss
         shape = self.input_shape
         self.layer_shapes = [shape]
@@ -505,12 +437,16 @@ class Network:
         if last:
             self._moves[len(self.layers)] = False
         self._serial = 0
-        self.workspace = Workspace()
 
     def parameters(self):
         """Parameter tensors grouped per layer (empty list for layers
         without parameters)."""
         return [layer.params for layer in self.layers]
+
+    def release(self):
+        """Drop every layer's buffers; the next pass maps new ones."""
+        for layer in self.layers:
+            layer._buffers.clear()
 
     def parameter_count(self) -> int:
         return sum(p.size for group in self.parameters() for p in group)
@@ -536,7 +472,7 @@ class Network:
         return _softmax_cross_entropy(out, targets)
 
     def _pass(self, inputs, keep=None):
-        """Run every layer through the workspace. Returns the final output
+        """Run every layer. Returns the final output
         and the list of keep(layer, cache) per layer (empty without keep)."""
         inputs = np.asarray(inputs, dtype=np.float64)
         self._check_input(inputs)
@@ -544,7 +480,7 @@ class Network:
         out = inputs
         kept = []
         for i, layer in enumerate(self.layers):
-            out, cache = layer.forward(self._move(i, out), ws=self.workspace.layer(i))
+            out, cache = layer.forward(self._move(i, out))
             if keep is not None:
                 kept.append(keep(layer, cache))
         return self._move(len(self.layers), out), kept
@@ -569,21 +505,20 @@ class Network:
         by_layer = [[] for _ in self.layers]
         for i in range(len(self.layers) - 1, 0, -1):
             grad, by_layer[i] = self.layers[i].backward(
-                self._move(i + 1, grad, backward=True), cache.layer_caches[i],
-                ws=self.workspace.layer(i))
+                self._move(i + 1, grad, backward=True), cache.layer_caches[i])
         # Layer 0's input gradient is the gradient with respect to the data,
         # which nothing reads.
         if self.layers and self.layers[0].params:
             _, by_layer[0] = self.layers[0].backward(
                 self._move(1, grad, backward=True), cache.layer_caches[0],
-                need_grad_in=False, ws=self.workspace.layer(0))
+                need_grad_in=False)
         return by_layer
 
     def predict(self, inputs):
         """Forward pass returning the final layer output, which no later
         pass overwrites; intermediate caches are discarded."""
         out, _ = self._pass(inputs)
-        return self.workspace.detached(out)
+        return _unshared(out)
 
     def loss_value(self, inputs, targets) -> float:
         """Mean loss without retaining caches (used by finite differences)."""
@@ -595,7 +530,7 @@ class Network:
         """Mean loss plus the discrete decision pattern (ReLU masks, pool
         winners) of the pass, which no later pass overwrites."""
         out, pattern = self._pass(
-            inputs, lambda layer, cache: self.workspace.detached(layer.pattern(cache)))
+            inputs, lambda layer, cache: _unshared(layer.pattern(cache)))
         loss, _ = self._run_loss(out, targets)
         return loss, pattern
 

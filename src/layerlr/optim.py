@@ -126,9 +126,10 @@ class Optimizer:
                  epsilon_div: float = EPSILON_DIV):
         if isinstance(schedule, (int, float)):
             schedule = constant(float(schedule))
-        if weight_decay < 0:
+        # Written so that NaN fails each check.
+        if not weight_decay >= 0:
             raise ConfigError(f"weight_decay must be nonnegative, got {weight_decay}")
-        if epsilon_norm <= 0 or epsilon_div <= 0:
+        if not (epsilon_norm > 0 and epsilon_div > 0):
             raise ConfigError("epsilon floors must be positive")
         self.schedule = schedule
         self.layerwise = layerwise
@@ -143,10 +144,6 @@ class Optimizer:
         # One scratch array per parameter tensor, keyed like the state, so
         # updates and the NAG lookahead allocate nothing after the first step.
         self._scratch = {}
-
-    def rate(self) -> float:
-        """Global learning rate for the upcoming step."""
-        return self.schedule.rate(self.k)
 
     def at_lookahead(self, params):
         """Context in which `params` hold the point the next gradient is

@@ -83,6 +83,29 @@ class TestExitCodes:
                      id="blobs-separation-inf"),
         pytest.param(["train", "--schedule.t0=nan"] + BLOBS_ARGS, cli.EXIT_CONFIG,
                      id="schedule-t0-nan"),
+        pytest.param(["bench", "--radius", "-1"], cli.EXIT_CONFIG, id="bench-radius-neg"),
+        pytest.param(["bench", "--radius", "nan"], cli.EXIT_CONFIG, id="bench-radius-nan"),
+        pytest.param(["bench", "--radius", "inf"], cli.EXIT_CONFIG, id="bench-radius-inf"),
+        pytest.param(["bench", "--starts", "2"], cli.EXIT_CONFIG, id="bench-start-outside"),
+        # The first start is fine: no row of it may be printed either.
+        pytest.param(["bench", "--starts", "0.5,inf"], cli.EXIT_CONFIG, id="bench-start-inf"),
+        pytest.param(["bench", "--max-iter", "0"], cli.EXIT_CONFIG, id="bench-max-iter-0"),
+        pytest.param(["bench", "--max-iter", "-5"], cli.EXIT_CONFIG, id="bench-max-iter-neg"),
+        pytest.param(["train", "--seed", "-1"] + BLOBS_ARGS, cli.EXIT_CONFIG, id="train-seed-neg"),
+        pytest.param(["train", "--seeds=-1"] + BLOBS_ARGS, cli.EXIT_CONFIG, id="seeds-neg"),
+        pytest.param(["train", "--seeds=18446744073709551616"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="seeds-2-64"),
+        pytest.param(["train", "--blobs.seed=-1"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="blobs-seed-neg"),
+        # The test split is keyed blobs.seed + 0x7E57, which must fit too.
+        pytest.param(["train", "--blobs.seed=18446744073709551615"] + BLOBS_ARGS,
+                     cli.EXIT_CONFIG, id="blobs-seed-top"),
+        pytest.param(["train", "--opt.epsilon_norm=nan"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="epsilon-norm-nan"),
+        pytest.param(["train", "--opt.kind=adagrad", "--opt.epsilon_div=nan"] + BLOBS_ARGS,
+                     cli.EXIT_CONFIG, id="adagrad-epsilon-div-nan"),
+        pytest.param(["train", "--opt.weight_decay=nan"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="weight-decay-nan"),
         # The first SGD step overflows to inf: an abort, not a numpy warning.
         pytest.param(["bench", "--landscape", "monkey-saddle", "--lrs", "1e308",
                       "--starts", "0.9", "--optimizers", "sgd"], cli.EXIT_NUMERIC,
@@ -95,7 +118,8 @@ class TestExitCodes:
         if argv[0] != "gradcheck" and "--out" not in argv:
             argv += ["--out", str(tmp_path / "out.csv")]
         assert cli.main(argv) == code
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         prefix = {cli.EXIT_CONFIG: "config error: ", cli.EXIT_DATA: "data error: ",
                   cli.EXIT_NUMERIC: "numeric error: "}[code]
         assert err.startswith(prefix)

@@ -4,6 +4,7 @@ import pickle
 import statistics
 import struct
 import tracemalloc
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
@@ -222,6 +223,20 @@ class TestRunExperiment:
                            max_iterations=40, checkpoints=(40,))
         records = run_experiment(cfg, seed=2)
         assert records[0].test_error_percent <= 100.0
+
+    def test_a_steps_cache_is_dead_when_the_next_forward_starts(self, monkeypatch):
+        forward = Network.forward
+        caches = []
+
+        def checked(net, x, targets):
+            assert all(ref() is None for ref in caches)
+            loss, cache = forward(net, x, targets)
+            caches.append(weakref.ref(cache))
+            return loss, cache
+
+        monkeypatch.setattr(Network, "forward", checked)
+        run_experiment(blobs_config(max_iterations=5, checkpoints=(2, 5)), seed=0)
+        assert len(caches) == 5
 
 
 class TestSummaries:
