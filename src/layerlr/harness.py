@@ -126,6 +126,8 @@ class ExperimentConfig:
         if not 0 <= self.blobs_seed < 2 ** 64 - BLOBS_TEST_OFFSET:
             raise ConfigError(f"blobs.seed must lie in [0, 2**64 - {BLOBS_TEST_OFFSET:#x}), "
                               f"got {self.blobs_seed}")
+        if any(ch in self.variant for ch in ',"\r\n'):
+            raise ConfigError(f"variant must hold no comma, quote or line break: {self.variant!r}")
         if self.report not in ("", "error", "accuracy"):
             raise ConfigError(f"report must be 'error' or 'accuracy', got {self.report!r}")
         if self.eval_batch_size < 1:

@@ -214,21 +214,28 @@ class Conv2D(Layer):
         grad_b = g2.sum(axis=1)
         if not need_grad_in:
             return None, [grad_w, grad_b]
-        # col2im one kernel offset at a time: the (c*k*k, oh*ow*n) column
-        # gradient is never held whole. Unpadded, the sums land in the input
-        # gradient itself.
-        wt = np.ascontiguousarray(self.params[0].transpose(2, 3, 1, 0))  # (k,k,c,oc)
-        gxp = self._array("pad" if p else "grad_in", (c, h + 2 * p, w + 2 * p, n))
-        gxp.fill(0.0)
-        prod = self._array("gemm", (c, oh * ow * n))
-        for dr in range(k):
-            for dc in range(k):
-                gxp[:, dr:dr + s * oh:s, dc:dc + s * ow:s] += \
-                    np.matmul(wt[dr, dc], g2, out=prod).reshape(c, oh, ow, n)
-        if not p:
-            return gxp, [grad_w, grad_b]
+        # col2im one output row at a time. Row i's gradient, copied once per
+        # kernel column dc to the input columns s*j + dc - p it reaches
+        # (zeros where none does), makes an (oc*k, w*n) matrix. One GEMM with
+        # the weights as (c*k, oc*k) gives its sums for the input rows
+        # s*i + dr - p, and those inside the input are added in place.
+        wt = self.params[0].transpose(1, 2, 0, 3).reshape(c * k, oc * k)
+        spread = np.zeros((oc, k, w, n))
+        copies = []
+        for dc in range(k):
+            lo, hi = max(0, -((dc - p) // s)), min(ow, (w - 1 + p - dc) // s + 1)
+            if lo < hi:
+                copies.append((spread[:, dc, s * lo + dc - p:s * hi + dc - p:s], slice(lo, hi)))
+        prod = np.empty((c, k, w, n))
         gx = self._array("grad_in", (c, h, w, n))
-        gx[...] = gxp[:, p:p + h, p:p + w]
+        gx.fill(0.0)
+        for i in range(oh):
+            for dst, cols in copies:
+                dst[...] = grad_out[:, i, cols]
+            np.matmul(wt, spread.reshape(oc * k, w * n), out=prod.reshape(c * k, w * n))
+            d0, d1 = max(0, p - s * i), min(k, h + p - s * i)
+            if d0 < d1:
+                gx[:, s * i - p + d0:s * i - p + d1] += prod[:, d0:d1]
         return gx, [grad_w, grad_b]
 
 

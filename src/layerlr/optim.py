@@ -69,13 +69,13 @@ class LrSchedule:
     def __post_init__(self):
         if self.kind not in SCHEDULE_KINDS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
-        # Written so that NaN fails each check.
-        if not self.t0 > 0:
-            raise ConfigError(f"initial learning rate must be positive, got {self.t0}")
-        if not (self.gamma >= 0 and self.p >= 0):
-            raise ConfigError("inverse-time parameters gamma and p must be nonnegative")
-        if not self.factor > 0:
-            raise ConfigError(f"step-decay factor must be positive, got {self.factor}")
+        # Written so that NaN and infinity fail each check.
+        if not 0 < self.t0 < math.inf:
+            raise ConfigError(f"initial learning rate must be positive and finite, got {self.t0}")
+        if not (0 <= self.gamma < math.inf and 0 <= self.p < math.inf):
+            raise ConfigError("inverse-time parameters gamma and p must be nonnegative and finite")
+        if not 0 < self.factor < math.inf:
+            raise ConfigError(f"step-decay factor must be positive and finite, got {self.factor}")
         object.__setattr__(self, "milestones", tuple(sorted(int(m) for m in self.milestones)))
 
     def rate(self, k: int) -> float:
@@ -126,11 +126,11 @@ class Optimizer:
                  epsilon_div: float = EPSILON_DIV):
         if isinstance(schedule, (int, float)):
             schedule = constant(float(schedule))
-        # Written so that NaN fails each check.
-        if not weight_decay >= 0:
-            raise ConfigError(f"weight_decay must be nonnegative, got {weight_decay}")
-        if not (epsilon_norm > 0 and epsilon_div > 0):
-            raise ConfigError("epsilon floors must be positive")
+        # Written so that NaN and infinity fail each check.
+        if not 0 <= weight_decay < math.inf:
+            raise ConfigError(f"weight_decay must be nonnegative and finite, got {weight_decay}")
+        if not (0 < epsilon_norm < math.inf and 0 < epsilon_div < math.inf):
+            raise ConfigError("epsilon floors must be positive and finite")
         self.schedule = schedule
         self.layerwise = layerwise
         self.bias_separate = bias_separate

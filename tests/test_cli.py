@@ -106,6 +106,31 @@ class TestExitCodes:
                      cli.EXIT_CONFIG, id="adagrad-epsilon-div-nan"),
         pytest.param(["train", "--opt.weight_decay=nan"] + BLOBS_ARGS, cli.EXIT_CONFIG,
                      id="weight-decay-nan"),
+        pytest.param(["train", "--opt.weight_decay=inf"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="weight-decay-inf"),
+        pytest.param(["train", "--schedule.t0=inf"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="schedule-t0-inf"),
+        # inf * 0 would make the first inverse-time rate NaN.
+        pytest.param(["train", "--schedule.kind=inverse-time", "--schedule.gamma=inf"]
+                     + BLOBS_ARGS, cli.EXIT_CONFIG, id="schedule-gamma-inf"),
+        pytest.param(["train", "--schedule.kind=step-decay", "--schedule.milestones=1",
+                      "--schedule.factor=inf"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="schedule-factor-inf"),
+        # Every multiplier would be 1: layer-wise rates silently off.
+        pytest.param(["train", "--opt.epsilon_norm=inf", "--opt.layerwise=true"] + BLOBS_ARGS,
+                     cli.EXIT_CONFIG, id="epsilon-norm-inf"),
+        # The rate would be 0 after step 0.
+        pytest.param(["train", "--schedule.kind=inverse-time", "--schedule.gamma=1",
+                      "--schedule.p=inf"] + BLOBS_ARGS, cli.EXIT_CONFIG, id="schedule-p-inf"),
+        pytest.param(["train", "--opt.kind=adagrad", "--opt.epsilon_div=inf"] + BLOBS_ARGS,
+                     cli.EXIT_CONFIG, id="adagrad-epsilon-div-inf"),
+        # A comma would split the label across two CSV columns.
+        pytest.param(["table", "--processes", "1", "--seeds=1,2", "--variant=a,b"]
+                     + BLOBS_ARGS, cli.EXIT_CONFIG, id="variant-comma"),
+        pytest.param(["table", "--processes", "1", "--seeds=1,2", '--variant=a"b'] + BLOBS_ARGS,
+                     cli.EXIT_CONFIG, id="variant-quote"),
+        pytest.param(["table", "--processes", "1", "--seeds=1,2", "--variant=a\nb"] + BLOBS_ARGS,
+                     cli.EXIT_CONFIG, id="variant-newline"),
         # The first SGD step overflows to inf: an abort, not a numpy warning.
         pytest.param(["bench", "--landscape", "monkey-saddle", "--lrs", "1e308",
                       "--starts", "0.9", "--optimizers", "sgd"], cli.EXIT_NUMERIC,

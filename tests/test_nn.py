@@ -345,6 +345,47 @@ class TestConvAndPoolOracles:
         assert out.shape == expected.shape
         assert np.allclose(out, expected, atol=1e-12)
 
+    def brute_conv_grads(self, x, w, grad_out, stride, pad):
+        """Input, weight and bias gradients of brute_conv, one window at a
+        time, with the padding cropped off the input gradient."""
+        n, c, h, wd = x.shape
+        oc, _, k, _ = w.shape
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+        for i in range(n):
+            for o in range(oc):
+                for r in range(grad_out.shape[2]):
+                    for q in range(grad_out.shape[3]):
+                        win = np.s_[i, :, r * stride:r * stride + k, q * stride:q * stride + k]
+                        gxp[win] += grad_out[i, o, r, q] * w[o]
+                        gw[o] += grad_out[i, o, r, q] * xp[win]
+        return gxp[:, :, pad:pad + h, pad:pad + wd], gw, grad_out.sum(axis=(0, 2, 3))
+
+    @pytest.mark.parametrize("k,stride,pad,h,w", [
+        pytest.param(3, 1, 0, 8, 9, id="valid"),
+        pytest.param(5, 1, 2, 8, 9, id="same"),
+        pytest.param(3, 1, 2, 5, 6, id="output-wider"),
+        pytest.param(1, 1, 0, 8, 9, id="1x1"),
+        pytest.param(3, 2, 1, 8, 9, id="stride-2"),
+        pytest.param(3, 3, 0, 8, 8, id="trailing-rows-unread"),
+        pytest.param(5, 2, 2, 7, 9, id="stride-2-pad-2"),
+        # Windows that reach past both edges, and windows all in the padding.
+        pytest.param(5, 1, 2, 1, 1, id="kernel-over-input"),
+        pytest.param(3, 1, 3, 4, 4, id="pad-over-kernel"),
+    ])
+    def test_conv_gradients_match_brute_force(self, k, stride, pad, h, w):
+        gen = rng.generator(24, k * 1000 + stride * 100 + pad * 10 + h)
+        layer = Conv2D(3, 4, k, stride=stride, padding=pad, init_gen=gen)
+        x = gen.standard_normal((2, 3, h, w))
+        out, cache = layer.forward(batch_last(x))
+        grad_out = gen.standard_normal(out.shape)
+        gx, (gw, gb) = layer.backward(grad_out, cache)
+        want_gx, want_gw, want_gb = self.brute_conv_grads(
+            x, layer.params[0], batch_first(grad_out), stride, pad)
+        assert np.allclose(batch_first(gx), want_gx, rtol=0, atol=1e-12)
+        assert np.allclose(gw, want_gw, rtol=0, atol=1e-12)
+        assert np.allclose(gb, want_gb, rtol=0, atol=1e-12)
+
     def brute_pool(self, x, k, s):
         # A window starts every s elements inside the input, up to the first
         # one that reaches its end; each is clipped to the input.
@@ -468,7 +509,8 @@ class TestConvAndPoolOracles:
         assert result.max_rel_err < 1e-5
 
     def test_strided_conv_gradients_match_finite_differences(self):
-        # stride-2 scatter path in backward
+        # Stride 2, padded (layer 0: weight gradient only) and unpadded:
+        # the second conv's input gradient lands on rows and columns s apart.
         gen = rng.generator(32, 0)
         layers = [Conv2D(2, 3, 3, stride=2, padding=1, init_gen=gen), Tanh(),
                   Conv2D(3, 2, 3, stride=2, init_gen=gen), Tanh(),
