@@ -79,8 +79,9 @@ def _open_maybe_gzip(path):
 def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
     """Load an MNIST-style IDX image/label file pair.
 
-    Validates the big-endian magic numbers (0x803 images, 0x801 labels) and
-    cross-checks the item counts between the two files. Pixels stay uint8.
+    Validates the big-endian magic numbers (0x803 images, 0x801 labels),
+    rejects a file with no pixels and cross-checks the item counts between
+    the two files. Pixels stay uint8.
     """
     with _open_maybe_gzip(images_path) as f:
         header = f.read(16)
@@ -92,6 +93,8 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
                 f"{images_path}: bad IDX image magic 0x{magic:08x} "
                 f"(expected 0x{MNIST_IMAGE_MAGIC:08x})"
             )
+        if n * h * w == 0:
+            raise DataError(f"{images_path}: no pixels ({n} images of {h}x{w})")
         raw = f.read(n * h * w)
         if len(raw) != n * h * w:
             raise DataError(f"{images_path}: expected {n * h * w} pixel bytes, got {len(raw)}")

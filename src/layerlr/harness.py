@@ -199,25 +199,28 @@ def _field_registry():
 _REGISTRY = _field_registry()
 
 
+def _parse_setting(text: str, where: str, values: dict) -> None:
+    """Parse one `key = value` setting into `values`, keyed by attribute
+    name; every error message starts with `where`, the line or override."""
+    key, eq, val = (part.strip() for part in text.partition("="))
+    if not eq:
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    if key not in _REGISTRY:
+        raise ConfigError(f"{where}: unknown config key {key!r}")
+    attr, parser = _REGISTRY[key]
+    try:
+        values[attr] = parser(val)
+    except ValueError as exc:  # a parser's own ConfigError too
+        raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
+
+
 def parse_config_text(text: str, base: ExperimentConfig = None) -> ExperimentConfig:
     """Parse the flat `key = value` config format ('#' starts a comment)."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _REGISTRY:
-            raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-        attr, parser = _REGISTRY[key]
-        try:
-            values[attr] = parser(val)
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
+        if line:
+            _parse_setting(line, f"line {lineno}", values)
     if base is not None:
         return replace(base, **values)
     return ExperimentConfig(**values)
@@ -236,20 +239,7 @@ def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
     """Apply CLI overrides of the form 'key=value' or '--key=value'."""
     values = {}
     for item in overrides:
-        token = item.lstrip("-")
-        if "=" not in token:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
-        key, val = token.split("=", 1)
-        key = key.strip()
-        if key not in _REGISTRY:
-            raise ConfigError(f"unknown config key {key!r} in override {item!r}")
-        attr, parser = _REGISTRY[key]
-        try:
-            values[attr] = parser(val.strip())
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"bad value in override {item!r}: {exc}") from exc
+        _parse_setting(item.lstrip("-"), f"override {item!r}", values)
     return replace(cfg, **values)
 
 
@@ -395,14 +385,12 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
         for k in range(cfg.max_iterations):
             x, y = stream.next_batch()
             targets = _targets_for(net, y, train.num_classes)
+
+            def value_grad():
+                loss, cache = net.forward(x, targets)
+                return loss, net.backward(cache)
             try:
-                with opt.at_lookahead(params):
-                    loss, cache = net.forward(x, targets)
-                    grads = net.backward(cache)
-                stats = opt.step(params, grads)
-                # Let the step's cache and gradients die before the next
-                # forward and the checkpoint eval.
-                del cache, grads
+                loss, stats = opt.descend(params, value_grad)
             except NumericError as exc:
                 # A gradient abort carries the failing step's pairs.
                 norm_history.extend(exc.layer_norms or ())
@@ -520,6 +508,8 @@ def repeat_runs(cfg: ExperimentConfig, seeds=None, processes: int = None) -> Sum
     jobs = [(cfg, seed) for seed in sorted(seeds)]
     if processes is None:
         processes = min(len(jobs), os.cpu_count() or 1)
+    if processes < 1:
+        raise ConfigError(f"processes must be >= 1, got {processes}")
     if processes > 1:
         spawn = multiprocessing.get_context("spawn")
         with _one_blas_thread(), ProcessPoolExecutor(processes, mp_context=spawn) as pool:

@@ -133,19 +133,21 @@ def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
     """Iterations until the iterate leaves `escape_radius` along the
     landscape's descent coordinate; returns max_iter if it never does.
 
-    The optimizer owns its own state; NAG gradients are evaluated at the
-    lookahead point. A non-finite iterate or gradient raises NumericError
-    with the last 10 iterates in its message; a gradient abort keeps the
-    optimizer's norm row as `layer_norms`.
+    Each iteration is one opt.descend, so the optimizer owns its state and
+    the point the gradient is taken at. A non-finite iterate or gradient
+    raises NumericError with the last 10 iterates in its message; a
+    gradient abort keeps the optimizer's norm row as `layer_norms`.
     """
     params = landscape.make_params(start)
     check_escape_trial(landscape, start, escape_radius, max_iter)
+
+    def value_grad():
+        value, grads = landscape.value_grad([float(group[0][0]) for group in params])
+        return value, [[g] for g in grads]
     trail = []
     for k in range(1, max_iter + 1):
-        with opt.at_lookahead(params):
-            _, grads = landscape.value_grad([float(group[0][0]) for group in params])
         try:
-            opt.step(params, [[g] for g in grads])
+            opt.descend(params, value_grad)
         except NumericError as exc:
             raise NumericError(
                 f"{landscape.kind} trial diverged at iteration {k}: {exc}; "

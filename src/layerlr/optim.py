@@ -9,13 +9,15 @@ recovered. It composes with any rule that consumes a global learning rate:
 SGD, classical momentum, Nesterov momentum, and AdaGrad are provided.
 
 Optimizer.step returns one GroupStats per norm group: the gradient norm it
-computed, the multiplier and the effective rate it applied. Every optimizer
-has at_lookahead(params), the context in which a caller takes the gradient
-the next step consumes; only NAG moves the point there.
+computed, the multiplier and the effective rate it applied.
+Optimizer.descend(params, value_grad) is one training step: it calls
+value_grad() once for (value, grads) and steps on those grads. Only NAG
+knows where that gradient is taken: its descend calls value_grad with the
+lookahead point x + mu*v in the parameter lists.
 """
 
 import math
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,10 +31,6 @@ EPSILON_DIV = 1e-12
 
 OPTIMIZER_KINDS = ("sgd", "momentum", "nag", "adagrad")
 SCHEDULE_KINDS = ("constant", "inverse-time", "step-decay")
-
-# nullcontext is reusable, and one shared instance is half the cost of a new
-# one on every step of a scalar landscape.
-_NO_LOOKAHEAD = nullcontext()
 
 
 def layer_multiplier(norm: float, epsilon_norm: float = EPSILON_NORM) -> float:
@@ -145,10 +143,12 @@ class Optimizer:
         # updates and the NAG lookahead allocate nothing after the first step.
         self._scratch = {}
 
-    def at_lookahead(self, params):
-        """Context in which `params` hold the point the next gradient is
-        taken at; here the parameters themselves, so it does nothing."""
-        return _NO_LOOKAHEAD
+    def descend(self, params, value_grad):
+        """One training step: call value_grad() once for (value, grads),
+        taken at the parameters themselves, then step() on those grads.
+        Returns (value, the step's GroupStats)."""
+        value, grads = value_grad()
+        return value, self.step(params, grads)
 
     def step(self, params, grads):
         """Apply one update from per-layer gradients; returns the GroupStats
@@ -261,13 +261,18 @@ class Momentum(Optimizer):
 
 class NAG(Momentum):
     """Nesterov momentum. The same recurrence as classical momentum, but the
-    caller must supply gradients evaluated at the lookahead point
-    x + mu * v_prev; use at_lookahead() to put that point in the parameter
-    lists for the evaluation. With layerwise=True the multiplier comes from
-    the lookahead gradient norms and scales only the gradient term.
+    gradients it consumes are evaluated at the lookahead point
+    x + mu * v_prev: descend() puts that point in the parameter lists while
+    value_grad runs. With layerwise=True the multiplier comes from the
+    lookahead gradient norms and scales only the gradient term.
     """
 
     kind = "nag"
+
+    def descend(self, params, value_grad):
+        with self.at_lookahead(params):
+            value, grads = value_grad()
+        return value, self.step(params, grads)
 
     @contextmanager
     def at_lookahead(self, params):

@@ -107,10 +107,11 @@ def _train_trajectory(opt, seed, steps=100):
     for _ in range(steps):
         x, y = stream.next_batch()
         x = x.reshape(x.shape[0], -1)
-        with opt.at_lookahead(params):
-            _, cache = net.forward(x, y)
-            grads = net.backward(cache)
-        opt.step(params, grads)
+
+        def value_grad():
+            loss, cache = net.forward(x, y)
+            return loss, net.backward(cache)
+        opt.descend(params, value_grad)
         snapshots.append([p.copy() for group in params for p in group])
     return snapshots
 

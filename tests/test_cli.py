@@ -1,4 +1,5 @@
 import io
+import struct
 import tarfile
 
 import pytest
@@ -131,6 +132,11 @@ class TestExitCodes:
                      cli.EXIT_CONFIG, id="variant-quote"),
         pytest.param(["table", "--processes", "1", "--seeds=1,2", "--variant=a\nb"] + BLOBS_ARGS,
                      cli.EXIT_CONFIG, id="variant-newline"),
+        # Rejected before any worker starts; serial runs need --processes 1.
+        pytest.param(["table", "--processes", "0", "--seeds=1,2"] + BLOBS_ARGS,
+                     cli.EXIT_CONFIG, id="table-processes-0"),
+        pytest.param(["table", "--processes", "-3", "--seeds=1,2"] + BLOBS_ARGS,
+                     cli.EXIT_CONFIG, id="table-processes-neg"),
         # The first SGD step overflows to inf: an abort, not a numpy warning.
         pytest.param(["bench", "--landscape", "monkey-saddle", "--lrs", "1e308",
                       "--starts", "0.9", "--optimizers", "sgd"], cli.EXIT_NUMERIC,
@@ -155,6 +161,26 @@ class TestExitCodes:
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "missing").exists()
 
+
+    @pytest.mark.parametrize("empty", ["train", "t10k"])
+    def test_mnist_split_with_no_items_is_one_line_data_error(self, empty, tmp_path, capsys):
+        root = tmp_path / "mnist"
+        root.mkdir()
+        for split in ("train", "t10k"):
+            n = 0 if split == empty else 8
+            (root / f"{split}-images-idx3-ubyte").write_bytes(
+                struct.pack(">IIII", 0x803, n, 28, 28) + bytes(n * 28 * 28))
+            (root / f"{split}-labels-idx1-ubyte").write_bytes(
+                struct.pack(">II", 0x801, n) + bytes(n))
+        out = tmp_path / "r.csv"
+        argv = ["train", "--dataset=mnist", f"--data_dir={tmp_path}", "--arch=mlp:8",
+                "--batch_size=4", "--max_iterations=2", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert f"{empty}-images-idx3-ubyte: no pixels" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["train"], ["table", "--processes", "1"]])
     def test_unwritable_out_fails_before_training(self, command, tmp_path, capsys,

@@ -68,6 +68,12 @@ class TestMnistIdx:
         with pytest.raises(DataError, match="mismatch"):
             load_mnist_idx(img, lbl)
 
+    @pytest.mark.parametrize("n, w", [(0, 4), (12, 0)])
+    def test_file_with_no_pixels_rejected(self, n, w, tmp_path):
+        img, lbl, _, _ = write_idx_pair(tmp_path, n=n, w=w)
+        with pytest.raises(DataError, match="no pixels"):
+            load_mnist_idx(img, lbl)
+
     def test_round_trip_determinism(self, tmp_path):
         img, lbl, _, _ = write_idx_pair(tmp_path)
         a = load_mnist_idx(img, lbl)

@@ -64,12 +64,14 @@ def trajectory(arch, kind, layerwise):
     losses, norms = [], []
     for _ in range(STEPS):
         x, y = batches()
-        with opt.at_lookahead(params):
+
+        def value_grad():
             loss, cache = net.forward(x, y)
             grads = net.backward(cache)
+            norms.append([group_norm(g) for g in grads])
+            return loss, grads
+        loss, _ = opt.descend(params, value_grad)
         losses.append(loss)
-        norms.append([group_norm(g) for g in grads])
-        opt.step(params, grads)
     return {"loss": losses, "group_norm": norms}
 
 

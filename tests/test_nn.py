@@ -637,11 +637,11 @@ def _nag_run(build, floor, monkeypatch):
     for batch in (64, 64, 33, 64):
         x = gen.standard_normal((batch,) + net.input_shape)
         y = gen.integers(0, 10, size=batch)
-        with opt.at_lookahead(params):
+
+        def value_grad():
             loss, cache = net.forward(x, y)
-            grads = net.backward(cache)
-        losses.append(loss)
-        opt.step(params, grads)
+            return loss, net.backward(cache)
+        losses.append(opt.descend(params, value_grad)[0])
     x = gen.standard_normal((97,) + net.input_shape)
     preds = [net.predict(x[:64]), net.predict(x[64:])]
     return losses, preds, [p.copy() for group in params for p in group]

@@ -246,9 +246,8 @@ class TestNAG:
         b = single_layer([2.0])
         SGD(0.1).step(a, single_layer([1.5]))
         nag = NAG(0.1, mu=0.9)
-        with nag.at_lookahead(b):
-            pass  # velocity is zero, lookahead is the same point
-        nag.step(b, single_layer([1.5]))
+        # The velocity is zero, so the lookahead is the same point.
+        nag.descend(b, lambda: (None, single_layer([1.5])))
         assert np.array_equal(a[0][0], b[0][0])
 
     def test_quadratic_two_step_hand_unroll(self):
@@ -257,9 +256,7 @@ class TestNAG:
         params = single_layer([x0])
         opt = NAG(t, mu=mu)
         for _ in range(2):
-            with opt.at_lookahead(params):
-                g = float(params[0][0][0])
-            opt.step(params, single_layer([g]))
+            opt.descend(params, lambda: (None, single_layer([float(params[0][0][0])])))
         # hand unroll: v1 = -t*x0; x1 = x0 + v1
         v1 = -t * x0
         x1 = x0 + v1
@@ -352,9 +349,7 @@ class TestMakeOptimizer:
 def _run_trajectory(opt, steps, grad_seq, start):
     params = [[start.copy()]]
     for g in grad_seq[:steps]:
-        with opt.at_lookahead(params):
-            pass
-        opt.step(params, [[g.copy()]])
+        opt.descend(params, lambda: (None, [[g.copy()]]))
     return params[0][0]
 
 
@@ -436,6 +431,15 @@ def _nested_copy(params):
     return [[p.copy() for p in group] for group in params]
 
 
+def _recording(params, grads, seen):
+    """A value_grad for descend that returns (None, grads) and appends to
+    `seen` the (object, copy) pairs that `params` hold when it runs."""
+    def value_grad():
+        seen.append([[(p, p.copy()) for p in group] for group in params])
+        return None, grads
+    return value_grad
+
+
 @pytest.mark.parametrize("layerwise, bias_separate, weight_decay",
                          [(False, False, 0.0), (True, False, 0.0), (True, True, 1e-3)])
 @pytest.mark.parametrize("kind", ["sgd", "momentum", "nag", "adagrad"])
@@ -448,10 +452,11 @@ def test_in_place_updates_match_allocating_reference_bitwise(
     opt = make_optimizer(kind, schedule, layerwise=layerwise,
                          bias_separate=bias_separate, weight_decay=weight_decay)
     for grads, (want_ahead, want_params, want_state) in zip(grad_seq, reference):
-        with opt.at_lookahead(params):
-            ahead = _nested_copy(params)
+        seen = []
+        opt.descend(params, _recording(params, grads, seen))
+        (point,) = seen
+        ahead = [[copy for _, copy in group] for group in point]
         assert pickle.dumps(ahead) == pickle.dumps(want_ahead)
-        opt.step(params, grads)
         assert pickle.dumps(params) == pickle.dumps(want_params)
         assert pickle.dumps(opt.state_arrays()) == pickle.dumps(want_state)
 
@@ -490,9 +495,7 @@ class TestLookaheadSwap:
         params, grad_seq = _layered_problem(15, 2)
         opt = NAG(0.05, mu=0.8, layerwise=True, bias_separate=bias_separate)
         for grads in grad_seq:
-            with opt.at_lookahead(params):
-                pass
-            opt.step(params, grads)
+            opt.descend(params, lambda: (None, grads))
         return opt, params
 
     @pytest.mark.parametrize("bias_separate", [False, True])
@@ -559,25 +562,70 @@ def test_step_reports_norm_multiplier_and_rate_of_every_group(
                 want.append((key, norm, m, schedule.rate(k) * m))
         if weight_decay:
             assert want[0][1] != group_norm(grads[0])
-        with opt.at_lookahead(params):
-            pass
-        assert opt.step(params, grads) == want
+        assert opt.descend(params, lambda: (None, grads))[1] == want
     # Layer 1 holds no parameters and reports no group.
     assert [s.key for s in opt.step(params, grad_seq[0])] == (
         [(0, 0), (0, 1), (2, 0), (2, 1), (3, 0)] if bias_separate else [(0,), (2,), (3,)])
 
 
-@pytest.mark.parametrize("kind", ["sgd", "momentum", "adagrad"])
-def test_base_at_lookahead_leaves_the_same_parameters_in_place(kind):
-    params, grad_seq = _layered_problem(17, 2)
-    opt = make_optimizer(kind, 0.05, layerwise=True)
-    for grads in grad_seq:
-        opt.step(params, grads)
-    objects = [list(group) for group in params]
-    values = pickle.dumps(params)
-    with opt.at_lookahead(params):
+KINDS = ["sgd", "momentum", "nag", "adagrad"]
+
+
+class TestDescend:
+    """Optimizer.descend: one value_grad call, at the point the rule takes
+    its gradient at, then one step on the gradients it returned."""
+
+    def _stepped(self, kind):
+        params, grad_seq = _layered_problem(18, 3)
+        opt = make_optimizer(kind, 0.05, layerwise=True)
+        for grads in grad_seq[:2]:
+            opt.descend(params, lambda: (None, grads))
+        return opt, params, grad_seq[2]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_value_grad_runs_once_and_the_step_follows(self, kind):
+        opt, params, grads = self._stepped(kind)
+        twin, twin_params, _ = self._stepped(kind)
+        calls = []
+
+        def value_grad():
+            calls.append(opt.k)
+            return 2.5, grads
+        value, stats = opt.descend(params, value_grad)
+        assert calls == [2]
+        assert value == 2.5
+        assert stats == twin.step(twin_params, grads)
+        assert pickle.dumps((params, opt.state_arrays(), opt.k)) == pickle.dumps(
+            (twin_params, twin.state_arrays(), twin.k))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_value_grad_sees_the_lookahead_under_nag_else_the_parameters(self, kind):
+        opt, params, grads = self._stepped(kind)
+        objects = [list(group) for group in params]
+        values = _nested_copy(params)
+        velocity = opt.state_arrays()
+        seen = []
+        opt.descend(params, _recording(params, grads, seen))
+        (point,) = seen
+        for li, (group, originals, before) in enumerate(zip(point, objects, values)):
+            for ti, ((p, copy), orig, x) in enumerate(zip(group, originals, before)):
+                if kind == "nag":
+                    assert p is not orig
+                    assert np.array_equal(copy, opt.mu * velocity[(li, ti)] + x)
+                else:
+                    assert p is orig
+                    assert np.array_equal(copy, x)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_value_grad_that_raises_changes_nothing(self, kind):
+        opt, params, _ = self._stepped(kind)
+        objects = [list(group) for group in params]
+        before = pickle.dumps((params, opt.state_arrays(), opt.k))
+
+        def value_grad():
+            raise NumericError("loss went non-finite")
+        with pytest.raises(NumericError, match="loss went non-finite"):
+            opt.descend(params, value_grad)
+        assert pickle.dumps((params, opt.state_arrays(), opt.k)) == before
         assert all(p is orig for group, originals in zip(params, objects)
                    for p, orig in zip(group, originals))
-        assert pickle.dumps(params) == values
-    assert all(p is orig for group, originals in zip(params, objects)
-               for p, orig in zip(group, originals))
