@@ -8,7 +8,9 @@ the per-channel means if the dataset is centred. Labels are an int64 vector.
 """
 
 import gzip
+import os
 import struct
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -123,24 +125,26 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
 
 def load_cifar10_bin(paths, split: str = "train") -> Dataset:
     """Load CIFAR-10 binary batch files (3073-byte records: label byte then
-    3072 pixel bytes in channel-major order). Pixels stay uint8."""
+    3072 pixel bytes in channel-major order), read in order into one record
+    array. Pixels stay uint8, a view of it."""
     if isinstance(paths, (str, bytes)) or not hasattr(paths, "__iter__"):
         paths = [paths]
-    image_parts, label_parts = [], []
-    for path in paths:
-        with _open_maybe_gzip(path) as f:
-            raw = f.read()
-        if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
-            raise DataError(
-                f"{path}: file length {len(raw)} is not a positive multiple "
-                f"of the {CIFAR_RECORD_BYTES}-byte record size"
-            )
-        records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-        label_parts.append(records[:, 0])
-        image_parts.append(records[:, 1:].reshape(-1, 3, 32, 32))
-    images = np.concatenate(image_parts)
-    labels = np.concatenate(label_parts).astype(np.int64)
-    return Dataset(images, labels, num_classes=10, split=split)
+    with ExitStack() as stack:
+        files = [(path, stack.enter_context(open(path, "rb"))) for path in paths]
+        sizes = [os.fstat(f.fileno()).st_size for _, f in files]
+        for (path, _), size in zip(files, sizes):
+            if size == 0 or size % CIFAR_RECORD_BYTES != 0:
+                raise DataError(f"{path}: file length {size} is not a positive multiple "
+                                f"of the {CIFAR_RECORD_BYTES}-byte record size")
+        records = np.empty((sum(sizes) // CIFAR_RECORD_BYTES, CIFAR_RECORD_BYTES), np.uint8)
+        start = 0
+        for (path, f), size in zip(files, sizes):
+            got = f.readinto(records.reshape(-1)[start:start + size])
+            if got != size:
+                raise DataError(f"{path}: read {got} of its {size} bytes")
+            start += size
+    images = records[:, 1:].reshape(-1, 3, 32, 32)
+    return Dataset(images, records[:, 0].astype(np.int64), num_classes=10, split=split)
 
 
 def channel_mean_center(train: Dataset, test: Dataset):

@@ -15,13 +15,13 @@ Conv2D, MaxPool2D and ReLU write every array of at least BUFFER_FLOOR_BYTES
 into grow-only buffers of their own, one per name, that they keep from one
 call to the next; smaller arrays are allocated as usual. At batch 64 only
 cifar-quick reaches the floor: conv1's, conv2's and conv3's im2col
-matrices, the conv1 and relu1 outputs and the relu1 and pool1 input
-gradients, seven buffers of 226.5 MiB in all. So a call overwrites what the
-layer's last call left in its buffers, whether a Network or other code
-calls it. Every Network pass (forward, predict, loss_value,
-loss_and_pattern) advances the network's pass counter: backward refuses the
-cache of any pass but the latest, and predict and loss_and_pattern copy out
-any result that is a view. Network.release drops the buffers.
+matrices, the conv1 output and the pool1 input gradient, five buffers of
+194.5 MiB in all. So a call overwrites what the layer's last call left in
+its buffers, whether a Network or other code calls it. Every Network pass
+(forward, predict, loss_value, loss_and_pattern) advances the network's
+pass counter: backward refuses the cache of any pass but the latest, and
+predict and loss_and_pattern copy out any result that is a view.
+Network.release drops the buffers.
 
 Backward never forms the first layer's input gradient, the gradient with
 respect to the data, because nothing reads it. Max-pool ties go to the first
@@ -40,11 +40,11 @@ from .errors import DimensionError, NumericError, UsageError
 # glibc maps an array over its 32 MiB mmap ceiling as fresh zeroed pages on
 # every allocation and unmaps it on free, and arrays from 16 MiB up churn
 # the heap top the same way. At batch 64 the floor takes in cifar-quick's
-# three im2col matrices (37.5, 100 and 25 MiB) and four 16 MiB arrays: the
-# conv1 and relu1 outputs and the relu1 and pool1 input gradients, each
-# array one layer's own. It takes no lenet array (the largest, conv2's
-# im2col, is 15.6 MiB), so lenet and mlp get the fresh arrays that numpy
-# calls with no `out=` would make.
+# three im2col matrices (37.5, 100 and 25 MiB) and two 16 MiB arrays: the
+# conv1 output and the pool1 input gradient, each array one layer's own.
+# It takes no lenet array (the largest, conv2's im2col, is 15.6 MiB), so
+# lenet and mlp get the fresh arrays that numpy calls with no `out=` would
+# make.
 BUFFER_FLOOR_BYTES = 16 << 20
 
 
@@ -455,9 +455,6 @@ class Network:
         for layer in self.layers:
             layer._buffers.clear()
 
-    def parameter_count(self) -> int:
-        return sum(p.size for group in self.parameters() for p in group)
-
     def _check_input(self, inputs):
         if inputs.shape[1:] != self.input_shape:
             raise DimensionError(
@@ -669,19 +666,23 @@ def build_lenet(seed: int = 0) -> Network:
 
 
 def build_cifar_quick(seed: int = 0) -> Network:
-    """Small CIFAR-10 convnet: 32/32/64 feature maps of 5x5 kernels, ReLU
-    after each conv, 3x3 stride-2 max pooling, single 10-way output layer."""
+    """Small CIFAR-10 convnet: 32/32/64 feature maps of 5x5 kernels, each
+    conv followed by 3x3 stride-2 max pooling and a ReLU, single 10-way
+    output layer. Pooling before the ReLU, as in Caffe's cifar10_quick,
+    runs it on 4x smaller maps and changes nothing else: max commutes with
+    max(., 0), and both orders send a window's gradient to its first
+    maximum if that is positive and nowhere if not."""
     gen = rng.generator(seed, rng.SALT_INIT)
     layers = [
         Conv2D(3, 32, 5, padding=2, init_gen=gen),
-        ReLU(),
         MaxPool2D(3, 2),
+        ReLU(),
         Conv2D(32, 32, 5, padding=2, init_gen=gen),
-        ReLU(),
         MaxPool2D(3, 2),
+        ReLU(),
         Conv2D(32, 64, 5, padding=2, init_gen=gen),
-        ReLU(),
         MaxPool2D(3, 2),
+        ReLU(),
         Dense(64 * 4 * 4, 10, init_gen=gen),
     ]
     return Network(CIFAR_QUICK_INPUT, layers, loss="softmax-cross-entropy")

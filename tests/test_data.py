@@ -1,10 +1,14 @@
 import gzip
+import os
+import re
 import struct
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from layerlr import data as data_io
 from layerlr import rng
 from layerlr.data import (
     BatchStream,
@@ -107,15 +111,38 @@ class TestCifar10Bin:
         assert np.all((ds.labels >= 0) & (ds.labels <= 9))
 
     def test_bad_length_rejected(self, tmp_path):
-        p = tmp_path / "test_batch.bin"
+        good, p = tmp_path / "data_batch_1.bin", tmp_path / "data_batch_2.bin"
+        self.make_file(good, n=2)
         p.write_bytes(b"\x00" * (3073 * 2 + 5))
-        with pytest.raises(DataError, match="3073"):
-            load_cifar10_bin([p])
+        with pytest.raises(DataError, match=re.escape(f"{p}: file length {3073 * 2 + 5} ")
+                           + ".*3073-byte record"):
+            load_cifar10_bin([good, p])
 
     def test_empty_file_rejected(self, tmp_path):
-        p = tmp_path / "empty.bin"
+        good, p = tmp_path / "data_batch_1.bin", tmp_path / "empty.bin"
+        self.make_file(good, n=2)
         p.write_bytes(b"")
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=re.escape(f"{p}: file length 0 ")):
+            load_cifar10_bin([good, p])
+
+    def test_files_load_in_order_as_the_per_file_loads_stacked(self, tmp_path):
+        paths = [tmp_path / f"data_batch_{i}.bin" for i in (1, 2, 3)]
+        for path, n, first in zip(paths, (4, 7, 2), (5, 0, 8)):
+            self.make_file(path, n=n, first_label=first)
+        ds = load_cifar10_bin(paths[::-1])
+        parts = [load_cifar10_bin(path) for path in paths[::-1]]
+        assert ds.pixels.dtype == np.uint8
+        assert np.array_equal(ds.pixels, np.concatenate([p.pixels for p in parts]))
+        assert ds.labels.dtype == np.int64
+        assert np.array_equal(ds.labels, np.concatenate([p.labels for p in parts]))
+
+    def test_read_shorter_than_the_file_size_is_named(self, tmp_path, monkeypatch):
+        p = tmp_path / "data_batch_1.bin"
+        self.make_file(p, n=3)
+        fstat = os.fstat
+        monkeypatch.setattr(data_io.os, "fstat", lambda fd: SimpleNamespace(
+            st_size=fstat(fd).st_size + 3073))
+        with pytest.raises(DataError, match=re.escape(f"{p}: read 9219 of its 12292 bytes")):
             load_cifar10_bin([p])
 
     def test_channel_mean_centering(self, tmp_path):

@@ -555,7 +555,8 @@ class TestArchitectures:
 
     def test_lenet_parameter_count_golden(self):
         # 20x1x5x5+20, 50x20x5x5+50, 800x500+500, 500x10+10
-        assert build_lenet(0).parameter_count() == 431080
+        net = build_lenet(0)
+        assert sum(p.size for g in net.parameters() for p in g) == 431080
 
     def test_cifar_quick_feature_maps(self):
         net = build_cifar_quick(0)
@@ -571,11 +572,11 @@ class TestArchitectures:
     def test_cifar_quick_layer_shapes_golden(self):
         net = build_cifar_quick(0)
         assert net.layer_shapes == [
-            (3, 32, 32), (32, 32, 32), (32, 32, 32), (32, 16, 16),
-            (32, 16, 16), (32, 16, 16), (32, 8, 8),
-            (64, 8, 8), (64, 8, 8), (64, 4, 4), (10,),
+            (3, 32, 32), (32, 32, 32), (32, 16, 16), (32, 16, 16),
+            (32, 16, 16), (32, 8, 8), (32, 8, 8),
+            (64, 8, 8), (64, 4, 4), (64, 4, 4), (10,),
         ]
-        assert net.parameter_count() == 89578
+        assert sum(p.size for g in net.parameters() for p in g) == 89578
 
     def test_init_is_deterministic_per_seed(self):
         a = build_lenet(7)
@@ -583,6 +584,71 @@ class TestArchitectures:
         c = build_lenet(8)
         assert np.array_equal(a.layers[0].params[0], b.layers[0].params[0])
         assert not np.array_equal(a.layers[0].params[0], c.layers[0].params[0])
+
+
+def _cifar_quick_both_orders(seed=3):
+    """cifar-quick as built (conv, pool, ReLU) and, from the same seed, the
+    same layers in the conv, ReLU, pool order, both with every conv bias
+    at -0.05 so that whole pool windows stay below zero."""
+    built = build_cifar_quick(seed)
+    layers = build_cifar_quick(seed).layers
+    relu_first = Network(built.input_shape, [
+        layer for i in (0, 3, 6) for layer in (layers[i], layers[i + 2], layers[i + 1])
+    ] + layers[9:])
+    for net in (built, relu_first):
+        for layer in net.layers:
+            if isinstance(layer, Conv2D):
+                layer.params[1][...] = -0.05
+    return built, relu_first
+
+
+def _tied_batch(seed, n=6):
+    """Images of constant 4x4 blocks at three levels, two of them all zero:
+    neighbouring conv outputs over a block are equal, so pool windows tie."""
+    gen = rng.generator(seed, 0x71E5)
+    x = np.kron(gen.integers(-1, 2, size=(n, 3, 8, 8)) * 0.5, np.ones((4, 4)))
+    x[:2] = 0.0
+    return x, gen.integers(0, 10, size=n)
+
+
+def _loss_and_grad_bytes(net, x, y):
+    loss, cache = net.forward(x, y)
+    return np.float64(loss).tobytes(), [g.tobytes() for group in net.backward(cache)
+                                        for g in group]
+
+
+class TestCifarQuickLayerOrder:
+    """Pooling before the ReLU gives the bits the ReLU-then-pool order gives."""
+
+    def test_batch_has_tied_and_non_positive_pool_windows(self):
+        net, _ = _cifar_quick_both_orders()
+        x, _ = _tied_batch(0)
+        out, _ = net.layers[0].forward(batch_last(x))
+        windows = np.lib.stride_tricks.sliding_window_view(out, (3, 3), axis=(1, 2))[:, ::2, ::2]
+        top = windows.max(axis=(-2, -1))
+        tied = (windows == top[..., None, None]).sum(axis=(-2, -1)) > 1
+        assert (tied & (top > 0)).any() and (tied & (top < 0)).any()
+
+    def test_one_pass_gives_the_same_loss_and_gradients(self):
+        built, relu_first = _cifar_quick_both_orders()
+        x, y = _tied_batch(0)
+        assert _loss_and_grad_bytes(built, x, y) == _loss_and_grad_bytes(relu_first, x, y)
+
+    def test_three_nag_steps_stay_bitwise_equal(self):
+        runs = []
+        for net in _cifar_quick_both_orders():
+            opt = make_optimizer("nag", 0.05, layerwise=True)
+            params = net.parameters()
+            for step in range(3):
+                x, y = _tied_batch(step)
+
+                def value_grad():
+                    loss, cache = net.forward(x, y)
+                    return loss, net.backward(cache)
+                opt.descend(params, value_grad)
+            runs.append((_loss_and_grad_bytes(net, *_tied_batch(3)),
+                         [p.tobytes() for group in params for p in group]))
+        assert runs[0] == runs[1]
 
 
 class TestNetworkFromSpec:
@@ -596,8 +662,10 @@ class TestNetworkFromSpec:
         assert len(net.layers) == 1
 
     def test_factory_names(self):
-        assert network_from_spec("lenet", (1, 28, 28), 10).parameter_count() == 431080
-        assert network_from_spec("cifar-quick", (3, 32, 32), 10).parameter_count() == 89578
+        for spec, shape, count in (("lenet", (1, 28, 28), 431080),
+                                   ("cifar-quick", (3, 32, 32), 89578)):
+            net = network_from_spec(spec, shape, 10)
+            assert sum(p.size for g in net.parameters() for p in g) == count
 
     def test_wrong_input_shape_for_factory(self):
         with pytest.raises(DimensionError):
@@ -724,9 +792,8 @@ class TestWorkspace:
     def test_floor_keeps_lenet_out_and_cifar_quick_in(self):
         # Lenet at batch 64 makes no array as large as the floor; cifar-quick
         # holds its three im2col matrices (conv1, conv2, conv3), the conv1
-        # and relu1 outputs and the relu1 and pool1 input gradients.
-        cifar_quick = {(0, "col"), (0, "out"), (1, "out"), (1, "grad_in"),
-                       (2, "grad_in"), (3, "col"), (6, "col")}
+        # output and the pool1 input gradient.
+        cifar_quick = {(0, "col"), (0, "out"), (1, "grad_in"), (3, "col"), (6, "col")}
         for build, held in ((build_lenet, set()), (build_cifar_quick, cifar_quick)):
             net = build(seed=0)
             x = np.zeros((64,) + net.input_shape)
