@@ -15,7 +15,6 @@ from .landscapes import (
     DeepLinearChain,
     MonkeySaddle,
     QuadraticSaddle,
-    chain_gradient_profile,
     run_escape_trial,
 )
 from .nn import (
@@ -36,7 +35,6 @@ from .nn import (
 from .optim import (
     SGD,
     AdaGrad,
-    GroupStats,
     LrSchedule,
     Momentum,
     NAG,

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data as data_io
 from .errors import ConfigError, DataError, NumericError
-from .nn import Network, network_from_spec
+from .nn import ACTIVATIONS, LOSSES, Network, network_from_spec, parse_arch
 from .optim import LrSchedule, make_optimizer
 # Unused here: benchmarks/workloads.py wraps harness.group_norm in traced runs.
 from .tensor import group_norm  # noqa: F401
@@ -138,7 +138,13 @@ class ExperimentConfig:
                 raise ConfigError(f"blobs.{key} must be >= 1, got {value}")
         if not math.isfinite(self.blobs_separation):
             raise ConfigError(f"blobs.separation must be finite, got {self.blobs_separation}")
-        self.schedule()  # rejects a bad schedule before any data loads
+        parse_arch(self.arch)  # names and schedule fail before any data loads
+        if self.arch_activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.arch_activation!r}; "
+                              f"expected one of {sorted(ACTIVATIONS)}")
+        if self.loss not in LOSSES:
+            raise ConfigError(f"unknown loss {self.loss!r}; expected one of {LOSSES}")
+        self.schedule()
 
     @property
     def checkpoint_iterations(self) -> tuple:
@@ -271,16 +277,6 @@ def cifar10_paths(data_dir: str) -> dict:
     }
 
 
-def mnist_available(data_dir: str = None) -> bool:
-    paths = mnist_paths(data_dir or default_data_dir())
-    return all(os.path.exists(p) for p in paths.values())
-
-
-def cifar10_available(data_dir: str = None) -> bool:
-    paths = cifar10_paths(data_dir or default_data_dir())
-    return all(os.path.exists(p) for group in paths.values() for p in group)
-
-
 def load_datasets(cfg: ExperimentConfig):
     """(train, test) pair for the configured dataset, preprocessing applied."""
     if cfg.dataset == "blobs":
@@ -368,7 +364,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
     held-out test set at each checkpoint. Returns the MetricsRecord list.
 
     Raises NumericError if the loss or a gradient goes non-finite, with
-    the (key, norm) pairs of the last 10 steps' GroupStats attached; after
+    the (key, norm) pairs of the last 10 steps' stats attached; after
     a non-finite gradient the last row holds the failing step's pairs up
     to the failing group.
     """
@@ -399,7 +395,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
                     iteration=k,
                     layer_norms=list(norm_history),
                 ) from exc
-            norm_history.append([(s.key, s.norm) for s in stats])
+            norm_history.append([s[:2] for s in stats])
             iteration = k + 1
             if iteration in checkpoints:
                 err = evaluate_error_percent(net, test, cfg.eval_batch_size)
@@ -434,12 +430,6 @@ class SummaryTable:
 
     def sorted_rows(self):
         return sorted(self.rows, key=lambda r: (r.variant, r.iteration))
-
-    def lookup(self, variant: str, iteration: int) -> SummaryRow:
-        for row in self.rows:
-            if row.variant == variant and row.iteration == iteration:
-                return row
-        raise KeyError((variant, iteration))
 
 
 def mean_std(values):

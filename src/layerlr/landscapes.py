@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
 from .optim import Optimizer
-from .tensor import l2_norm
 
 DEFAULT_ESCAPE_RADIUS = 1.0
 DEFAULT_MAX_ITER = 10 ** 6
@@ -168,10 +167,3 @@ def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
         if landscape.escape_distance(point) > escape_radius:
             return k
     return max_iter
-
-
-def chain_gradient_profile(depth: int, point):
-    """Per-layer gradient norms of the deep linear chain at `point`."""
-    chain = DeepLinearChain(depth)
-    _, grads = chain.value_grad(point)
-    return [l2_norm(g) for g in grads]

@@ -497,7 +497,7 @@ class Network:
             raise NumericError(f"non-finite loss {loss!r} in forward pass")
         return loss, ForwardCache(self, self._serial, caches, loss_grad)
 
-    def backward(self, cache, targets=None):
+    def backward(self, cache):
         """Gradients of the loss, one list per layer with one array per
         parameter tensor, from the cache of the most recent pass, which
         must be a forward call."""
@@ -688,7 +688,7 @@ def build_cifar_quick(seed: int = 0) -> Network:
     return Network(CIFAR_QUICK_INPUT, layers, loss="softmax-cross-entropy")
 
 
-_ACTIVATIONS = {"relu": ReLU, "sigmoid": Sigmoid, "tanh": Tanh}
+ACTIVATIONS = {"relu": ReLU, "sigmoid": Sigmoid, "tanh": Tanh}
 
 
 def build_mlp(input_shape, hidden_widths, num_classes: int,
@@ -696,14 +696,14 @@ def build_mlp(input_shape, hidden_widths, num_classes: int,
               loss: str = "softmax-cross-entropy") -> Network:
     """Fully-connected stack: one Dense per hidden width (with activation),
     then a Dense output of `num_classes` units."""
-    if activation not in _ACTIVATIONS:
+    if activation not in ACTIVATIONS:
         raise DimensionError(
-            f"unknown activation {activation!r}; expected one of {sorted(_ACTIVATIONS)}"
+            f"unknown activation {activation!r}; expected one of {sorted(ACTIVATIONS)}"
         )
     if isinstance(input_shape, int):
         input_shape = (input_shape,)
     gen = rng.generator(seed, rng.SALT_INIT)
-    act = _ACTIVATIONS[activation]
+    act = ACTIVATIONS[activation]
     layers = []
     width = math.prod(input_shape)
     for h in hidden_widths:
@@ -714,33 +714,37 @@ def build_mlp(input_shape, hidden_widths, num_classes: int,
     return Network(input_shape, layers, loss=loss)
 
 
+def parse_arch(spec: str):
+    """Parse a config-file architecture string into (name, hidden widths).
+
+    Accepted forms: "lenet", "cifar-quick" (widths None), and
+    "mlp:<w1>-<w2>-..." where the widths are hidden-layer sizes (the output
+    layer is appended automatically). "mlp:" alone gives a linear softmax
+    classifier.
+    """
+    spec = spec.strip()
+    if spec in ("lenet", "cifar-quick"):
+        return spec, None
+    if spec != "mlp" and not spec.startswith("mlp:"):
+        raise DimensionError(f"unknown architecture spec {spec!r}")
+    try:
+        widths = [int(w) for w in spec[4:].replace(",", "-").split("-") if w]
+    except ValueError:
+        widths = None
+    if widths is None or min(widths, default=1) < 1:
+        raise DimensionError(f"architecture {spec!r}: mlp widths must be positive integers")
+    return "mlp", widths
+
+
 def network_from_spec(spec: str, input_shape, num_classes: int,
                       seed: int = 0, activation: str = "tanh",
                       loss: str = "softmax-cross-entropy") -> Network:
-    """Build a network from a config-file architecture string.
-
-    Accepted forms: "lenet", "cifar-quick", and "mlp:<w1>-<w2>-..." where
-    the widths are hidden-layer sizes (the output layer is appended
-    automatically). "mlp:" alone gives a linear softmax classifier.
-    """
-    spec = spec.strip()
-    if spec == "lenet":
-        net = build_lenet(seed)
-    elif spec == "cifar-quick":
-        net = build_cifar_quick(seed)
-    elif spec == "mlp" or spec.startswith("mlp:"):
-        widths_part = spec[4:] if spec.startswith("mlp:") else ""
-        try:
-            widths = [int(w) for w in widths_part.replace(",", "-").split("-") if w]
-        except ValueError:
-            widths = None
-        if widths is None or min(widths, default=1) < 1:
-            raise DimensionError(
-                f"architecture {spec!r}: mlp widths must be positive integers")
+    """Build a network from a config-file architecture string (parse_arch)."""
+    name, widths = parse_arch(spec)
+    if name == "mlp":
         return build_mlp(input_shape, widths, num_classes,
                          activation=activation, seed=seed, loss=loss)
-    else:
-        raise DimensionError(f"unknown architecture spec {spec!r}")
+    net = build_lenet(seed) if name == "lenet" else build_cifar_quick(seed)
     if tuple(input_shape) != net.input_shape:
         raise DimensionError(
             f"architecture {spec!r} expects input {net.input_shape}, "

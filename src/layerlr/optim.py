@@ -8,8 +8,8 @@ for large norms the multiplier tends to 1 and the base optimizer is
 recovered. It composes with any rule that consumes a global learning rate:
 SGD, classical momentum, Nesterov momentum, and AdaGrad are provided.
 
-Optimizer.step returns one GroupStats per norm group: the gradient norm it
-computed, the multiplier and the effective rate it applied.
+Optimizer.step returns a (key, norm, multiplier, t_eff) tuple per norm
+group: the gradient norm, multiplier and effective rate it applied.
 Optimizer.descend(params, value_grad) is one training step: it calls
 value_grad() once for (value, grads) and steps on those grads. Only NAG
 knows where that gradient is taken: its descend calls value_grad with the
@@ -19,7 +19,6 @@ lookahead point x + mu*v in the parameter lists.
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -95,18 +94,6 @@ def constant(t0: float) -> LrSchedule:
 # Optimizers
 
 
-class GroupStats(NamedTuple):
-    """What one step did to one norm group: its state-key prefix ((li,), or
-    (li, ti) under bias_separate), the l2 norm of its gradient (weight decay
-    included), the multiplier (1.0 when layerwise is off) and the effective
-    rate t(k) * multiplier."""
-
-    key: tuple
-    norm: float
-    multiplier: float
-    t_eff: float
-
-
 class Optimizer:
     """Base state-transition rule over per-layer parameter groups.
 
@@ -146,13 +133,16 @@ class Optimizer:
     def descend(self, params, value_grad):
         """One training step: call value_grad() once for (value, grads),
         taken at the parameters themselves, then step() on those grads.
-        Returns (value, the step's GroupStats)."""
+        Returns (value, the step's stats tuples)."""
         value, grads = value_grad()
         return value, self.step(params, grads)
 
     def step(self, params, grads):
-        """Apply one update from per-layer gradients; returns the GroupStats
-        of every norm group, in update order.
+        """Apply one update from per-layer gradients; returns one
+        (key, norm, multiplier, t_eff) tuple per norm group, in update order:
+        the group's state-key prefix ((li,), or (li, ti) under
+        bias_separate), the l2 norm of its gradient (weight decay included),
+        the multiplier (1.0 when layerwise is off) and t(k) * multiplier.
 
         Every group is checked, and its norm computed, before any tensor is
         updated: a NumericError leaves parameters, state and k untouched.
@@ -189,9 +179,9 @@ class Optimizer:
                 # which gives multiplier 1 rather than an abort.
                 norm = group_norm(gs)
                 if not math.isfinite(norm):
-                    self._check_finite(li, gs, [(s.key, s.norm) for s in stats] + [(key, norm)])
+                    self._check_finite(li, gs, [s[:2] for s in stats] + [(key, norm)])
                 m = self.multiplier_fn(norm, self.epsilon_norm) if self.layerwise else 1.0
-                stats.append(GroupStats(key, norm, m, t_k * m))
+                stats.append((key, norm, m, t_k * m))
                 groups.append((ps, gs))
         for (key, _, _, t_eff), (ps, gs) in zip(stats, groups):
             for ti, (p, g) in enumerate(zip(ps, gs)):

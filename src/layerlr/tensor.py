@@ -2,7 +2,7 @@
 
 Tensors are numpy float64 arrays in C (row-major) order. The reductions
 stay in numpy, which is deterministic run-to-run on a single machine.
-Arrays passed into these functions are treated as read-only values.
+Arrays passed in are treated as read-only values.
 """
 
 import math
@@ -10,19 +10,10 @@ import math
 import numpy as np
 
 
-def l2_norm(t: np.ndarray) -> float:
-    """Euclidean norm over all elements; 0.0 for an empty array."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.size == 0:
-        return 0.0
-    return float(np.sqrt(np.sum(np.square(t.ravel()))))
-
-
 def group_norm(tensors) -> float:
     """l2 norm of the flattened concatenation of `tensors`.
 
-    Equals l2_norm of the tensors' concatenation up to summation order:
-    each tensor's sum of squares is one np.vdot(t, t), with no squared
+    Each tensor's sum of squares is one np.vdot(t, t), with no squared
     temporary and no copy. Any NaN or inf entry makes the result
     non-finite, and so does a sum of squares that overflows (say, entries
     of 1e155).

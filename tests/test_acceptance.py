@@ -20,15 +20,9 @@ import warnings
 import numpy as np
 import pytest
 
-from layerlr import rng
+from layerlr import harness, rng
 from layerlr.data import BatchStream, synth_blobs
-from layerlr.harness import (
-    ExperimentConfig,
-    cifar10_available,
-    mnist_available,
-    repeat_runs,
-    run_experiment,
-)
+from layerlr.harness import ExperimentConfig, repeat_runs, run_experiment
 from layerlr.landscapes import QuadraticSaddle, run_escape_trial
 from layerlr.nn import build_cifar_quick, build_lenet, build_mlp, gradient_check
 from layerlr.optim import SGD, AdaGrad, LrSchedule, Momentum, layer_multiplier, make_optimizer
@@ -40,14 +34,23 @@ MULT_ORACLE = {
     1e12: 1.000000000001,
 }
 
+
+def on_disk(paths):
+    """True if every file in a harness.mnist_paths or cifar10_paths layout
+    exists under the default data directory."""
+    files = [p for group in paths(harness.default_data_dir()).values()
+             for p in ([group] if isinstance(group, str) else group)]
+    return all(os.path.exists(p) for p in files)
+
+
 RUN_EXTENDED = os.environ.get("LAYERLR_RUN_EXTENDED") == "1"
 needs_mnist = pytest.mark.skipif(
-    not mnist_available(),
+    not on_disk(harness.mnist_paths),
     reason="MNIST IDX files not found under $LAYERLR_DATA_DIR (default ./data); "
     "run `layerlr fetch-data --dataset mnist` on a machine with network access",
 )
 needs_cifar_extended = pytest.mark.skipif(
-    not (cifar10_available() and RUN_EXTENDED),
+    not (on_disk(harness.cifar10_paths) and RUN_EXTENDED),
     reason="extended multi-hour check: needs CIFAR-10 binaries plus "
     "LAYERLR_RUN_EXTENDED=1",
 )

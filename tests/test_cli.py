@@ -64,6 +64,15 @@ class TestExitCodes:
         pytest.param(["bench", "--starts", "1e-2", "--lrs", "0.1", "--max-iter", "100",
                       "--out", "{missing}/b.csv"], cli.EXIT_DATA, id="bench-out-unwritable"),
         pytest.param(["train", "--arch=mlp:abc"], cli.EXIT_CONFIG, id="mlp-width-not-int"),
+        # Names are checked before the dataset's files are looked for.
+        pytest.param(["train", "--dataset=mnist", "--data_dir={missing}", "--arch=bogus"],
+                     cli.EXIT_CONFIG, id="mnist-arch-bogus"),
+        pytest.param(["train", "--dataset=mnist", "--data_dir={missing}", "--loss=nope"],
+                     cli.EXIT_CONFIG, id="mnist-loss-nope"),
+        pytest.param(["train", "--dataset=mnist", "--data_dir={missing}",
+                      "--arch.activation=nope"], cli.EXIT_CONFIG, id="mnist-activation-nope"),
+        pytest.param(["train", "--dataset=cifar10", "--data_dir={missing}", "--arch=mlp:0"],
+                     cli.EXIT_CONFIG, id="cifar10-mlp-width-0"),
         pytest.param(["gradcheck", "--samples", "-1"], cli.EXIT_CONFIG, id="gradcheck-samples-neg"),
         pytest.param(["gradcheck", "--samples", "0"], cli.EXIT_CONFIG, id="gradcheck-samples-0"),
         pytest.param(["gradcheck", "--batch", "0"], cli.EXIT_CONFIG, id="gradcheck-batch-0"),

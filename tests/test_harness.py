@@ -40,6 +40,11 @@ def blobs_config(**overrides):
     return ExperimentConfig(**kw)
 
 
+def rows_of(table):
+    """A SummaryTable's rows keyed by (variant, iteration)."""
+    return {(row.variant, row.iteration): row for row in table.rows}
+
+
 class TestConfigParsing:
     def test_file_format_with_comments(self):
         text = """
@@ -190,7 +195,7 @@ class TestRunExperiment:
             run_experiment(cfg, seed=0)
         assert err.value.layer_norms
         assert len(err.value.layer_norms) <= 10
-        # Rows are the (key, norm) pairs of the steps' GroupStats.
+        # Rows are the (key, norm) pairs of the steps' stats.
         assert all([key for key, _ in row] == [(0,)] for row in err.value.layer_norms)
 
     def test_gradient_abort_ends_with_the_failing_steps_norms(self, monkeypatch):
@@ -254,21 +259,21 @@ class TestSummaries:
             [MetricsRecord(1, 100, 1.0, 4.0, 0.0)],
         ]
         table = summarize_records("sgd", recs, metric="error")
-        row = table.lookup("sgd", 100)
+        row = rows_of(table)["sgd", 100]
         assert (row.mean, row.n) == (3.0, 2)
         assert row.std == pytest.approx(statistics.stdev([2.0, 4.0]), rel=1e-15)
 
     def test_summarize_accuracy_metric(self):
         recs = [[MetricsRecord(0, 10, 1.0, 25.0, 0.0)]]
         table = summarize_records("sgd", recs, metric="accuracy")
-        assert table.lookup("sgd", 10).mean == 75.0
+        assert rows_of(table)["sgd", 10].mean == 75.0
 
     def test_repeat_runs_degenerate_case_has_zero_std(self):
         # Far-separated blobs: every seed reaches 0% error at the checkpoint.
         cfg = blobs_config(opt_kind="sgd", schedule_t0=0.1, max_iterations=300,
                            checkpoints=(300,), seeds=(0, 1, 2))
         table = repeat_runs(cfg, processes=1)
-        row = table.lookup("sgd", 300)
+        row = rows_of(table)["sgd", 300]
         assert row.std == 0.0
         assert row.n == 3
 
@@ -280,7 +285,7 @@ class TestSummaries:
         for iteration in (20, 40):
             values = [r.test_error_percent for records in per_seed
                       for r in records if r.iteration == iteration]
-            row = table.lookup("sgd", iteration)
+            row = rows_of(table)["sgd", iteration]
             assert row.mean == pytest.approx(statistics.mean(values), rel=1e-15)
             assert row.std == pytest.approx(statistics.stdev(values), rel=1e-12)
             assert row.n == 3
@@ -300,7 +305,7 @@ class TestSummaries:
         monkeypatch.setattr(harness, "run_experiment", flaky)
         cfg = blobs_config(max_iterations=20, checkpoints=(20,), seeds=(0, 1, 2))
         table = repeat_runs(cfg, processes=1)
-        assert table.lookup("sgd", 20).n == 2
+        assert rows_of(table)["sgd", 20].n == 2
         assert [(v, s) for v, s, _ in table.aborted] == [("sgd", 1)]
 
     def test_spawned_workers_get_one_blas_thread(self, monkeypatch):

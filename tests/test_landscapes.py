@@ -9,10 +9,10 @@ from layerlr.landscapes import (
     DeepLinearChain,
     MonkeySaddle,
     QuadraticSaddle,
-    chain_gradient_profile,
     run_escape_trial,
 )
 from layerlr.optim import SGD, layer_multiplier, make_optimizer
+from layerlr.tensor import group_norm
 
 
 def closed_form_escape(y0, t, radius=1.0):
@@ -128,17 +128,23 @@ class TestEscapeTrials:
         assert mom < plain
 
 
+def chain_gradient_norms(depth, point):
+    """Per-layer gradient norms of the deep linear chain at `point`."""
+    _, grads = DeepLinearChain(depth).value_grad(point)
+    return [group_norm([g]) for g in grads]
+
+
 class TestChainProfiles:
     def test_symmetric_point_has_equal_gradients(self):
-        norms = chain_gradient_profile(6, [1.0] * 6)
+        norms = chain_gradient_norms(6, [1.0] * 6)
         assert norms == [0.0] * 6  # product is exactly 1, residual 0
-        norms = chain_gradient_profile(6, [0.9] * 6)
+        norms = chain_gradient_norms(6, [0.9] * 6)
         assert len(set(norms)) == 1
 
     def test_vanishing_gradient_multipliers_golden(self):
         # All w_i = 0.5, d = 10: every layer shares one tiny gradient norm,
         # so the rate multiplier is large and identical across layers.
-        norms = chain_gradient_profile(10, [0.5] * 10)
+        norms = chain_gradient_norms(10, [0.5] * 10)
         mults = [layer_multiplier(n) for n in norms]
         assert norms[0] == pytest.approx(0.0019512176513671875, rel=1e-12)
         assert mults[0] == pytest.approx(7.24125098118618, rel=1e-12)
@@ -147,15 +153,35 @@ class TestChainProfiles:
 
     def test_heterogeneous_point_spreads_multipliers_golden(self):
         point = [0.5 + 0.04 * i for i in range(10)]
-        mults = [layer_multiplier(n) for n in chain_gradient_profile(10, point)]
+        mults = [layer_multiplier(n) for n in chain_gradient_norms(10, point)]
         assert max(mults) / min(mults) == pytest.approx(1.1209384660759816, rel=1e-10)
         assert max(mults) / min(mults) > 1.0
 
     def test_layer_rate_ordering_follows_gradient_norms(self):
         # Sub-unit weights: smaller gradient norm -> (weakly) larger rate.
         point = [0.4, 0.55, 0.7, 0.85, 0.95]
-        norms = chain_gradient_profile(5, point)
+        norms = chain_gradient_norms(5, point)
         mults = [layer_multiplier(n) for n in norms]
         order = np.argsort(norms)
         sorted_mults = [mults[i] for i in order]
         assert all(a >= b for a, b in zip(sorted_mults, sorted_mults[1:]))
+
+    def test_multipliers_rank_layers_like_their_weights_along_a_trajectory(self):
+        # g_i = r * prod(w) / w_i, so a larger positive weight has a smaller
+        # gradient norm and gets a larger multiplier, at every step.
+        chain = DeepLinearChain(10)
+        params = chain.make_params([0.5 + 0.04 * i for i in range(10)])
+        opt = make_optimizer("sgd", 0.05, layerwise=True)
+
+        def value_grad():
+            value, grads = chain.value_grad([float(group[0][0]) for group in params])
+            return value, [[g] for g in grads]
+        losses = []
+        for _ in range(200):
+            weights = [float(group[0][0]) for group in params]
+            loss, stats = opt.descend(params, value_grad)
+            mults = np.array([m for _, _, m, _ in stats])
+            assert np.all(np.diff(mults[np.argsort(weights)]) > 0)
+            assert np.all(mults > 1.0)
+            losses.append(loss)
+        assert losses[-1] < losses[0]

@@ -533,8 +533,8 @@ def test_overflowing_norm_of_finite_gradient_gives_multiplier_one(kind):
     grads = [[np.full(3, 1e200)], [np.array([1e-3, 0.0])]]
     opt = make_optimizer(kind, 1e-210, layerwise=True)
     stats = opt.step(params, grads)
-    assert stats[0].multiplier == 1.0
-    assert stats[1].multiplier == layer_multiplier(group_norm(grads[1]))
+    assert stats[0][2] == 1.0
+    assert stats[1][2] == layer_multiplier(group_norm(grads[1]))
     assert np.all(np.isfinite(params[0][0]))
 
 
@@ -564,7 +564,7 @@ def test_step_reports_norm_multiplier_and_rate_of_every_group(
             assert want[0][1] != group_norm(grads[0])
         assert opt.descend(params, lambda: (None, grads))[1] == want
     # Layer 1 holds no parameters and reports no group.
-    assert [s.key for s in opt.step(params, grad_seq[0])] == (
+    assert [s[0] for s in opt.step(params, grad_seq[0])] == (
         [(0, 0), (0, 1), (2, 0), (2, 1), (3, 0)] if bias_separate else [(0,), (2,), (3,)])
 
 
