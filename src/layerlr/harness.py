@@ -21,7 +21,8 @@ import numpy as np
 
 from . import data as data_io
 from .errors import ConfigError, DataError, NumericError
-from .nn import ACTIVATIONS, LOSSES, Network, network_from_spec, parse_arch
+from .nn import (ACTIVATIONS, CIFAR_QUICK_INPUT, LENET_INPUT, LOSSES, Network,
+                 network_from_spec, parse_arch)
 from .optim import LrSchedule, make_optimizer
 # Unused here: benchmarks/workloads.py wraps harness.group_norm in traced runs.
 from .tensor import group_norm  # noqa: F401
@@ -37,6 +38,10 @@ BASELINE_T0 = {"lenet": 0.01, "cifar-quick": 0.001}
 # The blobs test split is keyed blobs.seed + BLOBS_TEST_OFFSET. Philox keys
 # are uint64, so every seed lies in [0, 2**64) with the offset added.
 BLOBS_TEST_OFFSET = 0x7E57
+
+# The input shape of each fixed architecture; both build their own layers
+# and train with softmax cross-entropy only.
+FIXED_INPUTS = {"lenet": LENET_INPUT, "cifar-quick": CIFAR_QUICK_INPUT}
 
 
 def default_data_dir() -> str:
@@ -138,12 +143,23 @@ class ExperimentConfig:
                 raise ConfigError(f"blobs.{key} must be >= 1, got {value}")
         if not math.isfinite(self.blobs_separation):
             raise ConfigError(f"blobs.separation must be finite, got {self.blobs_separation}")
-        parse_arch(self.arch)  # names and schedule fail before any data loads
+        # Names, shapes and schedule fail before any data loads.
+        arch, _ = parse_arch(self.arch)
         if self.arch_activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.arch_activation!r}; "
                               f"expected one of {sorted(ACTIVATIONS)}")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}; expected one of {LOSSES}")
+        if arch in FIXED_INPUTS:
+            if self.loss != "softmax-cross-entropy":
+                raise ConfigError(f"architecture {self.arch!r} trains with "
+                                  f"softmax-cross-entropy only, got loss {self.loss!r}")
+            shape = {"blobs": (1, 1, self.blobs_dim), "mnist": (1, 28, 28),
+                     "cifar10": (3, 32, 32)}.get(self.dataset)
+            if shape is not None and shape != FIXED_INPUTS[arch]:
+                raise ConfigError(f"architecture {self.arch!r} expects input "
+                                  f"{FIXED_INPUTS[arch]}, dataset {self.dataset!r} "
+                                  f"provides {shape}")
         self.schedule()
 
     @property

@@ -2,7 +2,8 @@
 
 Forward passes return an explicit cache object instead of storing state on
 the layers. All math is float64; convolution uses im2col backed by BLAS
-matmul.
+matmul, formed a block of output rows at a time (COL_BLOCK_BYTES) and
+formed again in backward, so no layer holds a whole column matrix.
 
 Conv2D and MaxPool2D take and return batch-last (C, H, W, N) arrays, in
 which every window slice of a stride-1 convolution is a run of W*N
@@ -14,14 +15,13 @@ backward mirrors both moves; its inputs and outputs stay batch-first.
 Conv2D, MaxPool2D and ReLU write every array of at least BUFFER_FLOOR_BYTES
 into grow-only buffers of their own, one per name, that they keep from one
 call to the next; smaller arrays are allocated as usual. At batch 64 only
-cifar-quick reaches the floor: conv1's, conv2's and conv3's im2col
-matrices, the conv1 output and the pool1 input gradient, five buffers of
-194.5 MiB in all. So a call overwrites what the layer's last call left in
-its buffers, whether a Network or other code calls it. Every Network pass
-(forward, predict, loss_value, loss_and_pattern) advances the network's
-pass counter: backward refuses the cache of any pass but the latest, and
-predict and loss_and_pattern copy out any result that is a view.
-Network.release drops the buffers.
+cifar-quick reaches the floor: the conv1 output and the pool1 input
+gradient, two buffers of 32 MiB in all. So a call overwrites what the
+layer's last call left in its buffers, whether a Network or other code
+calls it. Every Network pass (forward, predict, loss_value,
+loss_and_pattern) advances the network's pass counter: backward refuses
+the cache of any pass but the latest, and predict and loss_and_pattern copy
+out any result that is a view. Network.release drops the buffers.
 
 Backward never forms the first layer's input gradient, the gradient with
 respect to the data, because nothing reads it. Max-pool ties go to the first
@@ -39,13 +39,18 @@ from .errors import DimensionError, NumericError, UsageError
 # Arrays of at least this size are views of a layer's reuse buffers.
 # glibc maps an array over its 32 MiB mmap ceiling as fresh zeroed pages on
 # every allocation and unmaps it on free, and arrays from 16 MiB up churn
-# the heap top the same way. At batch 64 the floor takes in cifar-quick's
-# three im2col matrices (37.5, 100 and 25 MiB) and two 16 MiB arrays: the
-# conv1 output and the pool1 input gradient, each array one layer's own.
-# It takes no lenet array (the largest, conv2's im2col, is 15.6 MiB), so
-# lenet and mlp get the fresh arrays that numpy calls with no `out=` would
-# make.
+# the heap top the same way. At batch 64 the floor takes in two cifar-quick
+# arrays of 16 MiB, each one layer's own: the conv1 output and the pool1
+# input gradient. It takes no lenet array, so lenet and mlp get the fresh
+# arrays that numpy calls with no `out=` would make.
 BUFFER_FLOOR_BYTES = 16 << 20
+
+# Conv2D forms im2col for as many output rows at a time as fit in this many
+# bytes, and for one row where a row alone is larger (a row over the floor,
+# as at large eval batches, goes in a buffer). Each block's GEMM reads the
+# columns its copies have just written while they are in cache, and no
+# layer holds its whole column matrix.
+COL_BLOCK_BYTES = 4 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +148,8 @@ class Dense(Layer):
 
 class Conv2D(Layer):
     """2-D convolution (cross-correlation), stride/padding, im2col based;
-    batch-last (C, H, W, N) in and out."""
+    batch-last (C, H, W, N) in and out. The forward cache is the padded
+    input."""
 
     kind = "convolution-2d"
     batch_last = True
@@ -182,35 +188,57 @@ class Conv2D(Layer):
             )
         return (self.out_channels, oh, ow)
 
+    def _cols(self, x, oh, ow):
+        """Yield (j0, j1, col) for each block of output rows: as many as fit
+        in COL_BLOCK_BYTES, or one. col is the block's im2col, (c*k*k, j1-j0)
+        for output columns j0:j1 of (oc, oh*ow*n), from k*k slab copies; at
+        stride 1 each slab row is a run of ow*n contiguous elements. Each
+        col overwrites the last."""
+        c, _, _, n = x.shape
+        k, s = self.kernel_size, self.stride
+        row = c * k * k * ow * n
+        rows = min(oh, max(1, COL_BLOCK_BYTES // (row * 8)))
+        buf = self._array("block", (rows * row,))
+        for i0 in range(0, oh, rows):
+            i1 = min(i0 + rows, oh)
+            col = buf[:(i1 - i0) * row].reshape(c, k, k, i1 - i0, ow, n)
+            for dr in range(k):
+                for dc in range(k):
+                    col[:, dr, dc] = x[:, s * i0 + dr:s * (i1 - 1) + dr + 1:s,
+                                       dc:dc + s * ow:s]
+            yield i0 * ow * n, i1 * ow * n, col.reshape(c * k * k, -1)
+
     def forward(self, x):
         c, h, w, n = x.shape
         oc, oh, ow = self.output_shape((c, h, w))
-        k, s, p = self.kernel_size, self.stride, self.padding
+        p = self.padding
         if p:
             xp = self._array("pad", (c, h + 2 * p, w + 2 * p, n))
             xp.fill(0.0)
             xp[:, p:p + h, p:p + w] = x
             x = xp
-        # im2col as k*k slab copies into (c*k*k, oh*ow*n); at stride 1 each
-        # slab row is a run of ow*n contiguous elements. The GEMM output
-        # (oc, oh*ow*n) is the layer's output as it stands.
-        col = self._array("col", (c, k, k, oh, ow, n))
-        for dr in range(k):
-            for dc in range(k):
-                col[:, dr, dc] = x[:, dr:dr + s * oh:s, dc:dc + s * ow:s]
-        col2 = col.reshape(c * k * k, oh * ow * n)
-        out = np.matmul(self.params[0].reshape(oc, -1), col2,
-                        out=self._array("out", (oc, oh * ow * n)))
+        # One GEMM per row block writes its columns of the (oc, oh*ow*n)
+        # output, which is the layer's output as it stands.
+        out = self._array("out", (oc, oh * ow * n))
+        wm = self.params[0].reshape(oc, -1)
+        for j0, j1, col in self._cols(x, oh, ow):
+            np.matmul(wm, col, out=out[:, j0:j1])
         out += self.params[1][:, None]
-        return out.reshape(oc, oh, ow, n), (col2, (c, h, w, n))
+        return out.reshape(oc, oh, ow, n), x
 
     def backward(self, grad_out, cache, need_grad_in=True):
-        col2, (c, h, w, n) = cache
+        x = cache
         k, s, p = self.kernel_size, self.stride, self.padding
-        oc = self.out_channels
-        oh, ow = self._spatial_out(h, w)
+        c, h, w, n = x.shape
+        h, w = h - 2 * p, w - 2 * p
+        oc, oh, ow = grad_out.shape[:3]
         g2 = grad_out.reshape(oc, oh * ow * n)
-        grad_w = (g2 @ col2.T).reshape(self.params[0].shape)
+        # The weight gradient sums g @ col.T over the row blocks, whose
+        # columns are formed again from the cached (padded) input.
+        grad_w = np.zeros((oc, c * k * k))
+        for j0, j1, col in self._cols(x, oh, ow):
+            grad_w += g2[:, j0:j1] @ col.T
+        grad_w = grad_w.reshape(self.params[0].shape)
         grad_b = g2.sum(axis=1)
         if not need_grad_in:
             return None, [grad_w, grad_b]

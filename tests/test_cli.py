@@ -73,6 +73,15 @@ class TestExitCodes:
                       "--arch.activation=nope"], cli.EXIT_CONFIG, id="mnist-activation-nope"),
         pytest.param(["train", "--dataset=cifar10", "--data_dir={missing}", "--arch=mlp:0"],
                      cli.EXIT_CONFIG, id="cifar10-mlp-width-0"),
+        # A fixed net's input shape and loss are checked before the files too.
+        pytest.param(["train", "--dataset=cifar10", "--data_dir={missing}", "--arch=lenet"],
+                     cli.EXIT_CONFIG, id="cifar10-lenet"),
+        pytest.param(["train", "--dataset=mnist", "--data_dir={missing}", "--arch=cifar-quick"],
+                     cli.EXIT_CONFIG, id="mnist-cifar-quick"),
+        pytest.param(["train", "--dataset=mnist", "--data_dir={missing}", "--arch=lenet",
+                      "--loss=squared-error"], cli.EXIT_CONFIG, id="lenet-squared-error"),
+        pytest.param(["train", "--dataset=cifar10", "--data_dir={missing}", "--arch=cifar-quick",
+                      "--loss=squared-error"], cli.EXIT_CONFIG, id="cifar-quick-squared-error"),
         pytest.param(["gradcheck", "--samples", "-1"], cli.EXIT_CONFIG, id="gradcheck-samples-neg"),
         pytest.param(["gradcheck", "--samples", "0"], cli.EXIT_CONFIG, id="gradcheck-samples-0"),
         pytest.param(["gradcheck", "--batch", "0"], cli.EXIT_CONFIG, id="gradcheck-batch-0"),

@@ -1,6 +1,7 @@
 import multiprocessing
 import os
 import pickle
+import re
 import statistics
 import struct
 import tracemalloc
@@ -119,6 +120,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             blobs_config(seeds=(1, 1))
 
+    @pytest.mark.parametrize("arch, dataset, shape", [
+        ("lenet", "cifar10", "(3, 32, 32)"), ("lenet", "blobs", "(1, 1, 8)"),
+        ("cifar-quick", "mnist", "(1, 28, 28)")])
+    def test_fixed_net_input_checked_against_dataset(self, arch, dataset, shape):
+        with pytest.raises(ConfigError, match=re.escape(f"dataset '{dataset}' provides {shape}")):
+            ExperimentConfig(dataset=dataset, arch=arch)
+
+    @pytest.mark.parametrize("arch, dataset", [("lenet", "mnist"), ("cifar-quick", "cifar10")])
+    def test_fixed_net_rejects_a_loss_it_would_ignore(self, arch, dataset):
+        with pytest.raises(ConfigError, match="softmax-cross-entropy only"):
+            ExperimentConfig(dataset=dataset, arch=arch, loss="squared-error")
+        ExperimentConfig(dataset=dataset, arch=arch)
+
     def test_variant_label_derivation(self):
         assert blobs_config(opt_kind="sgd").variant_label == "sgd"
         assert blobs_config(opt_kind="nag", opt_layerwise=True).variant_label == "ours-nag"
@@ -134,12 +148,14 @@ class TestConfigParsing:
         assert ExperimentConfig().data_dir == "/tmp/datasets"
 
     def test_baseline_rate_warning(self):
-        cfg = ExperimentConfig(arch="lenet", opt_layerwise=True, schedule_t0=0.01)
+        cfg = ExperimentConfig(dataset="mnist", arch="lenet", opt_layerwise=True,
+                               schedule_t0=0.01)
         with pytest.warns(UserWarning, match="baseline-tuned"):
             cfg.optimizer()
 
     def test_no_warning_for_adjusted_rate(self, recwarn):
-        cfg = ExperimentConfig(arch="lenet", opt_layerwise=True, schedule_t0=0.006)
+        cfg = ExperimentConfig(dataset="mnist", arch="lenet", opt_layerwise=True,
+                               schedule_t0=0.006)
         cfg.optimizer()
         assert not [w for w in recwarn if "baseline" in str(w.message)]
 

@@ -319,6 +319,21 @@ class TestGradientCheckInvariant:
         assert result.max_rel_err < 1e-5
 
 
+# (kernel, stride, pad, height, width) of the conv oracle tests.
+CONV_GEOMETRIES = [
+    pytest.param(3, 1, 0, 8, 9, id="valid"),
+    pytest.param(5, 1, 2, 8, 9, id="same"),
+    pytest.param(3, 1, 2, 5, 6, id="output-wider"),
+    pytest.param(1, 1, 0, 8, 9, id="1x1"),
+    pytest.param(3, 2, 1, 8, 9, id="stride-2"),
+    pytest.param(3, 3, 0, 8, 8, id="trailing-rows-unread"),
+    pytest.param(5, 2, 2, 7, 9, id="stride-2-pad-2"),
+    # Windows that reach past both edges, and windows all in the padding.
+    pytest.param(5, 1, 2, 1, 1, id="kernel-over-input"),
+    pytest.param(3, 1, 3, 4, 4, id="pad-over-kernel"),
+]
+
+
 class TestConvAndPoolOracles:
     def brute_conv(self, x, w, b, stride, pad):
         n, c, h, wd = x.shape
@@ -361,18 +376,7 @@ class TestConvAndPoolOracles:
                         gw[o] += grad_out[i, o, r, q] * xp[win]
         return gxp[:, :, pad:pad + h, pad:pad + wd], gw, grad_out.sum(axis=(0, 2, 3))
 
-    @pytest.mark.parametrize("k,stride,pad,h,w", [
-        pytest.param(3, 1, 0, 8, 9, id="valid"),
-        pytest.param(5, 1, 2, 8, 9, id="same"),
-        pytest.param(3, 1, 2, 5, 6, id="output-wider"),
-        pytest.param(1, 1, 0, 8, 9, id="1x1"),
-        pytest.param(3, 2, 1, 8, 9, id="stride-2"),
-        pytest.param(3, 3, 0, 8, 8, id="trailing-rows-unread"),
-        pytest.param(5, 2, 2, 7, 9, id="stride-2-pad-2"),
-        # Windows that reach past both edges, and windows all in the padding.
-        pytest.param(5, 1, 2, 1, 1, id="kernel-over-input"),
-        pytest.param(3, 1, 3, 4, 4, id="pad-over-kernel"),
-    ])
+    @pytest.mark.parametrize("k,stride,pad,h,w", CONV_GEOMETRIES)
     def test_conv_gradients_match_brute_force(self, k, stride, pad, h, w):
         gen = rng.generator(24, k * 1000 + stride * 100 + pad * 10 + h)
         layer = Conv2D(3, 4, k, stride=stride, padding=pad, init_gen=gen)
@@ -385,6 +389,51 @@ class TestConvAndPoolOracles:
         assert np.allclose(batch_first(gx), want_gx, rtol=0, atol=1e-12)
         assert np.allclose(gw, want_gw, rtol=0, atol=1e-12)
         assert np.allclose(gb, want_gb, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def set_block_rows(monkeypatch, rows, layer, x_shape):
+        """Set COL_BLOCK_BYTES so that `layer` forms im2col for `rows`
+        output rows at a time (0: 1 byte, which still takes one row)."""
+        c, h, w, n = x_shape
+        _, ow = layer._spatial_out(h, w)
+        monkeypatch.setattr(nn, "COL_BLOCK_BYTES",
+                            max(1, rows * c * layer.kernel_size ** 2 * ow * n * 8))
+
+    @pytest.mark.parametrize("rows", [0, 2], ids=["row", "two-rows"])
+    @pytest.mark.parametrize("k,stride,pad,h,w", CONV_GEOMETRIES)
+    def test_conv_row_blocks_match_brute_force(self, k, stride, pad, h, w, rows,
+                                               monkeypatch):
+        # Two rows a block leave a ragged last block where the output
+        # height is odd ("output-wider").
+        gen = rng.generator(25, k * 1000 + stride * 100 + pad * 10 + h)
+        layer = Conv2D(3, 4, k, stride=stride, padding=pad, init_gen=gen)
+        x = gen.standard_normal((2, 3, h, w))
+        whole, _ = layer.forward(batch_last(x))
+        self.set_block_rows(monkeypatch, rows, layer, batch_last(x).shape)
+        out, cache = layer.forward(batch_last(x))
+        # BLAS may sum a narrow block's dot products in another order.
+        assert np.allclose(out, whole, rtol=0, atol=1e-14)
+        assert np.allclose(batch_first(out),
+                           self.brute_conv(x, layer.params[0], layer.params[1], stride, pad),
+                           rtol=0, atol=1e-12)
+        grad_out = gen.standard_normal(out.shape)
+        gx, (gw, gb) = layer.backward(grad_out, cache)
+        want_gx, want_gw, want_gb = self.brute_conv_grads(
+            x, layer.params[0], batch_first(grad_out), stride, pad)
+        assert np.allclose(batch_first(gx), want_gx, rtol=0, atol=1e-12)
+        assert np.allclose(gw, want_gw, rtol=0, atol=1e-12)
+        assert np.allclose(gb, want_gb, rtol=0, atol=1e-12)
+
+    def test_conv_forward_is_bitwise_the_same_in_wide_row_blocks(self, monkeypatch):
+        # cifar-quick's conv2 at batch 8: every block is 128 columns or more.
+        gen = rng.generator(26, 0)
+        layer = Conv2D(32, 32, 5, padding=2, init_gen=gen)
+        x = batch_last(gen.standard_normal((8, 32, 16, 16)))
+        outs = []
+        for rows in (0, 3, 16):
+            self.set_block_rows(monkeypatch, rows, layer, x.shape)
+            outs.append(layer.forward(x)[0].tobytes())
+        assert outs[0] == outs[1] == outs[2]
 
     def brute_pool(self, x, k, s):
         # A window starts every s elements inside the input, up to the first
@@ -791,13 +840,19 @@ class TestWorkspace:
 
     def test_floor_keeps_lenet_out_and_cifar_quick_in(self):
         # Lenet at batch 64 makes no array as large as the floor; cifar-quick
-        # holds its three im2col matrices (conv1, conv2, conv3), the conv1
-        # output and the pool1 input gradient.
-        cifar_quick = {(0, "col"), (0, "out"), (1, "grad_in"), (3, "col"), (6, "col")}
+        # holds the conv1 output and the pool1 input gradient. No conv holds
+        # its im2col matrix: its cache is its padded input and nothing larger.
+        cifar_quick = {(0, "out"), (1, "grad_in")}
         for build, held in ((build_lenet, set()), (build_cifar_quick, cifar_quick)):
             net = build(seed=0)
             x = np.zeros((64,) + net.input_shape)
             _, cache = net.forward(x, np.zeros(64, dtype=np.int64))
+            for layer, shape, layer_cache in zip(net.layers, net.layer_shapes,
+                                                 cache.layer_caches):
+                if isinstance(layer, Conv2D):
+                    c, h, w = shape
+                    padded = c * (h + 2 * layer.padding) * (w + 2 * layer.padding) * 64 * 8
+                    assert layer_cache.nbytes <= padded
             net.backward(cache)
             net.predict(x)
             assert _buffers(net).keys() == held
