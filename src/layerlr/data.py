@@ -75,15 +75,18 @@ class Dataset:
 def _open_maybe_gzip(path):
     if str(path).endswith(".gz"):
         return gzip.open(path, "rb")
-    return open(path, "rb")
+    # Unbuffered: a buffered read() to the end joins the bytes it reads in
+    # one more copy of the file.
+    return open(path, "rb", buffering=0)
 
 
 def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
     """Load an MNIST-style IDX image/label file pair.
 
     Validates the big-endian magic numbers (0x803 images, 0x801 labels),
-    rejects a file with no pixels and cross-checks the item counts between
-    the two files. Pixels stay uint8.
+    rejects a file with no pixels or with fewer bytes than its header's
+    counts claim, and cross-checks the item counts between the two files.
+    Pixels stay uint8.
     """
     with _open_maybe_gzip(images_path) as f:
         header = f.read(16)
@@ -97,10 +100,10 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
             )
         if n * h * w == 0:
             raise DataError(f"{images_path}: no pixels ({n} images of {h}x{w})")
-        raw = f.read(n * h * w)
-        if len(raw) != n * h * w:
+        raw = f.read()
+        if len(raw) < n * h * w:
             raise DataError(f"{images_path}: expected {n * h * w} pixel bytes, got {len(raw)}")
-        images = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, h, w)
+        images = np.frombuffer(raw, dtype=np.uint8, count=n * h * w).reshape(n, 1, h, w)
     with _open_maybe_gzip(labels_path) as f:
         header = f.read(8)
         if len(header) < 8:
@@ -111,10 +114,10 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
                 f"{labels_path}: bad IDX label magic 0x{magic:08x} "
                 f"(expected 0x{MNIST_LABEL_MAGIC:08x})"
             )
-        raw = f.read(n_labels)
-        if len(raw) != n_labels:
+        raw = f.read()
+        if len(raw) < n_labels:
             raise DataError(f"{labels_path}: expected {n_labels} label bytes, got {len(raw)}")
-        labels = np.frombuffer(raw, dtype=np.uint8)
+        labels = np.frombuffer(raw, dtype=np.uint8, count=n_labels)
     if n != n_labels:
         raise DataError(
             f"item count mismatch: {images_path} has {n} images "

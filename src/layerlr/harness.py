@@ -83,7 +83,7 @@ class ExperimentConfig:
     blobs_separation: float = 6.0
     blobs_seed: int = 0
     arch: str = "mlp:32"
-    arch_activation: str = "tanh"
+    arch_activation: str = ""         # empty -> the architecture's own
     loss: str = "softmax-cross-entropy"
     opt_kind: str = "sgd"
     opt_layerwise: bool = False
@@ -145,12 +145,15 @@ class ExperimentConfig:
             raise ConfigError(f"blobs.separation must be finite, got {self.blobs_separation}")
         # Names, shapes and schedule fail before any data loads.
         arch, _ = parse_arch(self.arch)
-        if self.arch_activation not in ACTIVATIONS:
+        if self.arch_activation not in ("", *ACTIVATIONS):
             raise ConfigError(f"unknown activation {self.arch_activation!r}; "
                               f"expected one of {sorted(ACTIVATIONS)}")
         if self.loss not in LOSSES:
             raise ConfigError(f"unknown loss {self.loss!r}; expected one of {LOSSES}")
         if arch in FIXED_INPUTS:
+            if self.arch_activation not in ("", "relu"):
+                raise ConfigError(f"architecture {self.arch!r} uses relu only, "
+                                  f"got activation {self.arch_activation!r}")
             if self.loss != "softmax-cross-entropy":
                 raise ConfigError(f"architecture {self.arch!r} trains with "
                                   f"softmax-cross-entropy only, got loss {self.loss!r}")
@@ -330,7 +333,7 @@ def load_datasets(cfg: ExperimentConfig):
 
 def build_network(cfg: ExperimentConfig, train: data_io.Dataset, seed: int) -> Network:
     return network_from_spec(cfg.arch, train.input_shape, train.num_classes,
-                             seed=seed, activation=cfg.arch_activation,
+                             seed=seed, activation=cfg.arch_activation or "tanh",
                              loss=cfg.loss)
 
 
@@ -393,36 +396,32 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
     checkpoints = set(cfg.checkpoint_iterations)
     records = []
     norm_history = deque(maxlen=10)
-    try:
-        for k in range(cfg.max_iterations):
-            x, y = stream.next_batch()
-            targets = _targets_for(net, y, train.num_classes)
+    for k in range(cfg.max_iterations):
+        x, y = stream.next_batch()
+        targets = _targets_for(net, y, train.num_classes)
 
-            def value_grad():
-                loss, cache = net.forward(x, targets)
-                return loss, net.backward(cache)
-            try:
-                loss, stats = opt.descend(params, value_grad)
-            except NumericError as exc:
-                # A gradient abort carries the failing step's pairs.
-                norm_history.extend(exc.layer_norms or ())
-                raise NumericError(
-                    f"run aborted at iteration {k}: {exc}",
-                    iteration=k,
-                    layer_norms=list(norm_history),
-                ) from exc
-            norm_history.append([s[:2] for s in stats])
-            iteration = k + 1
-            if iteration in checkpoints:
-                err = evaluate_error_percent(net, test, cfg.eval_batch_size)
-                records.append(MetricsRecord(
-                    seed=seed, iteration=iteration, train_loss=loss,
-                    test_error_percent=err,
-                    wall_ms=1000.0 * (time.perf_counter() - t_start),
-                ))
-    finally:
-        # A caller that keeps the net would keep its buffers alive too.
-        net.release()
+        def value_grad():
+            loss, cache = net.forward(x, targets)
+            return loss, net.backward(cache)
+        try:
+            loss, stats = opt.descend(params, value_grad)
+        except NumericError as exc:
+            # A gradient abort carries the failing step's pairs.
+            norm_history.extend(exc.layer_norms or ())
+            raise NumericError(
+                f"run aborted at iteration {k}: {exc}",
+                iteration=k,
+                layer_norms=list(norm_history),
+            ) from exc
+        norm_history.append([s[:2] for s in stats])
+        iteration = k + 1
+        if iteration in checkpoints:
+            err = evaluate_error_percent(net, test, cfg.eval_batch_size)
+            records.append(MetricsRecord(
+                seed=seed, iteration=iteration, train_loss=loss,
+                test_error_percent=err,
+                wall_ms=1000.0 * (time.perf_counter() - t_start),
+            ))
     return records
 
 

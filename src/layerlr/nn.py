@@ -1,9 +1,10 @@
 """Layered feed-forward networks with reverse-mode gradients grouped per layer.
 
-Forward passes return an explicit cache object instead of storing state on
-the layers. All math is float64; convolution uses im2col backed by BLAS
-matmul, formed a block of output rows at a time (COL_BLOCK_BYTES) and
-formed again in backward, so no layer holds a whole column matrix.
+Forward passes return an explicit cache object, and layers keep no arrays
+from one call to the next, so a cache stays valid whatever passes run after
+it. All math is float64; convolution uses im2col backed by BLAS matmul,
+formed a block of output rows at a time (COL_BLOCK_BYTES) and formed again
+in backward, so no layer holds a whole column matrix.
 
 Conv2D and MaxPool2D take and return batch-last (C, H, W, N) arrays, in
 which every window slice of a stride-1 convolution is a run of W*N
@@ -11,17 +12,6 @@ contiguous elements; Dense takes (N, ...) and the elementwise layers take
 either. A Network moves the batch axis last once, before the first spatial
 layer, and first again before the first Dense (or the loss), and its
 backward mirrors both moves; its inputs and outputs stay batch-first.
-
-Conv2D, MaxPool2D and ReLU write every array of at least BUFFER_FLOOR_BYTES
-into grow-only buffers of their own, one per name, that they keep from one
-call to the next; smaller arrays are allocated as usual. At batch 64 only
-cifar-quick reaches the floor: the conv1 output and the pool1 input
-gradient, two buffers of 32 MiB in all. So a call overwrites what the
-layer's last call left in its buffers, whether a Network or other code
-calls it. Every Network pass (forward, predict, loss_value,
-loss_and_pattern) advances the network's pass counter: backward refuses
-the cache of any pass but the latest, and predict and loss_and_pattern copy
-out any result that is a view. Network.release drops the buffers.
 
 Backward never forms the first layer's input gradient, the gradient with
 respect to the data, because nothing reads it. Max-pool ties go to the first
@@ -36,20 +26,10 @@ from . import rng
 from .errors import DimensionError, NumericError, UsageError
 
 
-# Arrays of at least this size are views of a layer's reuse buffers.
-# glibc maps an array over its 32 MiB mmap ceiling as fresh zeroed pages on
-# every allocation and unmaps it on free, and arrays from 16 MiB up churn
-# the heap top the same way. At batch 64 the floor takes in two cifar-quick
-# arrays of 16 MiB, each one layer's own: the conv1 output and the pool1
-# input gradient. It takes no lenet array, so lenet and mlp get the fresh
-# arrays that numpy calls with no `out=` would make.
-BUFFER_FLOOR_BYTES = 16 << 20
-
 # Conv2D forms im2col for as many output rows at a time as fit in this many
-# bytes, and for one row where a row alone is larger (a row over the floor,
-# as at large eval batches, goes in a buffer). Each block's GEMM reads the
-# columns its copies have just written while they are in cache, and no
-# layer holds its whole column matrix.
+# bytes, and for one row where a row alone is larger. Each block's GEMM
+# reads the columns its copies have just written while they are in cache,
+# and no layer holds its whole column matrix.
 COL_BLOCK_BYTES = 4 << 20
 
 
@@ -69,7 +49,6 @@ class Layer:
 
     def __init__(self):
         self.params = []
-        self._buffers = {}
 
     def output_shape(self, in_shape):
         """Output shape (excluding batch) for a given input shape; raises
@@ -88,18 +67,6 @@ class Layer:
         need_grad_in=False), which returns None for grad_in.
         """
         raise NotImplementedError
-
-    def _array(self, name, shape, dtype=np.float64):
-        """An array of `shape` and `dtype`: a new one under the floor, else
-        a view of this layer's grow-only buffer `name`."""
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        if nbytes < BUFFER_FLOOR_BYTES:
-            return np.empty(shape, dtype)
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < nbytes:
-            buf = self._buffers[name] = np.empty(nbytes, dtype=np.uint8)
-        return buf[:nbytes].view(dtype).reshape(shape)
 
     def pattern(self, cache):
         """Discrete decisions made during forward (ReLU masks, pool winners),
@@ -198,7 +165,7 @@ class Conv2D(Layer):
         k, s = self.kernel_size, self.stride
         row = c * k * k * ow * n
         rows = min(oh, max(1, COL_BLOCK_BYTES // (row * 8)))
-        buf = self._array("block", (rows * row,))
+        buf = np.empty(rows * row)
         for i0 in range(0, oh, rows):
             i1 = min(i0 + rows, oh)
             col = buf[:(i1 - i0) * row].reshape(c, k, k, i1 - i0, ow, n)
@@ -213,13 +180,12 @@ class Conv2D(Layer):
         oc, oh, ow = self.output_shape((c, h, w))
         p = self.padding
         if p:
-            xp = self._array("pad", (c, h + 2 * p, w + 2 * p, n))
-            xp.fill(0.0)
+            xp = np.zeros((c, h + 2 * p, w + 2 * p, n))
             xp[:, p:p + h, p:p + w] = x
             x = xp
         # One GEMM per row block writes its columns of the (oc, oh*ow*n)
         # output, which is the layer's output as it stands.
-        out = self._array("out", (oc, oh * ow * n))
+        out = np.empty((oc, oh * ow * n))
         wm = self.params[0].reshape(oc, -1)
         for j0, j1, col in self._cols(x, oh, ow):
             np.matmul(wm, col, out=out[:, j0:j1])
@@ -255,8 +221,7 @@ class Conv2D(Layer):
             if lo < hi:
                 copies.append((spread[:, dc, s * lo + dc - p:s * hi + dc - p:s], slice(lo, hi)))
         prod = np.empty((c, k, w, n))
-        gx = self._array("grad_in", (c, h, w, n))
-        gx.fill(0.0)
+        gx = np.zeros((c, h, w, n))
         for i in range(oh):
             for dst, cols in copies:
                 dst[...] = grad_out[:, i, cols]
@@ -303,7 +268,7 @@ class MaxPool2D(Layer):
             for dc in range(k):
                 view = x[:, dr::s, dc::s][:, :oh, :ow]
                 views.append((view, np.s_[:, :view.shape[1], :view.shape[2]]))
-        out = self._array("out", (c, oh, ow, n))
+        out = np.empty((c, oh, ow, n))
         out[...] = views[0][0]
         for view, part in views[1:]:
             np.maximum(out[part], view, out=out[part])
@@ -328,8 +293,7 @@ class MaxPool2D(Layer):
             + s * np.arange(ow)
         index = (origin * n)[..., None] + np.arange(n)
         index += (np.add.outer(np.arange(k) * w, np.arange(k)) * n).ravel()[winner]
-        gx = self._array("grad_in", (c, h, w, n))
-        gx.fill(0.0)
+        gx = np.zeros((c, h, w, n))
         np.add.at(gx.reshape(-1), index.ravel(), grad_out.ravel())
         return gx, []
 
@@ -345,11 +309,10 @@ class ReLU(Layer):
         return tuple(in_shape)
 
     def forward(self, x):
-        return (np.maximum(x, 0.0, out=self._array("out", x.shape)),
-                np.greater(x, 0, out=self._array("mask", x.shape, bool)))
+        return np.maximum(x, 0.0), np.greater(x, 0)
 
     def backward(self, grad_out, cache):
-        return np.multiply(grad_out, cache, out=self._array("grad_in", grad_out.shape)), []
+        return np.multiply(grad_out, cache), []
 
     def pattern(self, cache):
         return cache
@@ -430,22 +393,16 @@ def _softmax_cross_entropy(logits, labels):
 class ForwardCache:
     """Opaque result of Network.forward, consumed by Network.backward."""
 
-    def __init__(self, net, serial, layer_caches, loss_grad):
+    def __init__(self, net, layer_caches, loss_grad):
         self._net = net
-        self._serial = serial
         self.layer_caches = layer_caches
         self.loss_grad = loss_grad
 
 
-def _unshared(a):
-    """`a`, or a copy of it if it is a view, as of a layer's buffer."""
-    return a.copy() if a is not None and a.base is not None else a
-
-
 class Network:
     """Ordered layer stack plus a loss; shapes validated at construction.
-    A layer instance may sit at one position of one network only, since its
-    buffers hold that position's arrays."""
+    A layer instance may sit at one position only: listed twice, its
+    tensors would be updated once per position."""
 
     def __init__(self, input_shape, layers, loss="softmax-cross-entropy"):
         if loss not in LOSSES:
@@ -471,17 +428,11 @@ class Network:
                 last = self._moves[i] = layer.batch_last
         if last:
             self._moves[len(self.layers)] = False
-        self._serial = 0
 
     def parameters(self):
         """Parameter tensors grouped per layer (empty list for layers
         without parameters)."""
         return [layer.params for layer in self.layers]
-
-    def release(self):
-        """Drop every layer's buffers; the next pass maps new ones."""
-        for layer in self.layers:
-            layer._buffers.clear()
 
     def _check_input(self, inputs):
         if inputs.shape[1:] != self.input_shape:
@@ -508,7 +459,6 @@ class Network:
         and the list of keep(layer, cache) per layer (empty without keep)."""
         inputs = np.asarray(inputs, dtype=np.float64)
         self._check_input(inputs)
-        self._serial += 1
         out = inputs
         kept = []
         for i, layer in enumerate(self.layers):
@@ -523,16 +473,14 @@ class Network:
         loss, loss_grad = self._run_loss(out, targets)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss {loss!r} in forward pass")
-        return loss, ForwardCache(self, self._serial, caches, loss_grad)
+        return loss, ForwardCache(self, caches, loss_grad)
 
     def backward(self, cache):
         """Gradients of the loss, one list per layer with one array per
-        parameter tensor, from the cache of the most recent pass, which
-        must be a forward call."""
+        parameter tensor, from a cache that forward on this network
+        returned."""
         if not isinstance(cache, ForwardCache) or cache._net is not self:
             raise UsageError("backward requires the cache returned by forward on this network")
-        if cache._serial != self._serial:
-            raise UsageError("stale cache: another pass ran after this forward")
         grad = cache.loss_grad
         by_layer = [[] for _ in self.layers]
         for i in range(len(self.layers) - 1, 0, -1):
@@ -547,10 +495,10 @@ class Network:
         return by_layer
 
     def predict(self, inputs):
-        """Forward pass returning the final layer output, which no later
-        pass overwrites; intermediate caches are discarded."""
+        """Forward pass returning the final layer output; intermediate caches
+        are discarded."""
         out, _ = self._pass(inputs)
-        return _unshared(out)
+        return out
 
     def loss_value(self, inputs, targets) -> float:
         """Mean loss without retaining caches (used by finite differences)."""
@@ -560,9 +508,8 @@ class Network:
 
     def loss_and_pattern(self, inputs, targets):
         """Mean loss plus the discrete decision pattern (ReLU masks, pool
-        winners) of the pass, which no later pass overwrites."""
-        out, pattern = self._pass(
-            inputs, lambda layer, cache: _unshared(layer.pattern(cache)))
+        winners) of the pass."""
+        out, pattern = self._pass(inputs, lambda layer, cache: layer.pattern(cache))
         loss, _ = self._run_loss(out, targets)
         return loss, pattern
 

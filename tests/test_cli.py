@@ -71,6 +71,12 @@ class TestExitCodes:
                      cli.EXIT_CONFIG, id="mnist-loss-nope"),
         pytest.param(["train", "--dataset=mnist", "--data_dir={missing}",
                       "--arch.activation=nope"], cli.EXIT_CONFIG, id="mnist-activation-nope"),
+        # The fixed nets use ReLU only and refuse another activation.
+        pytest.param(["train", "--dataset=mnist", "--data_dir={missing}", "--arch=lenet",
+                      "--arch.activation=sigmoid"], cli.EXIT_CONFIG, id="lenet-sigmoid"),
+        pytest.param(["train", "--dataset=cifar10", "--data_dir={missing}",
+                      "--arch=cifar-quick", "--arch.activation=tanh"], cli.EXIT_CONFIG,
+                     id="cifar-quick-tanh"),
         pytest.param(["train", "--dataset=cifar10", "--data_dir={missing}", "--arch=mlp:0"],
                      cli.EXIT_CONFIG, id="cifar10-mlp-width-0"),
         # A fixed net's input shape and loss are checked before the files too.
@@ -197,6 +203,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("data error: ")
         assert f"{empty}-images-idx3-ubyte: no pixels" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_mnist_header_over_the_file_is_one_line_data_error(self, tmp_path, capsys):
+        root = tmp_path / "mnist"
+        root.mkdir()
+        for split in ("train", "t10k"):
+            (root / f"{split}-images-idx3-ubyte").write_bytes(
+                struct.pack(">IIII", 0x803, *(3 * [2 ** 32 - 1])) + bytes(28 * 28))
+            (root / f"{split}-labels-idx1-ubyte").write_bytes(
+                struct.pack(">II", 0x801, 1) + bytes(1))
+        out = tmp_path / "r.csv"
+        argv = ["train", "--dataset=mnist", f"--data_dir={tmp_path}", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ")
+        assert "train-images-idx3-ubyte: expected" in err
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -78,6 +78,20 @@ class TestMnistIdx:
         with pytest.raises(DataError, match="no pixels"):
             load_mnist_idx(img, lbl)
 
+    # Counts whose product overflows a read size, or would be gigabytes.
+    @pytest.mark.parametrize("n, h, w", [(2 ** 32 - 1,) * 3, (0xFFFFFF, 0xFFFF, 0xFF)])
+    def test_header_claiming_more_pixels_than_the_file_holds(self, n, h, w, tmp_path):
+        img, lbl, _, _ = write_idx_pair(tmp_path)
+        img.write_bytes(struct.pack(">IIII", 0x803, n, h, w) + bytes(40))
+        with pytest.raises(DataError, match=f"expected {n * h * w} pixel bytes, got 40"):
+            load_mnist_idx(img, lbl)
+
+    def test_header_claiming_more_labels_than_the_file_holds(self, tmp_path):
+        img, lbl, _, _ = write_idx_pair(tmp_path)
+        lbl.write_bytes(struct.pack(">II", 0x801, 2 ** 32 - 1) + bytes(12))
+        with pytest.raises(DataError, match=f"expected {2 ** 32 - 1} label bytes, got 12"):
+            load_mnist_idx(img, lbl)
+
     def test_round_trip_determinism(self, tmp_path):
         img, lbl, _, _ = write_idx_pair(tmp_path)
         a = load_mnist_idx(img, lbl)

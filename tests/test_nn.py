@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from layerlr import harness, nn, rng
+from layerlr import nn, rng
 from layerlr.errors import DimensionError, NumericError, UsageError
 from layerlr.nn import (
     Conv2D,
@@ -167,15 +167,6 @@ class TestBackward:
             x[1, 0, 5, 7] = np.nan
         with pytest.raises(NumericError, match="non-finite loss"):
             net.forward(x, np.array([1, 2]))
-
-    def test_stale_cache_rejected(self):
-        net = build_mlp((3,), [], 2)
-        x = np.zeros((2, 3))
-        y = np.zeros(2, dtype=np.int64)
-        _, cache1 = net.forward(x, y)
-        net.forward(x, y)
-        with pytest.raises(UsageError, match="stale"):
-            net.backward(cache1)
 
     def test_missing_or_foreign_cache_rejected(self):
         net = build_mlp((3,), [], 2)
@@ -734,72 +725,26 @@ class TestNetworkFromSpec:
             network_from_spec(spec, (6,), 3)
 
 
-def _relu_mlp(seed=4):
-    return build_mlp((1, 28, 28), [40, 24], 10, activation="relu", seed=seed)
-
-
-WORKSPACE_NETS = {"lenet": build_lenet, "cifar-quick": build_cifar_quick, "relu-mlp": _relu_mlp}
-
-
-def _nag_run(build, floor, monkeypatch):
-    """Losses, eval predictions and final parameters of 4 layer-wise NAG
-    steps at batches 64, 64, 33, 64 and an eval whose last batch is short,
-    with every array of at least `floor` bytes in a layer's buffers."""
-    monkeypatch.setattr(nn, "BUFFER_FLOOR_BYTES", floor)
-    net = build(seed=4)
-    gen = rng.generator(4, 0x5ACE)
-    opt = make_optimizer("nag", 0.01, layerwise=True)
-    params = net.parameters()
-    losses = []
-    for batch in (64, 64, 33, 64):
-        x = gen.standard_normal((batch,) + net.input_shape)
-        y = gen.integers(0, 10, size=batch)
-
-        def value_grad():
-            loss, cache = net.forward(x, y)
-            return loss, net.backward(cache)
-        losses.append(opt.descend(params, value_grad)[0])
-    x = gen.standard_normal((97,) + net.input_shape)
-    preds = [net.predict(x[:64]), net.predict(x[64:])]
-    return losses, preds, [p.copy() for group in params for p in group]
-
-
-def _buffers(net):
-    """Every layer's reuse buffers, keyed (layer index, name)."""
-    return {(i, name): buf for i, layer in enumerate(net.layers)
-            for name, buf in layer._buffers.items()}
-
-
 class TestWorkspace:
-    """The reuse buffers that Conv2D, MaxPool2D and ReLU own."""
+    """The arrays a pass leaves: every layer allocates its own on each call,
+    so no later pass changes what an earlier one returned."""
 
-    @pytest.mark.parametrize("arch", sorted(WORKSPACE_NETS))
-    def test_workspace_path_is_bitwise_the_allocating_path(self, arch, monkeypatch):
-        # Floor 0 puts every array of conv, pool and ReLU in the buffers;
-        # an unreachable floor leaves every one to numpy.
-        build = WORKSPACE_NETS[arch]
-        got = _nag_run(build, 0, monkeypatch)
-        want = _nag_run(build, 1 << 62, monkeypatch)
-        assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
-        for g, w in zip(got[1] + got[2], want[1] + want[2]):
-            assert g.shape == w.shape
-            assert g.tobytes() == w.tobytes()
+    def test_a_forward_cache_survives_later_passes(self):
+        net = build_cifar_quick(seed=6)
+        gen = rng.generator(6, 0)
+        x1, x2 = gen.standard_normal((2, 64) + net.input_shape)
+        y1, y2 = gen.integers(0, 10, size=(2, 64))
+        _, cache = net.forward(x1, y1)
+        want = [g.tobytes() for group in net.backward(cache) for g in group]
+        net.predict(x2)
+        net.loss_value(x2, y2)
+        net.loss_and_pattern(x2, y2)
+        net.forward(x2, y2)
+        assert [g.tobytes() for group in net.backward(cache) for g in group] == want
 
-    def test_any_pass_makes_the_forward_cache_stale(self):
-        net = build_mlp((3,), [4], 2, activation="relu")
-        x = np.ones((2, 3))
-        y = np.zeros(2, dtype=np.int64)
-        for later_pass in (lambda: net.predict(x), lambda: net.loss_value(x, y),
-                           lambda: net.loss_and_pattern(x, y)):
-            _, cache = net.forward(x, y)
-            later_pass()
-            with pytest.raises(UsageError, match="stale"):
-                net.backward(cache)
-
-    def test_predictions_and_patterns_survive_later_passes(self, monkeypatch):
-        monkeypatch.setattr(nn, "BUFFER_FLOOR_BYTES", 0)
+    def test_predictions_and_patterns_survive_later_passes(self):
         gen = rng.generator(5, 0)
-        # A ReLU output layer, so the prediction itself sits in a buffer.
+        # A ReLU output layer, so the prediction itself is a layer's output.
         net = Network((1, 8, 8), [Conv2D(1, 2, 3, padding=1, init_gen=gen), ReLU(),
                                   MaxPool2D(3, 2), Dense(2 * 4 * 4, 6, init_gen=gen),
                                   ReLU()], loss="squared-error")
@@ -819,31 +764,9 @@ class TestWorkspace:
                    for p, b in zip(pattern, pattern_before))
         assert any(p is not None and p.dtype == bool for p in pattern)
 
-    def test_second_step_at_a_fixed_shape_maps_no_new_buffer(self, monkeypatch):
-        monkeypatch.setattr(nn, "BUFFER_FLOOR_BYTES", 0)
-        net = build_cifar_quick(seed=6)
-        gen = rng.generator(6, 0)
-        x = gen.standard_normal((3,) + net.input_shape)
-        y = gen.integers(0, 10, size=3)
-
-        def step_and_eval():
-            _, cache = net.forward(x, y)
-            net.backward(cache)
-            net.predict(x[:2])
-
-        step_and_eval()
-        buffers = _buffers(net)
-        assert buffers
-        step_and_eval()
-        assert _buffers(net).keys() == buffers.keys()
-        assert all(_buffers(net)[k] is b for k, b in buffers.items())
-
-    def test_floor_keeps_lenet_out_and_cifar_quick_in(self):
-        # Lenet at batch 64 makes no array as large as the floor; cifar-quick
-        # holds the conv1 output and the pool1 input gradient. No conv holds
-        # its im2col matrix: its cache is its padded input and nothing larger.
-        cifar_quick = {(0, "out"), (1, "grad_in")}
-        for build, held in ((build_lenet, set()), (build_cifar_quick, cifar_quick)):
+    def test_no_conv_cache_is_larger_than_its_padded_input(self):
+        # No conv holds its im2col matrix: its cache is its padded input.
+        for build in (build_lenet, build_cifar_quick):
             net = build(seed=0)
             x = np.zeros((64,) + net.input_shape)
             _, cache = net.forward(x, np.zeros(64, dtype=np.int64))
@@ -853,37 +776,8 @@ class TestWorkspace:
                     c, h, w = shape
                     padded = c * (h + 2 * layer.padding) * (w + 2 * layer.padding) * 64 * 8
                     assert layer_cache.nbytes <= padded
-            net.backward(cache)
-            net.predict(x)
-            assert _buffers(net).keys() == held
-
-    def test_a_layer_called_directly_reuses_its_buffers(self, monkeypatch):
-        monkeypatch.setattr(nn, "BUFFER_FLOOR_BYTES", 0)
-        relu = ReLU()
-        first, _ = relu.forward(np.ones((2, 3)))
-        second, _ = relu.forward(-np.ones((2, 3)))
-        assert np.shares_memory(first, second)
-        assert np.all(first == 0.0)
 
     def test_a_layer_instance_sits_at_one_position(self):
         relu = ReLU()
         with pytest.raises(DimensionError, match="twice"):
             Network((3,), [Dense(3, 3), relu, Dense(3, 3), relu])
-
-    def test_run_experiment_drops_the_buffers(self, monkeypatch):
-        monkeypatch.setattr(nn, "BUFFER_FLOOR_BYTES", 0)
-        nets = []
-        build = harness.build_network
-
-        def keeping(*args):
-            nets.append(build(*args))
-            return nets[-1]
-
-        monkeypatch.setattr(harness, "build_network", keeping)
-        cfg = harness.ExperimentConfig(dataset="blobs", blobs_n=64, blobs_test_n=40,
-                                       arch="mlp:8", arch_activation="relu",
-                                       batch_size=16, max_iterations=3)
-        harness.run_experiment(cfg, 0)
-        assert _buffers(nets[0]) == {}
-        nets[0].predict(np.zeros((2,) + nets[0].input_shape))
-        assert _buffers(nets[0])
