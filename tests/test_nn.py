@@ -168,6 +168,19 @@ class TestBackward:
         with pytest.raises(NumericError, match="non-finite loss"):
             net.forward(x, np.array([1, 2]))
 
+    def test_an_earlier_cache_backpropagates_after_a_second_forward(self):
+        net = build_mlp((3,), [4], 2, activation="relu", seed=1)
+        gen = rng.generator(1, 0)
+        x1, x2 = gen.standard_normal((2, 5, 3))
+        y = gen.integers(0, 2, size=5)
+        _, cache1 = net.forward(x1, y)
+        want = [g.copy() for group in net.backward(cache1) for g in group]
+        _, cache2 = net.forward(x2, y)
+        got = [g for group in net.backward(cache1) for g in group]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        other = [g for group in net.backward(cache2) for g in group]
+        assert not all(np.array_equal(g, w) for g, w in zip(other, want))
+
     def test_missing_or_foreign_cache_rejected(self):
         net = build_mlp((3,), [], 2)
         other = build_mlp((3,), [], 2)
