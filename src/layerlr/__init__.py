@@ -5,18 +5,13 @@ rate from the current minibatch gradient alone, accelerating layers with
 small gradients and leaving large-gradient layers essentially untouched.
 The package bundles the wrapped optimizers (SGD, momentum, NAG, AdaGrad),
 a minimal float64 backprop engine with a finite-difference oracle, dataset
-loaders, analytic saddle/vanishing-gradient benchmarks, and a reproducible
+loaders, analytic saddle-escape benchmarks, and a reproducible
 experiment harness with a CLI.
 """
 
 from .data import BatchStream, Dataset, load_cifar10_bin, load_mnist_idx, synth_blobs
 from .errors import ConfigError, DataError, DimensionError, NumericError, UsageError
-from .landscapes import (
-    DeepLinearChain,
-    MonkeySaddle,
-    QuadraticSaddle,
-    run_escape_trial,
-)
+from .landscapes import MonkeySaddle, QuadraticSaddle, run_escape_trial
 from .nn import (
     Conv2D,
     Dense,

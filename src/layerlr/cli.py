@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric abort.
 
 import argparse
 import itertools
+import math
 import os
 import sys
 import tarfile
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import harness
 from .errors import ConfigError, DataError, DimensionError, NumericError
-from .landscapes import LANDSCAPE_KINDS, Landscape, check_escape_trial, run_escape_trial
-from .nn import CIFAR_QUICK_INPUT, LENET_INPUT, gradient_check, network_from_spec
+from .landscapes import LANDSCAPE_KINDS, check_escape_trial, run_escape_trial
+from .nn import gradient_check, network_from_spec, parse_arch
 from .optim import make_optimizer
 from . import rng
 
@@ -40,13 +41,6 @@ MNIST_MIRRORS = (
     "https://storage.googleapis.com/cvdf-datasets/mnist/",
 )
 CIFAR_URL = "https://www.cs.toronto.edu/~kriz/cifar-10-binary.tar.gz"
-
-# Landscapes that define an escape distance, the only ones an escape trial
-# can run on.
-ESCAPE_LANDSCAPES = sorted(
-    kind for kind, cls in LANDSCAPE_KINDS.items()
-    if cls.escape_distance is not Landscape.escape_distance
-)
 
 
 def _split_overrides(extras):
@@ -109,28 +103,36 @@ def _float_list(option, text):
         raise ConfigError(f"{option} expects a comma list of numbers, got {text!r}") from None
 
 
+def _bench_optimizer(kind, lr):
+    """A fresh optimizer for a bench cell; an ours- prefix turns on the
+    layer-wise multiplier."""
+    layerwise = kind.startswith("ours-")
+    return make_optimizer(kind[5:] if layerwise else kind, lr, layerwise=layerwise)
+
+
 def _cmd_bench(args, extras) -> int:
     if extras:
         raise ConfigError(f"unrecognized arguments: {extras}")
-    if args.landscape not in ESCAPE_LANDSCAPES:
+    if args.landscape not in LANDSCAPE_KINDS:
         raise ConfigError(
-            f"landscape {args.landscape!r} has no escape trial; options: {ESCAPE_LANDSCAPES}"
+            f"unknown landscape {args.landscape!r}; options: {sorted(LANDSCAPE_KINDS)}"
         )
     landscape = LANDSCAPE_KINDS[args.landscape]()
     starts = [[0.0] * (landscape.n_layers - 1) + [y0]
               for y0 in _float_list("--starts", args.starts)]
-    for start in starts:  # before any row is printed
-        check_escape_trial(landscape, start, args.radius, args.max_iter)
     lrs = _float_list("--lrs", args.lrs)
-    harness.check_writable(args.out)
     kinds = args.optimizers.split(",")
+    # Every value is checked before any row is printed.
+    for start in starts:
+        check_escape_trial(landscape, start, args.radius, args.max_iter)
+    for lr, kind in itertools.product(lrs, kinds):
+        _bench_optimizer(kind, lr)
+    harness.check_writable(args.out)
     lines = ["landscape,optimizer,start,lr,escape_iterations"]
     # A trial that overflows ends in NumericError, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         for lr, start, kind in itertools.product(lrs, starts, kinds):
-            layerwise = kind.startswith("ours-")
-            base = kind[5:] if layerwise else kind
-            opt = make_optimizer(base, lr, layerwise=layerwise)
+            opt = _bench_optimizer(kind, lr)
             iters = run_escape_trial(opt, landscape, start,
                                      escape_radius=args.radius,
                                      max_iter=args.max_iter)
@@ -148,16 +150,21 @@ def _cmd_gradcheck(args, extras) -> int:
         if getattr(args, flag) < 1:
             raise ConfigError(f"--{flag.replace('_', '-')} must be a positive integer, "
                               f"got {getattr(args, flag)}")
-    archs = args.archs.split(",")
-    tol = args.tol
-    failed = False
-    for arch in archs:
-        if arch == "lenet":
-            input_shape, classes = LENET_INPUT, 10
-        elif arch == "cifar-quick":
-            input_shape, classes = CIFAR_QUICK_INPUT, 10
+    # Written so that NaN and infinity fail the check.
+    if not 0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
+    archs = []  # every arch is parsed before any is checked
+    for arch in args.archs.split(","):
+        try:
+            name, _ = parse_arch(arch)
+        except DimensionError as exc:
+            raise ConfigError(f"--archs: {exc}") from None
+        if name in harness.FIXED_INPUTS:
+            archs.append((arch, harness.FIXED_INPUTS[name], 10))
         else:
-            input_shape, classes = (args.mlp_dim,), args.mlp_classes
+            archs.append((arch, (args.mlp_dim,), args.mlp_classes))
+    failed = False
+    for arch, input_shape, classes in archs:
         worst = 0.0
         checked = 0
         for seed in range(args.seeds):
@@ -170,7 +177,7 @@ def _cmd_gradcheck(args, extras) -> int:
             worst = max(worst, result.max_rel_err)
             checked += result.checked
         # No checked coordinate (all on kinks) proves nothing: a failure.
-        ok = worst < tol and checked > 0
+        ok = worst < args.tol and checked > 0
         failed = failed or not ok
         print(f"{arch:>12}: max relative error {worst:.3e} over {checked} coordinates, "
               f"{args.seeds} seeds  [{'ok' if ok else 'FAIL'}]")
@@ -262,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="saddle-escape benchmark grid")
     p_bench.add_argument("--landscape", default="quadratic-saddle",
-                         help=f"one of {', '.join(ESCAPE_LANDSCAPES)}")
+                         help=f"one of {', '.join(LANDSCAPE_KINDS)}")
     p_bench.add_argument("--starts", default="1e-1,1e-2,1e-3,1e-4",
                          help="comma list of initial descent offsets")
     p_bench.add_argument("--lrs", default="0.1,0.01", help="comma list of learning rates")

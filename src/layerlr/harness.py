@@ -89,7 +89,6 @@ class ExperimentConfig:
     opt_layerwise: bool = False
     opt_mu: float = 0.9
     opt_weight_decay: float = 0.0
-    opt_bias_separate: bool = False
     opt_epsilon_norm: float = 1e-12
     opt_epsilon_div: float = 1e-12
     schedule_kind: str = "constant"
@@ -191,7 +190,6 @@ class ExperimentConfig:
     def optimizer(self):
         opt = make_optimizer(self.opt_kind, self.schedule(),
                              layerwise=self.opt_layerwise, mu=self.opt_mu,
-                             bias_separate=self.opt_bias_separate,
                              weight_decay=self.opt_weight_decay,
                              epsilon_norm=self.opt_epsilon_norm,
                              epsilon_div=self.opt_epsilon_div)

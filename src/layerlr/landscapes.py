@@ -3,8 +3,8 @@
 Each landscape treats its variables as separate "layers" (one scalar
 tensor each) so the layer-wise learning-rate machinery applies unchanged.
 The quadratic saddle isolates escape along a low-curvature descent
-direction; the deep linear chain produces the multiplicative per-layer
-gradient shrinkage typical of vanishing gradients.
+direction; the monkey saddle has zero curvature at its stationary point.
+Each defines an escape distance, so run_escape_trial runs on any of them.
 """
 
 import math
@@ -19,7 +19,9 @@ DEFAULT_MAX_ITER = 10 ** 6
 
 
 class Landscape:
-    """Analytic objective over a list of per-layer scalar parameters."""
+    """Analytic objective over a list of per-layer scalar parameters.
+    Subclasses define value_grad and escape_distance(point), the distance
+    from the stationary point along the descent direction."""
 
     kind = "base"
     n_layers = 0
@@ -33,10 +35,6 @@ class Landscape:
             raise DimensionError(
                 f"{self.kind} expects {self.n_layers} layers, got {len(point)}"
             )
-
-    def escape_distance(self, point) -> float:
-        """Distance from the stationary point along the descent coordinate."""
-        raise NotImplementedError(f"{self.kind} does not define an escape trial")
 
     def make_params(self, point):
         """Copy a point into the nested params structure optimizers expect."""
@@ -77,38 +75,9 @@ class MonkeySaddle(Landscape):
         return float(np.hypot(float(point[0]), float(point[1])))
 
 
-class DeepLinearChain(Landscape):
-    """f(w_1..w_d) = (w_1*...*w_d - 1)^2 / 2, each w_i its own layer.
-
-    With |w_i| < 1 the per-layer gradients shrink multiplicatively with
-    depth, modeling vanishing gradients.
-    """
-
-    kind = "deep-linear-chain"
-
-    def __init__(self, depth: int):
-        if depth < 2:
-            raise DimensionError(f"chain depth must be >= 2, got {depth}")
-        self.depth = depth
-        self.n_layers = depth
-
-    def value_grad(self, point):
-        self.check_point(point)
-        w = np.array([float(v) for v in point])
-        prod = float(np.prod(w))
-        residual = prod - 1.0
-        value = 0.5 * residual * residual
-        grads = []
-        for i in range(self.depth):
-            others = float(np.prod(np.delete(w, i)))
-            grads.append(np.array([residual * others]))
-        return value, grads
-
-
 LANDSCAPE_KINDS = {
     "quadratic-saddle": QuadraticSaddle,
     "monkey-saddle": MonkeySaddle,
-    "deep-linear-chain": DeepLinearChain,
 }
 
 

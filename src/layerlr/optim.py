@@ -8,8 +8,9 @@ for large norms the multiplier tends to 1 and the base optimizer is
 recovered. It composes with any rule that consumes a global learning rate:
 SGD, classical momentum, Nesterov momentum, and AdaGrad are provided.
 
-Optimizer.step returns a (key, norm, multiplier, t_eff) tuple per norm
-group: the gradient norm, multiplier and effective rate it applied.
+Each layer is one norm group. Optimizer.step returns a (key, norm,
+multiplier, t_eff) tuple per layer: the gradient norm, multiplier and
+effective rate it applied.
 Optimizer.descend(params, value_grad) is one training step: it calls
 value_grad() once for (value, grads) and steps on those grads. Only NAG
 knows where that gradient is taken: its descend calls value_grad with the
@@ -105,8 +106,7 @@ class Optimizer:
 
     kind = "base"
 
-    def __init__(self, schedule, layerwise: bool = False,
-                 bias_separate: bool = False, weight_decay: float = 0.0,
+    def __init__(self, schedule, layerwise: bool = False, weight_decay: float = 0.0,
                  epsilon_norm: float = EPSILON_NORM,
                  epsilon_div: float = EPSILON_DIV):
         if isinstance(schedule, (int, float)):
@@ -118,7 +118,6 @@ class Optimizer:
             raise ConfigError("epsilon floors must be positive and finite")
         self.schedule = schedule
         self.layerwise = layerwise
-        self.bias_separate = bias_separate
         self.weight_decay = weight_decay
         self.epsilon_norm = epsilon_norm
         self.epsilon_div = epsilon_div
@@ -139,12 +138,12 @@ class Optimizer:
 
     def step(self, params, grads):
         """Apply one update from per-layer gradients; returns one
-        (key, norm, multiplier, t_eff) tuple per norm group, in update order:
-        the group's state-key prefix ((li,), or (li, ti) under
-        bias_separate), the l2 norm of its gradient (weight decay included),
-        the multiplier (1.0 when layerwise is off) and t(k) * multiplier.
+        (key, norm, multiplier, t_eff) tuple per layer with parameters, in
+        update order: the key (li,), the l2 norm of the layer's gradient
+        (weight decay included), the multiplier (1.0 when layerwise is off)
+        and t(k) * multiplier. Tensor ti of layer li has state key (li, ti).
 
-        Every group is checked, and its norm computed, before any tensor is
+        Every layer is checked, and its norm computed, before any tensor is
         updated: a NumericError leaves parameters, state and k untouched.
         """
         if len(params) != len(grads):
@@ -166,26 +165,18 @@ class Optimizer:
                     )
             if self.weight_decay:
                 ggroup = [g + self.weight_decay * p for p, g in zip(pgroup, ggroup)]
-            if self.bias_separate:
-                subgroups = [((li, ti), [p], [g])
-                             for ti, (p, g) in enumerate(zip(pgroup, ggroup))]
-            else:
-                subgroups = [((li,), pgroup, ggroup)]
-            # Per-tensor state keys become group_key + (position,): (li, ti)
-            # normally, (li, ti, 0) under bias_separate.
-            for key, ps, gs in subgroups:
-                # A finite norm proves every entry finite; an infinite one
-                # may be an overflowed sum of squares of finite entries,
-                # which gives multiplier 1 rather than an abort.
-                norm = group_norm(gs)
-                if not math.isfinite(norm):
-                    self._check_finite(li, gs, [s[:2] for s in stats] + [(key, norm)])
-                m = self.multiplier_fn(norm, self.epsilon_norm) if self.layerwise else 1.0
-                stats.append((key, norm, m, t_k * m))
-                groups.append((ps, gs))
-        for (key, _, _, t_eff), (ps, gs) in zip(stats, groups):
-            for ti, (p, g) in enumerate(zip(ps, gs)):
-                self._update(key + (ti,), p, g, t_eff)
+            # A finite norm proves every entry finite; an infinite one may be
+            # an overflowed sum of squares of finite entries, which gives
+            # multiplier 1 rather than an abort.
+            norm = group_norm(ggroup)
+            if not math.isfinite(norm):
+                self._check_finite(li, ggroup, [s[:2] for s in stats] + [((li,), norm)])
+            m = self.multiplier_fn(norm, self.epsilon_norm) if self.layerwise else 1.0
+            stats.append(((li,), norm, m, t_k * m))
+            groups.append((li, pgroup, ggroup))
+        for (_, _, _, t_eff), (li, pgroup, ggroup) in zip(stats, groups):
+            for ti, (p, g) in enumerate(zip(pgroup, ggroup)):
+                self._update((li, ti), p, g, t_eff)
         self.k += 1
         return stats
 
@@ -209,11 +200,6 @@ class Optimizer:
 
     def _update(self, key, p, g, t_eff):
         raise NotImplementedError
-
-    def state_arrays(self):
-        """Copies of the state tensors (velocities, accumulators), for
-        inspection and bitwise snapshots."""
-        return {}
 
 
 class SGD(Optimizer):
@@ -245,9 +231,6 @@ class Momentum(Optimizer):
         v -= np.multiply(g, t_eff, out=self._buffer(key, p))
         p += v
 
-    def state_arrays(self):
-        return {key: v.copy() for key, v in self.velocity.items()}
-
 
 class NAG(Momentum):
     """Nesterov momentum. The same recurrence as classical momentum, but the
@@ -277,10 +260,9 @@ class NAG(Momentum):
         try:
             for li, group in enumerate(params):
                 for ti, p in enumerate(group):
-                    key = self._key_for(li, ti)
-                    v = self.velocity.get(key)
+                    v = self.velocity.get((li, ti))
                     if v is not None:
-                        ahead = np.multiply(v, self.mu, out=self._buffer(key, p))
+                        ahead = np.multiply(v, self.mu, out=self._buffer((li, ti), p))
                         ahead += p
                         group[ti] = ahead
                         swapped.append((group, ti, p))
@@ -288,11 +270,6 @@ class NAG(Momentum):
         finally:
             for group, ti, p in swapped:
                 group[ti] = p
-
-    def _key_for(self, li, ti):
-        # Mirrors the state keys produced by step(): (li, ti) normally,
-        # (li, ti, 0) when each tensor forms its own group.
-        return (li, ti, 0) if self.bias_separate else (li, ti)
 
 
 class AdaGrad(Optimizer):
@@ -318,9 +295,6 @@ class AdaGrad(Optimizer):
         step = np.multiply(g, t_eff, out=buf)
         step /= den
         p -= step
-
-    def state_arrays(self):
-        return {key: acc.copy() for key, acc in self.accumulator.items()}
 
 
 _KIND_MAP = {"sgd": SGD, "momentum": Momentum, "nag": NAG, "adagrad": AdaGrad}

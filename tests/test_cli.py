@@ -57,8 +57,16 @@ class TestExitCodes:
         pytest.param(["train", "--arch=lenet"], cli.EXIT_CONFIG, id="argv0"),
         pytest.param(["bench", "--starts", "abc"], cli.EXIT_CONFIG, id="argv1"),
         pytest.param(["bench", "--lrs", "abc"], cli.EXIT_CONFIG, id="argv2"),
+        # The chain has no saddle to escape, and bench knows no such landscape.
         pytest.param(["bench", "--landscape", "deep-linear-chain"], cli.EXIT_CONFIG,
                      id="argv3"),
+        # Every learning rate and optimizer is checked before the first row.
+        pytest.param(["bench", "--lrs", "0.1,-1"], cli.EXIT_CONFIG, id="bench-lr-neg"),
+        pytest.param(["bench", "--optimizers", "sgd,ours-foo"], cli.EXIT_CONFIG,
+                     id="bench-optimizer-unknown"),
+        # Each layer is one norm group; the per-tensor option is gone.
+        pytest.param(["train", "--opt.bias_separate=true"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="opt-bias-separate"),
         pytest.param(["train", "--out", "{missing}/r.csv"] + BLOBS_ARGS, cli.EXIT_DATA,
                      id="train-out-unwritable"),
         pytest.param(["bench", "--starts", "1e-2", "--lrs", "0.1", "--max-iter", "100",
@@ -95,6 +103,15 @@ class TestExitCodes:
         pytest.param(["gradcheck", "--seeds", "0"], cli.EXIT_CONFIG, id="gradcheck-seeds-0"),
         pytest.param(["gradcheck", "--mlp-classes", "0"], cli.EXIT_CONFIG,
                      id="gradcheck-mlp-classes-0"),
+        # Every arch and the tolerance are checked before the first arch runs.
+        pytest.param(["gradcheck", "--archs", "mlp:4,bogus"], cli.EXIT_CONFIG,
+                     id="gradcheck-archs-bogus"),
+        pytest.param(["gradcheck", "--tol", "nan", "--archs", "mlp:4"], cli.EXIT_CONFIG,
+                     id="gradcheck-tol-nan"),
+        pytest.param(["gradcheck", "--tol", "-1", "--archs", "mlp:4"], cli.EXIT_CONFIG,
+                     id="gradcheck-tol-neg"),
+        pytest.param(["gradcheck", "--tol", "inf", "--archs", "mlp:4"], cli.EXIT_CONFIG,
+                     id="gradcheck-tol-inf"),
         pytest.param(["train", "--eval_batch_size=-3"] + BLOBS_ARGS, cli.EXIT_CONFIG,
                      id="eval-batch-neg"),
         pytest.param(["train", "--eval_batch_size=0"] + BLOBS_ARGS, cli.EXIT_CONFIG,

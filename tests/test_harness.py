@@ -198,9 +198,9 @@ class TestRunExperiment:
             x, y = stream.next_batch()
             loss, cache = net.forward(x, y)
             opt.step(params, net.backward(cache))
-        before = pickle.dumps((net.parameters(), opt.state_arrays(), opt.k))
+        before = pickle.dumps((net.parameters(), opt.accumulator, opt.k))
         evaluate_error_percent(net, test, cfg.eval_batch_size)
-        after = pickle.dumps((net.parameters(), opt.state_arrays(), opt.k))
+        after = pickle.dumps((net.parameters(), opt.accumulator, opt.k))
         assert before == after
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

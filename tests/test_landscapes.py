@@ -5,14 +5,38 @@ import pytest
 
 from layerlr import rng
 from layerlr.errors import DimensionError, NumericError
-from layerlr.landscapes import (
-    DeepLinearChain,
-    MonkeySaddle,
-    QuadraticSaddle,
-    run_escape_trial,
-)
+from layerlr.landscapes import Landscape, MonkeySaddle, QuadraticSaddle, run_escape_trial
 from layerlr.optim import SGD, layer_multiplier, make_optimizer
 from layerlr.tensor import group_norm
+
+
+class DeepLinearChain(Landscape):
+    """f(w_1..w_d) = (w_1*...*w_d - 1)^2 / 2, each w_i its own layer.
+
+    With |w_i| < 1 the per-layer gradients shrink multiplicatively with
+    depth, modeling vanishing gradients. It has no saddle to escape, so it
+    defines no escape distance.
+    """
+
+    kind = "deep-linear-chain"
+
+    def __init__(self, depth: int):
+        if depth < 2:
+            raise DimensionError(f"chain depth must be >= 2, got {depth}")
+        self.depth = depth
+        self.n_layers = depth
+
+    def value_grad(self, point):
+        self.check_point(point)
+        w = np.array([float(v) for v in point])
+        prod = float(np.prod(w))
+        residual = prod - 1.0
+        value = 0.5 * residual * residual
+        grads = []
+        for i in range(self.depth):
+            others = float(np.prod(np.delete(w, i)))
+            grads.append(np.array([residual * others]))
+        return value, grads
 
 
 def closed_form_escape(y0, t, radius=1.0):

@@ -30,6 +30,15 @@ def single_layer(*values):
     return [[np.array(v, dtype=np.float64)] for v in values]
 
 
+def state_copy(opt):
+    """Copies of the optimizer's state tensors: the velocities of momentum
+    and NAG, the accumulators of AdaGrad, none for SGD."""
+    for name in ("velocity", "accumulator"):
+        if hasattr(opt, name):
+            return {key: a.copy() for key, a in getattr(opt, name).items()}
+    return {}
+
+
 class TestSchedule:
     def test_constant(self):
         s = constant(0.3)
@@ -167,17 +176,6 @@ class TestSGDStep:
         ge = 1.0 + 0.5 * 2.0
         expected = 2.0 - 0.1 * layer_multiplier(ge) * ge
         assert params[0][0][0] == pytest.approx(expected, rel=1e-14)
-
-    def test_bias_separate_splits_norm_groups(self):
-        w = np.array([3.0, 4.0])
-        b = np.array([0.001])
-        params = [[w.copy(), b.copy()]]
-        grads = [[np.array([3.0, 4.0]), np.array([0.001])]]
-        opt = SGD(1.0, layerwise=True, bias_separate=True)
-        opt.step(params, grads)
-        # weight group norm 5, bias group norm 1e-3: separate multipliers
-        assert params[0][0][0] == pytest.approx(3.0 - layer_multiplier(5.0) * 3.0, rel=1e-12)
-        assert params[0][1][0] == pytest.approx(0.001 - layer_multiplier(0.001) * 0.001, rel=1e-12)
 
     def test_iteration_counter_increments_by_one(self):
         opt = SGD(0.1)
@@ -339,7 +337,9 @@ class TestMakeOptimizer:
         opt = make_optimizer("sgd", 0.1, layerwise=True)
         assert opt.k == 0
         assert opt.layerwise
-        assert opt.state_arrays() == {}
+        assert state_copy(opt) == {}
+        for kind in ("momentum", "nag", "adagrad"):
+            assert state_copy(make_optimizer(kind, 0.1)) == {}
 
     def test_epsilon_overrides_validated(self):
         with pytest.raises(ConfigError):
@@ -377,43 +377,34 @@ def test_momentum_mu_zero_bitwise_equals_sgd_long_run():
     assert np.array_equal(a, b)
 
 
-def _reference_run(kind, schedule, params, grad_seq, layerwise, bias_separate,
-                   weight_decay, mu=0.9):
+def _reference_run(kind, schedule, params, grad_seq, layerwise, weight_decay, mu=0.9):
     """The four update rules with one temporary per operation, in the
     operation order of Optimizer.step. Yields, per step, the lookahead
     point (the parameters themselves but for NAG), the parameters and the
     state."""
     state = {}
     for k, grads in enumerate(grad_seq):
-        ahead = []
-        for li, group in enumerate(params):
-            keys = [(li, ti, 0) if bias_separate else (li, ti) for ti in range(len(group))]
-            ahead.append([p + mu * state[key] if kind == "nag" and key in state else p.copy()
-                          for key, p in zip(keys, group)])
+        ahead = [[p + mu * state[(li, ti)] if kind == "nag" and (li, ti) in state else p.copy()
+                  for ti, p in enumerate(group)] for li, group in enumerate(params)]
         t_k = schedule.rate(k)
         for li, (pg, gg) in enumerate(zip(params, grads)):
             ges = [g + weight_decay * p if weight_decay else g for p, g in zip(pg, gg)]
             if not pg:
                 continue
-            if bias_separate:
-                groups = [((li, ti), [ti]) for ti in range(len(pg))]
-            else:
-                groups = [((li,), list(range(len(pg))))]
-            for gkey, idx in groups:
-                m = layer_multiplier(group_norm([ges[i] for i in idx])) if layerwise else 1.0
-                t_eff = t_k * m
-                for pos, i in enumerate(idx):
-                    key, p, g = gkey + (pos,), pg[i], ges[i]
-                    if kind == "sgd":
-                        pg[i] = p - t_eff * g
-                    elif kind == "adagrad":
-                        acc = state.get(key, np.zeros_like(p)) + g * g
-                        state[key] = acc
-                        pg[i] = p - t_eff * g / (np.sqrt(acc) + EPSILON_DIV)
-                    else:
-                        v = mu * state.get(key, np.zeros_like(p)) - t_eff * g
-                        state[key] = v
-                        pg[i] = p + v
+            m = layer_multiplier(group_norm(ges)) if layerwise else 1.0
+            t_eff = t_k * m
+            for ti, (p, g) in enumerate(zip(pg, ges)):
+                key = (li, ti)
+                if kind == "sgd":
+                    pg[ti] = p - t_eff * g
+                elif kind == "adagrad":
+                    acc = state.get(key, np.zeros_like(p)) + g * g
+                    state[key] = acc
+                    pg[ti] = p - t_eff * g / (np.sqrt(acc) + EPSILON_DIV)
+                else:
+                    v = mu * state.get(key, np.zeros_like(p)) - t_eff * g
+                    state[key] = v
+                    pg[ti] = p + v
         yield ahead, params, state
 
 
@@ -440,17 +431,15 @@ def _recording(params, grads, seen):
     return value_grad
 
 
-@pytest.mark.parametrize("layerwise, bias_separate, weight_decay",
-                         [(False, False, 0.0), (True, False, 0.0), (True, True, 1e-3)])
+@pytest.mark.parametrize("layerwise, weight_decay",
+                         [(False, 0.0), (True, 0.0), (True, 1e-3)])
 @pytest.mark.parametrize("kind", ["sgd", "momentum", "nag", "adagrad"])
-def test_in_place_updates_match_allocating_reference_bitwise(
-        kind, layerwise, bias_separate, weight_decay):
+def test_in_place_updates_match_allocating_reference_bitwise(kind, layerwise, weight_decay):
     schedule = LrSchedule(kind="inverse-time", t0=0.05, gamma=0.01, p=1.0)
     params, grad_seq = _layered_problem(12, 25)
     reference = _reference_run(kind, schedule, _nested_copy(params), grad_seq,
-                               layerwise, bias_separate, weight_decay)
-    opt = make_optimizer(kind, schedule, layerwise=layerwise,
-                         bias_separate=bias_separate, weight_decay=weight_decay)
+                               layerwise, weight_decay)
+    opt = make_optimizer(kind, schedule, layerwise=layerwise, weight_decay=weight_decay)
     for grads, (want_ahead, want_params, want_state) in zip(grad_seq, reference):
         seen = []
         opt.descend(params, _recording(params, grads, seen))
@@ -458,7 +447,7 @@ def test_in_place_updates_match_allocating_reference_bitwise(
         ahead = [[copy for _, copy in group] for group in point]
         assert pickle.dumps(ahead) == pickle.dumps(want_ahead)
         assert pickle.dumps(params) == pickle.dumps(want_params)
-        assert pickle.dumps(opt.state_arrays()) == pickle.dumps(want_state)
+        assert pickle.dumps(state_copy(opt)) == pickle.dumps(want_state)
 
 
 @pytest.mark.parametrize("layerwise", [False, True])
@@ -472,35 +461,22 @@ def test_non_finite_last_layer_aborts_before_any_update(kind, layerwise, bad):
     grads = grad_seq[3]
     grads[-1][0] = grads[-1][0].copy()
     grads[-1][0][0] = bad
-    before = pickle.dumps((params, opt.state_arrays(), opt.k))
+    before = pickle.dumps((params, state_copy(opt), opt.k))
     with pytest.raises(NumericError, match="layer 3 at iteration 3"):
         opt.step(params, grads)
-    assert pickle.dumps((params, opt.state_arrays(), opt.k)) == before
-
-
-@pytest.mark.parametrize("kind", ["momentum", "nag", "adagrad"])
-def test_state_arrays_is_a_snapshot(kind):
-    params, grad_seq = _layered_problem(14, 3)
-    opt = make_optimizer(kind, 0.05, layerwise=True)
-    opt.step(params, grad_seq[0])
-    snap = opt.state_arrays()
-    frozen = pickle.dumps(snap)
-    opt.step(params, grad_seq[1])
-    assert pickle.dumps(snap) == frozen
-    assert pickle.dumps(opt.state_arrays()) != frozen
+    assert pickle.dumps((params, state_copy(opt), opt.k)) == before
 
 
 class TestLookaheadSwap:
-    def _stepped(self, bias_separate=False):
+    def _stepped(self):
         params, grad_seq = _layered_problem(15, 2)
-        opt = NAG(0.05, mu=0.8, layerwise=True, bias_separate=bias_separate)
+        opt = NAG(0.05, mu=0.8, layerwise=True)
         for grads in grad_seq:
             opt.descend(params, lambda: (None, grads))
         return opt, params
 
-    @pytest.mark.parametrize("bias_separate", [False, True])
-    def test_originals_back_in_place_and_untouched(self, bias_separate):
-        opt, params = self._stepped(bias_separate)
+    def test_originals_back_in_place_and_untouched(self):
+        opt, params = self._stepped()
         objects = [list(group) for group in params]
         values = pickle.dumps(params)
         with opt.at_lookahead(params):
@@ -538,34 +514,27 @@ def test_overflowing_norm_of_finite_gradient_gives_multiplier_one(kind):
     assert np.all(np.isfinite(params[0][0]))
 
 
-@pytest.mark.parametrize("layerwise, bias_separate, weight_decay",
-                         [(False, False, 0.0), (True, False, 0.0), (False, True, 0.0),
-                          (True, True, 0.0), (True, False, 1e-1)])
+@pytest.mark.parametrize("layerwise, weight_decay",
+                         [(False, 0.0), (True, 0.0), (True, 1e-1)])
 @pytest.mark.parametrize("kind", ["sgd", "nag"])
-def test_step_reports_norm_multiplier_and_rate_of_every_group(
-        kind, layerwise, bias_separate, weight_decay):
+def test_step_reports_norm_multiplier_and_rate_of_every_group(kind, layerwise, weight_decay):
     schedule = LrSchedule(kind="inverse-time", t0=0.05, gamma=0.5, p=1.0)
     params, grad_seq = _layered_problem(16, 3)
-    opt = make_optimizer(kind, schedule, layerwise=layerwise,
-                         bias_separate=bias_separate, weight_decay=weight_decay)
+    opt = make_optimizer(kind, schedule, layerwise=layerwise, weight_decay=weight_decay)
     for k, grads in enumerate(grad_seq):
         want = []
         for li, (pg, gg) in enumerate(zip(params, grads)):
             ges = [g + weight_decay * p if weight_decay else g for p, g in zip(pg, gg)]
             if not ges:
                 continue
-            parts = ([((li, ti), [g]) for ti, g in enumerate(ges)] if bias_separate
-                     else [((li,), ges)])
-            for key, gs in parts:
-                norm = group_norm(gs)
-                m = layer_multiplier(norm) if layerwise else 1.0
-                want.append((key, norm, m, schedule.rate(k) * m))
+            norm = group_norm(ges)
+            m = layer_multiplier(norm) if layerwise else 1.0
+            want.append(((li,), norm, m, schedule.rate(k) * m))
         if weight_decay:
             assert want[0][1] != group_norm(grads[0])
         assert opt.descend(params, lambda: (None, grads))[1] == want
     # Layer 1 holds no parameters and reports no group.
-    assert [s[0] for s in opt.step(params, grad_seq[0])] == (
-        [(0, 0), (0, 1), (2, 0), (2, 1), (3, 0)] if bias_separate else [(0,), (2,), (3,)])
+    assert [s[0] for s in opt.step(params, grad_seq[0])] == [(0,), (2,), (3,)]
 
 
 KINDS = ["sgd", "momentum", "nag", "adagrad"]
@@ -595,15 +564,15 @@ class TestDescend:
         assert calls == [2]
         assert value == 2.5
         assert stats == twin.step(twin_params, grads)
-        assert pickle.dumps((params, opt.state_arrays(), opt.k)) == pickle.dumps(
-            (twin_params, twin.state_arrays(), twin.k))
+        assert pickle.dumps((params, state_copy(opt), opt.k)) == pickle.dumps(
+            (twin_params, state_copy(twin), twin.k))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_value_grad_sees_the_lookahead_under_nag_else_the_parameters(self, kind):
         opt, params, grads = self._stepped(kind)
         objects = [list(group) for group in params]
         values = _nested_copy(params)
-        velocity = opt.state_arrays()
+        velocity = state_copy(opt)
         seen = []
         opt.descend(params, _recording(params, grads, seen))
         (point,) = seen
@@ -620,12 +589,12 @@ class TestDescend:
     def test_value_grad_that_raises_changes_nothing(self, kind):
         opt, params, _ = self._stepped(kind)
         objects = [list(group) for group in params]
-        before = pickle.dumps((params, opt.state_arrays(), opt.k))
+        before = pickle.dumps((params, state_copy(opt), opt.k))
 
         def value_grad():
             raise NumericError("loss went non-finite")
         with pytest.raises(NumericError, match="loss went non-finite"):
             opt.descend(params, value_grad)
-        assert pickle.dumps((params, opt.state_arrays(), opt.k)) == before
+        assert pickle.dumps((params, state_copy(opt), opt.k)) == before
         assert all(p is orig for group, originals in zip(params, objects)
                    for p, orig in zip(group, originals))

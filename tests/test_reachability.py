@@ -17,8 +17,6 @@ EXEMPT = {
     # Criterion 2's independent oracle for backprop: tests and gradcheck
     # compare against it by design.
     "finite_difference_gradient",
-    # Optimizer.state_arrays: the bitwise snapshot hook the optimizer tests read.
-    "state_arrays",
 }
 
 
