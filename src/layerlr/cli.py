@@ -247,8 +247,15 @@ def _cmd_fetch_data(args, extras) -> int:
     raise ConfigError(f"unknown dataset {args.dataset!r} (mnist or cifar10)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, which main prints as one line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="layerlr",
         description="Layer-wise adaptive learning-rate experiments",
     )
@@ -299,9 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
     try:
+        args, extras = build_parser().parse_known_args(argv)
         return args.func(args, extras)
     except (ConfigError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

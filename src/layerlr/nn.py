@@ -16,6 +16,10 @@ backward mirrors both moves; its inputs and outputs stay batch-first.
 Backward never forms the first layer's input gradient, the gradient with
 respect to the data, because nothing reads it. Max-pool ties go to the first
 maximum in row-major window order, the element np.argmax would pick.
+
+A pass that keeps no cache (predict, loss_value) calls each layer's forward
+with need_cache=False: max-pool then skips its winners and ReLU its mask,
+which only backward and pattern read; every output is the same bit for bit.
 """
 
 import math
@@ -55,8 +59,9 @@ class Layer:
         DimensionError if the input is incompatible."""
         raise NotImplementedError
 
-    def forward(self, x):
-        """Return (output, cache)."""
+    def forward(self, x, need_cache=True):
+        """Return (output, cache). With need_cache=False a layer may skip the
+        work that only backward and pattern read, and return None as cache."""
         raise NotImplementedError
 
     def backward(self, grad_out, cache):
@@ -97,7 +102,7 @@ class Dense(Layer):
             )
         return (self.out_features,)
 
-    def forward(self, x):
+    def forward(self, x, need_cache=True):
         self.output_shape(x.shape[1:])
         x2 = x.reshape(x.shape[0], -1)
         w, b = self.params
@@ -175,7 +180,7 @@ class Conv2D(Layer):
                                        dc:dc + s * ow:s]
             yield i0 * ow * n, i1 * ow * n, col.reshape(c * k * k, -1)
 
-    def forward(self, x):
+    def forward(self, x, need_cache=True):
         c, h, w, n = x.shape
         oc, oh, ow = self.output_shape((c, h, w))
         p = self.padding
@@ -257,7 +262,7 @@ class MaxPool2D(Layer):
         oh, ow = self._spatial_out(in_shape[1], in_shape[2])
         return (in_shape[0], oh, ow)
 
-    def forward(self, x):
+    def forward(self, x, need_cache=True):
         c, h, w, n = x.shape
         k, s = self.kernel_size, self.stride
         oh, ow = self._spatial_out(h, w)
@@ -272,6 +277,8 @@ class MaxPool2D(Layer):
         out[...] = views[0][0]
         for view, part in views[1:]:
             np.maximum(out[part], view, out=out[part])
+        if not need_cache:
+            return out, None
         # Winner: the first maximum in row-major window order, as np.argmax
         # picks it. Offset j weighs k*k - j, so the largest weight among the
         # maxima marks the first. A NaN window has no maximum and gets k*k,
@@ -308,8 +315,8 @@ class ReLU(Layer):
     def output_shape(self, in_shape):
         return tuple(in_shape)
 
-    def forward(self, x):
-        return np.maximum(x, 0.0), np.greater(x, 0)
+    def forward(self, x, need_cache=True):
+        return np.maximum(x, 0.0), np.greater(x, 0) if need_cache else None
 
     def backward(self, grad_out, cache):
         return np.multiply(grad_out, cache), []
@@ -325,12 +332,11 @@ class Sigmoid(Layer):
     def output_shape(self, in_shape):
         return tuple(in_shape)
 
-    def forward(self, x):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
+    def forward(self, x, need_cache=True):
+        # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: neither
+        # exponent is positive, so neither overflows.
+        e = np.exp(-np.abs(x))
+        out = np.where(x >= 0, 1.0, e) / (1.0 + e)
         return out, out
 
     def backward(self, grad_out, cache):
@@ -344,7 +350,7 @@ class Tanh(Layer):
     def output_shape(self, in_shape):
         return tuple(in_shape)
 
-    def forward(self, x):
+    def forward(self, x, need_cache=True):
         out = np.tanh(x)
         return out, out
 
@@ -462,7 +468,7 @@ class Network:
         out = inputs
         kept = []
         for i, layer in enumerate(self.layers):
-            out, cache = layer.forward(self._move(i, out))
+            out, cache = layer.forward(self._move(i, out), need_cache=keep is not None)
             if keep is not None:
                 kept.append(keep(layer, cache))
         return self._move(len(self.layers), out), kept
@@ -495,13 +501,14 @@ class Network:
         return by_layer
 
     def predict(self, inputs):
-        """Forward pass returning the final layer output; intermediate caches
-        are discarded."""
+        """Forward pass returning the final layer output; no layer forms a
+        cache (need_cache=False)."""
         out, _ = self._pass(inputs)
         return out
 
     def loss_value(self, inputs, targets) -> float:
-        """Mean loss without retaining caches (used by finite differences)."""
+        """Mean loss, bitwise the one forward returns, from a pass in which
+        no layer forms a cache (used by finite differences)."""
         out, _ = self._pass(inputs)
         loss, _ = self._run_loss(out, targets)
         return loss

@@ -41,10 +41,17 @@ class TestExitCodes:
         assert "numeric error" in err
         assert "gradient norms" in err
 
-    def test_missing_subcommand_exits_two(self):
+    def test_missing_subcommand_exits_two(self, capsys):
+        assert cli.main([]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+
+    def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            cli.main([])
-        assert exc.value.code == 2
+            cli.main(["train", "--help"])
+        assert exc.value.code == 0
+        assert "--seed" in capsys.readouterr().out
 
     def test_fetch_data_unknown_dataset(self, capsys):
         code = cli.main(["fetch-data", "--dataset", "imagenet"])
@@ -134,6 +141,13 @@ class TestExitCodes:
         pytest.param(["bench", "--max-iter", "0"], cli.EXIT_CONFIG, id="bench-max-iter-0"),
         pytest.param(["bench", "--max-iter", "-5"], cli.EXIT_CONFIG, id="bench-max-iter-neg"),
         pytest.param(["train", "--seed", "-1"] + BLOBS_ARGS, cli.EXIT_CONFIG, id="train-seed-neg"),
+        # argparse's own errors end in one line too, not usage plus error.
+        pytest.param(["train", "--seed", "abc"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="train-seed-not-int"),
+        pytest.param(["bench", "--max-iter", "abc"], cli.EXIT_CONFIG, id="bench-max-iter-not-int"),
+        pytest.param(["gradcheck", "--tol", "abc"], cli.EXIT_CONFIG, id="gradcheck-tol-not-float"),
+        pytest.param(["table", "--processes", "abc", "--seeds=1,2"] + BLOBS_ARGS,
+                     cli.EXIT_CONFIG, id="table-processes-not-int"),
         pytest.param(["train", "--seeds=-1"] + BLOBS_ARGS, cli.EXIT_CONFIG, id="seeds-neg"),
         pytest.param(["train", "--seeds=18446744073709551616"] + BLOBS_ARGS, cli.EXIT_CONFIG,
                      id="seeds-2-64"),

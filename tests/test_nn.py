@@ -529,6 +529,38 @@ class TestConvAndPoolOracles:
         assert param_grads == []
         assert np.array_equal(gx, expected)
 
+    @pytest.mark.parametrize("layer", [MaxPool2D(2, 2), MaxPool2D(3, 2), MaxPool2D(3, 3),
+                                       MaxPool2D(2, 4), ReLU()],
+                             ids=["pool-2-2", "pool-3-2", "pool-3-3", "pool-2-4", "relu"])
+    def test_forward_without_cache_gives_the_same_output(self, layer):
+        # Tied windows, all-zero and constant ones, signed zeros and a NaN
+        # window: stopping before the winners or the mask changes no bit.
+        x = self.tied_inputs(10, 12)
+        x[0, 1, :3] = -0.0
+        x[1, 3, 4, 4] = np.nan
+        x = batch_last(x)
+        out, cache = layer.forward(x, need_cache=False)
+        assert cache is None
+        assert out.tobytes() == layer.forward(x)[0].tobytes()
+
+    def test_sigmoid_is_bitwise_the_masked_formula(self):
+        def masked(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+        gen = rng.generator(35, 0)
+        edges = [0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324,
+                 709.0, -745.0, 746.0, -746.0, np.nan]
+        x = np.concatenate([gen.standard_normal(100000) * 10.0 ** gen.integers(0, 4, 100000),
+                            edges])
+        out, cache = Sigmoid().forward(x)
+        assert cache is out
+        assert np.array_equal(out, masked(x), equal_nan=True)
+        assert np.array_equal(np.signbit(out[:-1]), np.signbit(masked(x)[:-1]))
+
     def test_relu_signed_zeros_are_inactive(self):
         layer = ReLU()
         x = np.array([[0.0, -0.0, 1e-300, -1e-300]])
@@ -702,6 +734,59 @@ class TestCifarQuickLayerOrder:
             runs.append((_loss_and_grad_bytes(net, *_tied_batch(3)),
                          [p.tobytes() for group in params for p in group]))
         assert runs[0] == runs[1]
+
+
+_CACHELESS_NETS = [
+    pytest.param(build_lenet, id="lenet"),
+    pytest.param(build_cifar_quick, id="cifar-quick"),
+    pytest.param(lambda seed: build_mlp((2, 3, 3), [16, 12], 10, activation="relu", seed=seed),
+                 id="mlp-relu"),
+]
+
+
+def _batch_of_8(net, seed):
+    gen = rng.generator(seed, 0xCAC)
+    # Shifted down so that ReLUs and pool windows see negatives and zeros.
+    x = np.maximum(gen.standard_normal((8,) + net.input_shape) - 0.3, 0.0)
+    return x, gen.integers(0, 10, size=8)
+
+
+class TestPassesWithoutCaches:
+    """predict and loss_value ask no layer for a cache, and give the bits
+    of a pass that keeps every cache."""
+
+    @pytest.mark.parametrize("build", _CACHELESS_NETS)
+    def test_loss_value_is_the_forward_loss(self, build):
+        net = build(seed=8)
+        x, y = _batch_of_8(net, 1)
+        loss, _ = net.forward(x, y)
+        assert np.float64(net.loss_value(x, y)).tobytes() == np.float64(loss).tobytes()
+
+    @pytest.mark.parametrize("build", _CACHELESS_NETS)
+    def test_predict_is_the_logits_of_a_caching_pass(self, build):
+        net = build(seed=8)
+        x, _ = _batch_of_8(net, 2)
+        logits, caches = net._pass(x, lambda layer, cache: cache)
+        assert len(caches) == len(net.layers)
+        assert net.predict(x).tobytes() == logits.tobytes()
+
+    def test_only_passes_that_keep_caches_ask_for_them(self, monkeypatch):
+        net = build_cifar_quick(seed=8)
+        x, y = _batch_of_8(net, 3)
+        asked = []
+        for layer in net.layers:
+            def forward(a, need_cache=True, _forward=layer.forward):
+                asked.append(need_cache)
+                return _forward(a, need_cache=need_cache)
+            monkeypatch.setattr(layer, "forward", forward)
+        calls = {"predict": lambda: net.predict(x),
+                 "loss_value": lambda: net.loss_value(x, y),
+                 "forward": lambda: net.forward(x, y),
+                 "loss_and_pattern": lambda: net.loss_and_pattern(x, y)}
+        for name, call in calls.items():
+            asked.clear()
+            call()
+            assert asked == [name in ("forward", "loss_and_pattern")] * len(net.layers), name
 
 
 class TestNetworkFromSpec:

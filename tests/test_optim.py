@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerlr import rng
+from layerlr import data, nn, rng
 from layerlr.errors import ConfigError, NumericError
 from layerlr.optim import (
     EPSILON_DIV,
@@ -598,3 +598,31 @@ class TestDescend:
         assert pickle.dumps((params, state_copy(opt), opt.k)) == before
         assert all(p is orig for group, originals in zip(params, objects)
                    for p, orig in zip(group, originals))
+
+
+class TestMultiplierOnASigmoidNet:
+    """The paper's mechanism on a deep sigmoid net: gradients vanish toward
+    the input (Glorot & Bengio 2010), so the layer-wise multiplier
+    1 + ln(1 + 1/||g_l||) lifts the shallow layers' rates the most."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_multiplier_falls_with_depth(self, seed):
+        ds = data.synth_blobs(seed, 2000, 4, 16, 3.0)
+        net = nn.build_mlp((1, 1, 16), [32] * 5, 4, activation="sigmoid", seed=seed)
+        stream = data.BatchStream(ds, 64, seed)
+        opt = make_optimizer("sgd", 2.0, layerwise=True)
+        params = net.parameters()
+        multipliers = []
+        for _ in range(20):
+            x, y = stream.next_batch()
+
+            def value_grad():
+                loss, cache = net.forward(x, y)
+                return loss, net.backward(cache)
+            _, stats = opt.descend(params, value_grad)
+            multipliers.append([m for _, _, m, _ in stats])
+        m = np.array(multipliers)
+        assert m.shape == (20, 6)
+        # Per step the middle layers may swap; the first and last never do.
+        assert np.all(m[:, 0] > m[:, -1])
+        assert np.all(np.diff(m.mean(axis=0)) <= 0)
