@@ -133,9 +133,12 @@ def _cmd_bench(args, extras) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         for lr, start, kind in itertools.product(lrs, starts, kinds):
             opt = _bench_optimizer(kind, lr)
-            iters = run_escape_trial(opt, landscape, start,
-                                     escape_radius=args.radius,
-                                     max_iter=args.max_iter)
+            try:
+                iters = run_escape_trial(opt, landscape, start, escape_radius=args.radius,
+                                         max_iter=args.max_iter)
+            except NumericError as exc:  # name the cell that diverged
+                raise NumericError(f"optimizer {kind}, lr {lr:.6g}, start {start[-1]:.6g}: {exc}",
+                                   exc.iteration, exc.layer_norms) from exc
             lines.append(f"{landscape.kind},{kind},{start[-1]:.6g},{lr:.6g},{iters}")
             print(lines[-1])
     harness.write_csv(args.out, lines)

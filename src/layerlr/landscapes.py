@@ -8,6 +8,7 @@ Each defines an escape distance, so run_escape_trial runs on any of them.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -110,29 +111,20 @@ def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
     check_escape_trial(landscape, start, escape_radius, max_iter)
 
     def value_grad():
-        value, grads = landscape.value_grad([float(group[0][0]) for group in params])
+        value, grads = landscape.value_grad([group[0].item() for group in params])
         return value, [[g] for g in grads]
-    trail = []
+    trail = deque(maxlen=10)
     for k in range(1, max_iter + 1):
         try:
             opt.descend(params, value_grad)
         except NumericError as exc:
-            raise NumericError(
-                f"{landscape.kind} trial diverged at iteration {k}: {exc}; "
-                f"trailing iterates: {trail}",
-                iteration=k,
-                layer_norms=exc.layer_norms,
-            ) from exc
-        point = [float(group[0][0]) for group in params]
+            raise NumericError(f"{landscape.kind} trial diverged at iteration {k}: {exc}; "
+                               f"trailing iterates: {list(trail)}", k, exc.layer_norms) from exc
+        point = [group[0].item() for group in params]
         trail.append(point)
-        if len(trail) > 10:
-            trail.pop(0)
-        if not all(np.isfinite(point)):
-            raise NumericError(
-                f"{landscape.kind} trial diverged at iteration {k}; "
-                f"trailing iterates: {trail}",
-                iteration=k,
-            )
+        if not all(map(math.isfinite, point)):
+            raise NumericError(f"{landscape.kind} trial diverged at iteration {k}; "
+                               f"trailing iterates: {list(trail)}", k)
         if landscape.escape_distance(point) > escape_radius:
             return k
     return max_iter

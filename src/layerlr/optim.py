@@ -18,7 +18,6 @@ lookahead point x + mu*v in the parameter lists.
 """
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,9 +124,11 @@ class Optimizer:
         # layerwise=False trajectory exactly.
         self.multiplier_fn = layer_multiplier
         self.k = 0
-        # One scratch array per parameter tensor, keyed like the state, so
-        # updates and the NAG lookahead allocate nothing after the first step.
-        self._scratch = {}
+        # Per-tensor state under its key (li, ti): a tuple of the rule's
+        # arrays, made by _new_slot on the tensor's first update. Its last
+        # entry is a scratch array, so updates and the NAG lookahead allocate
+        # nothing after the first step.
+        self._slots = {}
 
     def descend(self, params, value_grad):
         """One training step: call value_grad() once for (value, grads),
@@ -147,12 +148,10 @@ class Optimizer:
         updated: a NumericError leaves parameters, state and k untouched.
         """
         if len(params) != len(grads):
-            raise ConfigError(
-                f"params have {len(params)} layers but grads have {len(grads)}"
-            )
+            raise ConfigError(f"params have {len(params)} layers but grads have {len(grads)}")
         t_k = self.schedule.rate(self.k)
         stats = []
-        groups = []
+        updates = []  # (key, p, g, t_eff) per tensor, applied once all pass
         for li, (pgroup, ggroup) in enumerate(zip(params, grads)):
             if len(pgroup) != len(ggroup):
                 raise ConfigError(f"layer {li}: parameter/gradient count mismatch")
@@ -160,45 +159,39 @@ class Optimizer:
                 continue
             for p, g in zip(pgroup, ggroup):
                 if p.shape != g.shape:
-                    raise ConfigError(
-                        f"layer {li}: gradient shape {g.shape} != parameter shape {p.shape}"
-                    )
+                    raise ConfigError(f"layer {li}: gradient shape {g.shape} "
+                                      f"!= parameter shape {p.shape}")
             if self.weight_decay:
                 ggroup = [g + self.weight_decay * p for p, g in zip(pgroup, ggroup)]
             # A finite norm proves every entry finite; an infinite one may be
             # an overflowed sum of squares of finite entries, which gives
-            # multiplier 1 rather than an abort.
+            # multiplier 1 rather than an abort. An abort's one row holds the
+            # (key, norm) pairs this step has computed.
             norm = group_norm(ggroup)
-            if not math.isfinite(norm):
-                self._check_finite(li, ggroup, [s[:2] for s in stats] + [((li,), norm)])
-            m = self.multiplier_fn(norm, self.epsilon_norm) if self.layerwise else 1.0
-            stats.append(((li,), norm, m, t_k * m))
-            groups.append((li, pgroup, ggroup))
-        for (_, _, _, t_eff), (li, pgroup, ggroup) in zip(stats, groups):
-            for ti, (p, g) in enumerate(zip(pgroup, ggroup)):
-                self._update((li, ti), p, g, t_eff)
-        self.k += 1
-        return stats
-
-    def _check_finite(self, li, tensors, norms):
-        """Raise if an entry is not finite, carrying `norms`, the (key, norm)
-        pairs this step has computed, as the error's one row."""
-        for g in tensors:
-            if not np.isfinite(g).all():
+            if not math.isfinite(norm) and not all(np.isfinite(g).all() for g in ggroup):
                 raise NumericError(
                     f"non-finite gradient in layer {li} at iteration {self.k}",
                     iteration=self.k,
-                    layer_norms=[norms],
+                    layer_norms=[[s[:2] for s in stats] + [((li,), norm)]],
                 )
+            m = self.multiplier_fn(norm, self.epsilon_norm) if self.layerwise else 1.0
+            t_eff = t_k * m
+            stats.append(((li,), norm, m, t_eff))
+            for ti, p in enumerate(pgroup):
+                updates.append(((li, ti), p, ggroup[ti], t_eff))
+        slots = self._slots
+        for key, p, g, t_eff in updates:
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = self._new_slot(p)
+            self._update(slot, p, g, t_eff)
+        self.k += 1
+        return stats
 
-    def _buffer(self, key, like):
-        """Persistent scratch array for the tensor with state key `key`."""
-        buf = self._scratch.get(key)
-        if buf is None:
-            buf = self._scratch[key] = np.empty_like(like)
-        return buf
+    def _new_slot(self, p):
+        return (np.empty_like(p),)
 
-    def _update(self, key, p, g, t_eff):
+    def _update(self, slot, p, g, t_eff):
         raise NotImplementedError
 
 
@@ -207,8 +200,8 @@ class SGD(Optimizer):
 
     kind = "sgd"
 
-    def _update(self, key, p, g, t_eff):
-        p -= np.multiply(g, t_eff, out=self._buffer(key, p))
+    def _update(self, slot, p, g, t_eff):
+        p -= np.multiply(g, t_eff, out=slot[0])
 
 
 class Momentum(Optimizer):
@@ -221,15 +214,45 @@ class Momentum(Optimizer):
         if not 0.0 <= mu <= 1.0:
             raise ConfigError(f"momentum coefficient must lie in [0, 1], got {mu}")
         self.mu = mu
-        self.velocity = {}
 
-    def _update(self, key, p, g, t_eff):
-        v = self.velocity.get(key)
-        if v is None:
-            v = self.velocity[key] = np.zeros_like(p)
+    @property
+    def velocity(self):
+        return {key: slot[0] for key, slot in self._slots.items()}
+
+    def _new_slot(self, p):
+        return (np.zeros_like(p), np.empty_like(p))
+
+    def _update(self, slot, p, g, t_eff):
+        v, buf = slot
         v *= self.mu
-        v -= np.multiply(g, t_eff, out=self._buffer(key, p))
+        v -= np.multiply(g, t_eff, out=buf)
         p += v
+
+
+class _Lookahead:
+    """What NAG.at_lookahead returns. On entry each tensor with a velocity
+    gets mu*v + x written into its scratch array; once all are formed, each
+    such array stands in for its tensor in the group list. On exit, also by
+    an exception, the original objects go back in place."""
+
+    def __init__(self, nag, params):
+        self.nag, self.params, self.swapped = nag, params, []
+
+    def __enter__(self):
+        slots, mu = self.nag._slots, self.nag.mu
+        for li, group in enumerate(self.params):
+            for ti, p in enumerate(group):
+                slot = slots.get((li, ti))
+                if slot is not None:
+                    ahead = np.multiply(slot[0], mu, out=slot[1])
+                    ahead += p
+                    self.swapped.append((group, ti, p, ahead))
+        for group, ti, _, ahead in self.swapped:
+            group[ti] = ahead
+
+    def __exit__(self, *exc):
+        for group, ti, p, _ in self.swapped:
+            group[ti] = p
 
 
 class NAG(Momentum):
@@ -247,29 +270,10 @@ class NAG(Momentum):
             value, grads = value_grad()
         return value, self.step(params, grads)
 
-    @contextmanager
     def at_lookahead(self, params):
-        """Evaluate at the lookahead point x + mu*v_prev without touching x.
-
-        Each tensor with a velocity gets mu*v + x written into its scratch
-        array, which stands in for it in its group list for the body; on
-        exit, also by an exception, the original objects go back in place.
-        The parameters are never shifted, copied or restored.
-        """
-        swapped = []
-        try:
-            for li, group in enumerate(params):
-                for ti, p in enumerate(group):
-                    v = self.velocity.get((li, ti))
-                    if v is not None:
-                        ahead = np.multiply(v, self.mu, out=self._buffer((li, ti), p))
-                        ahead += p
-                        group[ti] = ahead
-                        swapped.append((group, ti, p))
-            yield
-        finally:
-            for group, ti, p in swapped:
-                group[ti] = p
+        """Evaluate at the lookahead point x + mu*v_prev without touching x:
+        the parameters are never shifted, copied or restored."""
+        return _Lookahead(self, params)
 
 
 class AdaGrad(Optimizer):
@@ -278,19 +282,18 @@ class AdaGrad(Optimizer):
 
     kind = "adagrad"
 
-    def __init__(self, schedule, **kwargs):
-        super().__init__(schedule, **kwargs)
-        self.accumulator = {}
-        self._denominator = {}  # second scratch array per tensor
+    @property
+    def accumulator(self):
+        return {key: slot[0] for key, slot in self._slots.items()}
 
-    def _update(self, key, p, g, t_eff):
-        acc = self.accumulator.get(key)
-        if acc is None:
-            acc = self.accumulator[key] = np.zeros_like(p)
-            self._denominator[key] = np.empty_like(p)
-        buf = self._buffer(key, p)
+    def _new_slot(self, p):
+        # The accumulator, the denominator and the scratch array.
+        return (np.zeros_like(p), np.empty_like(p), np.empty_like(p))
+
+    def _update(self, slot, p, g, t_eff):
+        acc, den, buf = slot
         acc += np.multiply(g, g, out=buf)
-        den = np.sqrt(acc, out=self._denominator[key])
+        np.sqrt(acc, out=den)
         den += self.epsilon_div
         step = np.multiply(g, t_eff, out=buf)
         step /= den
