@@ -68,7 +68,7 @@ class MonkeySaddle(Landscape):
     def value_grad(self, point):
         self.check_point(point)
         x, y = float(point[0]), float(point[1])
-        value = x ** 3 - 3.0 * x * y * y
+        value = x * x * x - 3.0 * x * y * y  # x ** 3 would raise OverflowError
         return value, [np.array([3.0 * x * x - 3.0 * y * y]),
                        np.array([-6.0 * x * y])]
 

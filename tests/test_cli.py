@@ -1,10 +1,17 @@
+import contextlib
 import io
+import os
 import struct
 import tarfile
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerlr import cli, harness
+from layerlr.landscapes import LANDSCAPE_KINDS
 from layerlr.nn import GradCheckResult
 
 BLOBS_ARGS = [
@@ -375,6 +382,16 @@ class TestSubcommands:
         ours = int(lines[2].split(",")[-1])
         assert ours <= plain
 
+    def test_bench_divergence_names_its_cell(self, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        code = cli.main(["bench", "--lrs", "1e308", "--optimizers", "ours-sgd",
+                         "--max-iter", "5", "--out", str(out)])
+        assert code == cli.EXIT_NUMERIC
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numeric error: optimizer ours-sgd, lr 1e+308, start 0.1: "
+                               "quadratic-saddle trial diverged at iteration 1")
+        assert not out.exists()
+
     def test_gradcheck_with_no_checked_coordinate_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "gradient_check",
                             lambda *args, **kwargs: GradCheckResult(0.0, 0, 5, None))
@@ -387,3 +404,49 @@ class TestSubcommands:
                          "--samples", "5", "--batch", "2"])
         assert code == cli.EXIT_OK
         assert "ok" in capsys.readouterr().out
+
+
+
+def _mostly(good, bad):
+    """Nine draws in ten from `good`, else from `bad`."""
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 0 else good)
+
+
+def _comma_list(values):
+    return st.lists(values, min_size=1, max_size=3).map(",".join)
+
+
+# Values for the bench options: valid ones, extreme ones among them, and
+# malformed ones.
+BAD_NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.sampled_from(["-0", "1e400", "-inf", "nan", "0x10", "abc", "", " ", "1,", "--1"]),
+)
+OPTIMIZERS = ["sgd", "momentum", "nag", "adagrad",
+              "ours-sgd", "ours-momentum", "ours-nag", "ours-adagrad"]
+
+
+@given(landscape=_mostly(st.sampled_from(sorted(LANDSCAPE_KINDS)),
+                         st.sampled_from(["deep-linear-chain", "", "QUADRATIC-SADDLE"])),
+       starts=_comma_list(_mostly(st.floats(0.0, 1.0).map(repr), BAD_NUMBERS)),
+       lrs=_comma_list(_mostly(st.floats(5e-324, 1e308).map(repr), BAD_NUMBERS)),
+       radius=_mostly(st.floats(1e-3, 1e300).map(repr), BAD_NUMBERS),
+       max_iter=_mostly(st.integers(1, 200).map(str),
+                        st.one_of(st.integers(-3, 0).map(str), st.sampled_from(["1.5", ""]))),
+       optimizers=_comma_list(_mostly(st.sampled_from(OPTIMIZERS),
+                                      st.sampled_from(["ours-", "ours-ours-sgd", "SGD", ""]))))
+@settings(max_examples=150, deadline=None)
+def test_bench_fuzz_exits_cleanly(landscape, starts, lrs, radius, max_iter, optimizers):
+    """Whatever bench is given, it exits 0, 2, 3 or 4, writes at most one line
+    to stderr and lets no exception or numpy warning out."""
+    argv = ["bench", f"--landscape={landscape}", f"--starts={starts}", f"--lrs={lrs}",
+            f"--radius={radius}", f"--max-iter={max_iter}", f"--optimizers={optimizers}"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as seen, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv + ["--out", os.path.join(tmp, "bench.csv")])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_NUMERIC)
+    assert err.getvalue().count("\n") == (code != cli.EXIT_OK)
+    assert [str(w.message) for w in seen] == []

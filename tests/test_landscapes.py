@@ -1,9 +1,10 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from layerlr import rng
+from layerlr import optim, rng
 from layerlr.errors import DimensionError, NumericError
 from layerlr.landscapes import Landscape, MonkeySaddle, QuadraticSaddle, run_escape_trial
 from layerlr.optim import SGD, layer_multiplier, make_optimizer
@@ -150,6 +151,72 @@ class TestEscapeTrials:
         mom = run_escape_trial(make_optimizer("momentum", 0.01, mu=0.9),
                                QuadraticSaddle(), [0.0, 1e-3], max_iter=10 ** 5)
         assert mom < plain
+
+
+KINDS = ["sgd", "momentum", "nag", "adagrad"]
+
+
+def _trial(kind):
+    return run_escape_trial(make_optimizer(kind, 0.1, layerwise=True), QuadraticSaddle(),
+                            [0.0, 1e-2], max_iter=1000)
+
+
+class TestBenchmarkProbes:
+    """The benchmark times a trial by patching the library from outside:
+    each patch must see the calls it stands for, and leave the trial as it
+    was."""
+
+    def test_value_grad_that_deletes_itself_on_first_call(self):
+        landscape = QuadraticSaddle()
+        calls = []
+
+        def first(point):
+            del landscape.value_grad
+            calls.append(point)
+            return QuadraticSaddle.value_grad(landscape, point)
+        landscape.value_grad = first
+        iters = run_escape_trial(SGD(0.1), landscape, [0.0, 1e-2], max_iter=1000)
+        assert iters == closed_form_escape(1e-2, 0.1)
+        assert calls == [[0.0, 1e-2]]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_group_norm_patched_in_optim_runs_once_per_layer_per_step(self, kind, monkeypatch):
+        want = _trial(kind)
+        calls = []
+
+        def counting(tensors):
+            calls.append(len(tensors))
+            return group_norm(tensors)
+        monkeypatch.setattr(optim, "group_norm", counting)
+        assert _trial(kind) == want
+        assert calls == [1] * (2 * want)
+
+    def test_lookahead_wrapped_on_the_class_is_entered_once_per_descend(self, monkeypatch):
+        want = _trial("nag")
+        entered = []
+        original = optim.NAG.at_lookahead
+
+        @contextmanager
+        def wrapper(self, params):
+            entered.append(self.k)
+            with original(self, params):
+                yield
+        monkeypatch.setattr(optim.NAG, "at_lookahead", wrapper)
+        assert _trial("nag") == want
+        assert entered == list(range(want))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_step_wrapped_on_the_class_sees_every_step(self, kind, monkeypatch):
+        want = _trial(kind)
+        seen = []
+        original = optim.Optimizer.step
+
+        def wrapper(self, params, grads):
+            seen.append(self.k)
+            return original(self, params, grads)
+        monkeypatch.setattr(optim.Optimizer, "step", wrapper)
+        assert _trial(kind) == want
+        assert seen == list(range(want))
 
 
 def chain_gradient_norms(depth, point):
