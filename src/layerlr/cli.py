@@ -138,7 +138,7 @@ def _cmd_bench(args, extras) -> int:
                                          max_iter=args.max_iter)
             except NumericError as exc:  # name the cell that diverged
                 raise NumericError(f"optimizer {kind}, lr {lr:.6g}, start {start[-1]:.6g}: {exc}",
-                                   exc.iteration, exc.layer_norms) from exc
+                                   iteration=exc.iteration, layer_norms=exc.layer_norms) from exc
             lines.append(f"{landscape.kind},{kind},{start[-1]:.6g},{lr:.6g},{iters}")
             print(lines[-1])
     harness.write_csv(args.out, lines)

@@ -119,12 +119,13 @@ def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
             opt.descend(params, value_grad)
         except NumericError as exc:
             raise NumericError(f"{landscape.kind} trial diverged at iteration {k}: {exc}; "
-                               f"trailing iterates: {list(trail)}", k, exc.layer_norms) from exc
+                               f"trailing iterates: {list(trail)}", iteration=k,
+                               layer_norms=exc.layer_norms) from exc
         point = [group[0].item() for group in params]
         trail.append(point)
         if not all(map(math.isfinite, point)):
             raise NumericError(f"{landscape.kind} trial diverged at iteration {k}; "
-                               f"trailing iterates: {list(trail)}", k)
+                               f"trailing iterates: {list(trail)}", iteration=k)
         if landscape.escape_distance(point) > escape_radius:
             return k
     return max_iter
