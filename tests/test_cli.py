@@ -406,7 +406,6 @@ class TestSubcommands:
         assert "ok" in capsys.readouterr().out
 
 
-
 def _mostly(good, bad):
     """Nine draws in ten from `good`, else from `bad`."""
     return st.integers(0, 9).flatmap(lambda i: bad if i == 0 else good)
