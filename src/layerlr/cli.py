@@ -111,8 +111,6 @@ def _bench_optimizer(kind, lr):
 
 
 def _cmd_bench(args, extras) -> int:
-    if extras:
-        raise ConfigError(f"unrecognized arguments: {extras}")
     if args.landscape not in LANDSCAPE_KINDS:
         raise ConfigError(
             f"unknown landscape {args.landscape!r}; options: {sorted(LANDSCAPE_KINDS)}"
@@ -147,8 +145,6 @@ def _cmd_bench(args, extras) -> int:
 
 
 def _cmd_gradcheck(args, extras) -> int:
-    if extras:
-        raise ConfigError(f"unrecognized arguments: {extras}")
     for flag in ("seeds", "batch", "samples", "mlp_dim", "mlp_classes"):
         if getattr(args, flag) < 1:
             raise ConfigError(f"--{flag.replace('_', '-')} must be a positive integer, "
@@ -220,8 +216,6 @@ def _extract(tar, root):
 
 
 def _cmd_fetch_data(args, extras) -> int:
-    if extras:
-        raise ConfigError(f"unrecognized arguments: {extras}")
     root = args.root or harness.default_data_dir()
     if args.dataset == "mnist":
         target = os.path.join(root, "mnist")
@@ -311,6 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args, extras = build_parser().parse_known_args(argv)
+        if extras and not args.allow_overrides:
+            raise ConfigError(f"unrecognized arguments: {extras}")
         return args.func(args, extras)
     except (ConfigError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -320,7 +316,7 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except NumericError as exc:
         norms = exc.layer_norms
-        tail = f"; last per-group gradient norms: {norms[-1]}" if norms else ""
+        tail = f"; last per-layer gradient norms: {norms[-1]}" if norms else ""
         print(f"numeric error: {exc}{tail}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -29,7 +29,6 @@ class Dataset:
     pixels: np.ndarray       # (n, c, h, w) uint8 as read, or float64
     labels: np.ndarray       # (n,) int64, values in [0, num_classes)
     num_classes: int
-    split: str = "train"
     means: np.ndarray = None  # (c,) subtracted after scaling; None: not centred
 
     def __post_init__(self):
@@ -80,7 +79,7 @@ def _open_maybe_gzip(path):
     return open(path, "rb", buffering=0)
 
 
-def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
+def load_mnist_idx(images_path, labels_path) -> Dataset:
     """Load an MNIST-style IDX image/label file pair.
 
     Validates the big-endian magic numbers (0x803 images, 0x801 labels),
@@ -123,15 +122,13 @@ def load_mnist_idx(images_path, labels_path, split: str = "train") -> Dataset:
             f"item count mismatch: {images_path} has {n} images "
             f"but {labels_path} has {n_labels} labels"
         )
-    return Dataset(images, labels.astype(np.int64), num_classes=10, split=split)
+    return Dataset(images, labels.astype(np.int64), num_classes=10)
 
 
-def load_cifar10_bin(paths, split: str = "train") -> Dataset:
+def load_cifar10_bin(paths) -> Dataset:
     """Load CIFAR-10 binary batch files (3073-byte records: label byte then
     3072 pixel bytes in channel-major order), read in order into one record
     array. Pixels stay uint8, a view of it."""
-    if isinstance(paths, (str, bytes)) or not hasattr(paths, "__iter__"):
-        paths = [paths]
     with ExitStack() as stack:
         files = [(path, stack.enter_context(open(path, "rb"))) for path in paths]
         sizes = [os.fstat(f.fileno()).st_size for _, f in files]
@@ -147,7 +144,7 @@ def load_cifar10_bin(paths, split: str = "train") -> Dataset:
                 raise DataError(f"{path}: read {got} of its {size} bytes")
             start += size
     images = records[:, 1:].reshape(-1, 3, 32, 32)
-    return Dataset(images, records[:, 0].astype(np.int64), num_classes=10, split=split)
+    return Dataset(images, records[:, 0].astype(np.int64), num_classes=10)
 
 
 def channel_mean_center(train: Dataset, test: Dataset):
@@ -170,7 +167,7 @@ def channel_mean_center(train: Dataset, test: Dataset):
 
 
 def synth_blobs(seed: int, n: int, classes: int, dim: int,
-                separation: float = 6.0, split: str = "train") -> Dataset:
+                separation: float = 6.0) -> Dataset:
     """Gaussian blobs: unit-variance clusters, class c centered at
     separation * e_c on the coordinate simplex. Deterministic per seed.
 
@@ -187,8 +184,7 @@ def synth_blobs(seed: int, n: int, classes: int, dim: int,
     means = np.zeros((classes, dim))
     means[np.arange(classes), np.arange(classes)] = separation
     points = gen.standard_normal((n, dim)) + means[labels]
-    return Dataset(points.reshape(n, 1, 1, dim), labels,
-                   num_classes=classes, split=split)
+    return Dataset(points.reshape(n, 1, 1, dim), labels, num_classes=classes)
 
 
 class BatchStream:

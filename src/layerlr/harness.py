@@ -89,8 +89,6 @@ class ExperimentConfig:
     opt_layerwise: bool = False
     opt_mu: float = 0.9
     opt_weight_decay: float = 0.0
-    opt_epsilon_norm: float = 1e-12
-    opt_epsilon_div: float = 1e-12
     schedule_kind: str = "constant"
     schedule_t0: float = 0.01
     schedule_gamma: float = 0.0
@@ -104,7 +102,6 @@ class ExperimentConfig:
     seeds: tuple = (0,)
     out: str = "summary.csv"
     variant: str = ""                 # empty -> derived from optimizer spec
-    report: str = ""                  # error | accuracy; empty -> by dataset
 
     def __post_init__(self):
         if not self.data_dir:
@@ -132,8 +129,6 @@ class ExperimentConfig:
                               f"got {self.blobs_seed}")
         if any(ch in self.variant for ch in ',"\r\n'):
             raise ConfigError(f"variant must hold no comma, quote or line break: {self.variant!r}")
-        if self.report not in ("", "error", "accuracy"):
-            raise ConfigError(f"report must be 'error' or 'accuracy', got {self.report!r}")
         if self.eval_batch_size < 1:
             raise ConfigError(f"eval_batch_size must be >= 1, got {self.eval_batch_size}")
         for key in ("n", "test_n", "classes"):
@@ -177,8 +172,6 @@ class ExperimentConfig:
 
     @property
     def report_metric(self) -> str:
-        if self.report:
-            return self.report
         return "accuracy" if self.dataset == "cifar10" else "error"
 
     def schedule(self) -> LrSchedule:
@@ -190,9 +183,7 @@ class ExperimentConfig:
     def optimizer(self):
         opt = make_optimizer(self.opt_kind, self.schedule(),
                              layerwise=self.opt_layerwise, mu=self.opt_mu,
-                             weight_decay=self.opt_weight_decay,
-                             epsilon_norm=self.opt_epsilon_norm,
-                             epsilon_div=self.opt_epsilon_div)
+                             weight_decay=self.opt_weight_decay)
         baseline = BASELINE_T0.get(self.arch)
         if self.opt_layerwise and baseline is not None and self.schedule_t0 == baseline:
             warnings.warn(
@@ -298,10 +289,9 @@ def load_datasets(cfg: ExperimentConfig):
     """(train, test) pair for the configured dataset, preprocessing applied."""
     if cfg.dataset == "blobs":
         train = data_io.synth_blobs(cfg.blobs_seed, cfg.blobs_n, cfg.blobs_classes,
-                                    cfg.blobs_dim, cfg.blobs_separation, split="train")
+                                    cfg.blobs_dim, cfg.blobs_separation)
         test = data_io.synth_blobs(cfg.blobs_seed + BLOBS_TEST_OFFSET, cfg.blobs_test_n,
-                                   cfg.blobs_classes, cfg.blobs_dim,
-                                   cfg.blobs_separation, split="test")
+                                   cfg.blobs_classes, cfg.blobs_dim, cfg.blobs_separation)
         return train, test
     if cfg.dataset == "mnist":
         paths = mnist_paths(cfg.data_dir)
@@ -311,8 +301,8 @@ def load_datasets(cfg: ExperimentConfig):
                 f"MNIST files not found: {missing}; run `layerlr fetch-data "
                 f"--dataset mnist --root {cfg.data_dir}` first"
             )
-        train = data_io.load_mnist_idx(paths["train_images"], paths["train_labels"], "train")
-        test = data_io.load_mnist_idx(paths["test_images"], paths["test_labels"], "test")
+        train = data_io.load_mnist_idx(paths["train_images"], paths["train_labels"])
+        test = data_io.load_mnist_idx(paths["test_images"], paths["test_labels"])
         return train, test
     if cfg.dataset == "cifar10":
         paths = cifar10_paths(cfg.data_dir)
@@ -322,8 +312,8 @@ def load_datasets(cfg: ExperimentConfig):
                 f"CIFAR-10 files not found: {missing}; run `layerlr fetch-data "
                 f"--dataset cifar10 --root {cfg.data_dir}` first"
             )
-        train = data_io.load_cifar10_bin(paths["train"], "train")
-        test = data_io.load_cifar10_bin(paths["test"], "test")
+        train = data_io.load_cifar10_bin(paths["train"])
+        test = data_io.load_cifar10_bin(paths["test"])
         train, test, _ = data_io.channel_mean_center(train, test)
         return train, test
     raise ConfigError(f"unknown dataset {cfg.dataset!r}")
@@ -496,19 +486,17 @@ def _one_blas_thread():
             os.environ[BLAS_THREADS_ENV] = saved
 
 
-def repeat_runs(cfg: ExperimentConfig, seeds=None, processes: int = None) -> SummaryTable:
-    """Run every seed and reduce to a SummaryTable; results are ordered by
-    seed regardless of execution order. Aborted seeds are flagged and the
-    summary covers the completed ones. With `processes` > 1 (default: one
-    per seed, up to the CPU count) every seed runs in a spawned worker with
-    one BLAS thread; a script that calls this at import time must then
-    guard its entry point with `if __name__ == "__main__":`."""
-    seeds = tuple(seeds) if seeds is not None else cfg.seeds
-    if len(seeds) < 2:
-        raise ConfigError(f"repeat_runs needs at least 2 seeds, got {seeds}")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"seeds must be distinct, got {seeds}")
-    jobs = [(cfg, seed) for seed in sorted(seeds)]
+def repeat_runs(cfg: ExperimentConfig, processes: int = None) -> SummaryTable:
+    """Run every seed of `cfg` (distinct, as the config checks) and reduce
+    to a SummaryTable; results are ordered by seed regardless of execution
+    order. Aborted seeds are flagged and the summary covers the completed
+    ones. With `processes` > 1 (default: one per seed, up to the CPU count)
+    every seed runs in a spawned worker with one BLAS thread; a script that
+    calls this at import time must then guard its entry point with
+    `if __name__ == "__main__":`."""
+    if len(cfg.seeds) < 2:
+        raise ConfigError(f"repeat_runs needs at least 2 seeds, got {cfg.seeds}")
+    jobs = [(cfg, seed) for seed in sorted(cfg.seeds)]
     if processes is None:
         processes = min(len(jobs), os.cpu_count() or 1)
     if processes < 1:

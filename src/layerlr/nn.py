@@ -682,8 +682,6 @@ def build_mlp(input_shape, hidden_widths, num_classes: int,
         raise DimensionError(
             f"unknown activation {activation!r}; expected one of {sorted(ACTIVATIONS)}"
         )
-    if isinstance(input_shape, int):
-        input_shape = (input_shape,)
     gen = rng.generator(seed, rng.SALT_INIT)
     act = ACTIVATIONS[activation]
     layers = []

@@ -80,10 +80,13 @@ class LrSchedule:
             raise ValueError(f"iteration index must be nonnegative, got {k}")
         if self.kind == "constant":
             return self.t0
-        if self.kind == "inverse-time":
-            return self.t0 / (1.0 + self.gamma * k) ** self.p
-        drops = sum(1 for m in self.milestones if m <= k)
-        return self.t0 * self.factor ** drops
+        try:
+            if self.kind == "inverse-time":
+                return self.t0 / (1.0 + self.gamma * k) ** self.p
+            drops = sum(1 for m in self.milestones if m <= k)
+            return self.t0 * self.factor ** drops
+        except OverflowError:
+            raise NumericError(f"learning rate overflows at iteration {k}", iteration=k) from None
 
 
 def constant(t0: float) -> LrSchedule:
@@ -105,21 +108,15 @@ class Optimizer:
 
     kind = "base"
 
-    def __init__(self, schedule, layerwise: bool = False, weight_decay: float = 0.0,
-                 epsilon_norm: float = EPSILON_NORM,
-                 epsilon_div: float = EPSILON_DIV):
+    def __init__(self, schedule, layerwise: bool = False, weight_decay: float = 0.0):
         if isinstance(schedule, (int, float)):
             schedule = constant(float(schedule))
-        # Written so that NaN and infinity fail each check.
+        # Written so that NaN and infinity fail the check.
         if not 0 <= weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be nonnegative and finite, got {weight_decay}")
-        if not (0 < epsilon_norm < math.inf and 0 < epsilon_div < math.inf):
-            raise ConfigError("epsilon floors must be positive and finite")
         self.schedule = schedule
         self.layerwise = layerwise
         self.weight_decay = weight_decay
-        self.epsilon_norm = epsilon_norm
-        self.epsilon_div = epsilon_div
         # Test hook: forcing the multiplier to 1 must reproduce the
         # layerwise=False trajectory exactly.
         self.multiplier_fn = layer_multiplier
@@ -165,17 +162,18 @@ class Optimizer:
                 ggroup = [g + self.weight_decay * p for p, g in zip(pgroup, ggroup)]
             # A finite norm proves every entry finite; an infinite one may be
             # an overflowed sum of squares of finite entries, which gives
-            # multiplier 1 rather than an abort. An abort's one row holds the
+            # multiplier 1 rather than an abort. A finite rate t(k) times the
+            # multiplier may still overflow. An abort's one row holds the
             # (key, norm) pairs this step has computed.
             norm = group_norm(ggroup)
-            if not math.isfinite(norm) and not all(np.isfinite(g).all() for g in ggroup):
-                raise NumericError(
-                    f"non-finite gradient in layer {li} at iteration {self.k}",
-                    iteration=self.k,
-                    layer_norms=[[s[:2] for s in stats] + [((li,), norm)]],
-                )
-            m = self.multiplier_fn(norm, self.epsilon_norm) if self.layerwise else 1.0
+            bad_grad = not math.isfinite(norm) and not all(np.isfinite(g).all() for g in ggroup)
+            m = self.multiplier_fn(norm, EPSILON_NORM) if self.layerwise else 1.0
             t_eff = t_k * m
+            if bad_grad or not math.isfinite(t_eff):
+                raise NumericError(
+                    f"non-finite {'gradient' if bad_grad else 'effective rate'} in layer {li} "
+                    f"at iteration {self.k}", iteration=self.k,
+                    layer_norms=[[s[:2] for s in stats] + [((li,), norm)]])
             stats.append(((li,), norm, m, t_eff))
             for ti, p in enumerate(pgroup):
                 updates.append(((li, ti), p, ggroup[ti], t_eff))
@@ -214,10 +212,6 @@ class Momentum(Optimizer):
         if not 0.0 <= mu <= 1.0:
             raise ConfigError(f"momentum coefficient must lie in [0, 1], got {mu}")
         self.mu = mu
-
-    @property
-    def velocity(self):
-        return {key: slot[0] for key, slot in self._slots.items()}
 
     def _new_slot(self, p):
         return (np.zeros_like(p), np.empty_like(p))
@@ -278,13 +272,9 @@ class NAG(Momentum):
 
 class AdaGrad(Optimizer):
     """AdaGrad: per-parameter rates from accumulated squared gradients,
-    x <- x - t_eff * g / (sqrt(sum g^2) + epsilon_div)."""
+    x <- x - t_eff * g / (sqrt(sum g^2) + EPSILON_DIV)."""
 
     kind = "adagrad"
-
-    @property
-    def accumulator(self):
-        return {key: slot[0] for key, slot in self._slots.items()}
 
     def _new_slot(self, p):
         # The accumulator, the denominator and the scratch array.
@@ -294,7 +284,7 @@ class AdaGrad(Optimizer):
         acc, den, buf = slot
         acc += np.multiply(g, g, out=buf)
         np.sqrt(acc, out=den)
-        den += self.epsilon_div
+        den += EPSILON_DIV
         step = np.multiply(g, t_eff, out=buf)
         step /= den
         p -= step

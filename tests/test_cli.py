@@ -18,6 +18,8 @@ BLOBS_ARGS = [
     "--dataset=blobs", "--blobs.n=120", "--blobs.test_n=60", "--blobs.classes=3",
     "--blobs.dim=6", "--arch=mlp:8", "--batch_size=24", "--max_iterations=20",
 ]
+# Config keys that were deleted; setting one is an unknown-key error.
+REMOVED_KEYS = ("opt.bias_separate", "opt.epsilon_norm", "opt.epsilon_div", "report")
 
 
 class TestExitCodes:
@@ -78,9 +80,17 @@ class TestExitCodes:
         pytest.param(["bench", "--lrs", "0.1,-1"], cli.EXIT_CONFIG, id="bench-lr-neg"),
         pytest.param(["bench", "--optimizers", "sgd,ours-foo"], cli.EXIT_CONFIG,
                      id="bench-optimizer-unknown"),
-        # Each layer is one norm group; the per-tensor option is gone.
+        # Each layer is one norm group; the per-tensor option is gone. So are
+        # the epsilon floors, now constants, and the report metric, which
+        # follows from the dataset.
         pytest.param(["train", "--opt.bias_separate=true"] + BLOBS_ARGS, cli.EXIT_CONFIG,
                      id="opt-bias-separate"),
+        pytest.param(["train", "--opt.epsilon_norm=1e-8"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="opt-epsilon-norm"),
+        pytest.param(["train", "--opt.epsilon_div=1e-8"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="opt-epsilon-div"),
+        pytest.param(["train", "--report=accuracy"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="report"),
         pytest.param(["train", "--out", "{missing}/r.csv"] + BLOBS_ARGS, cli.EXIT_DATA,
                      id="train-out-unwritable"),
         pytest.param(["bench", "--starts", "1e-2", "--lrs", "0.1", "--max-iter", "100",
@@ -163,10 +173,6 @@ class TestExitCodes:
         # The test split is keyed blobs.seed + 0x7E57, which must fit too.
         pytest.param(["train", "--blobs.seed=18446744073709551615"] + BLOBS_ARGS,
                      cli.EXIT_CONFIG, id="blobs-seed-top"),
-        pytest.param(["train", "--opt.epsilon_norm=nan"] + BLOBS_ARGS, cli.EXIT_CONFIG,
-                     id="epsilon-norm-nan"),
-        pytest.param(["train", "--opt.kind=adagrad", "--opt.epsilon_div=nan"] + BLOBS_ARGS,
-                     cli.EXIT_CONFIG, id="adagrad-epsilon-div-nan"),
         pytest.param(["train", "--opt.weight_decay=nan"] + BLOBS_ARGS, cli.EXIT_CONFIG,
                      id="weight-decay-nan"),
         pytest.param(["train", "--opt.weight_decay=inf"] + BLOBS_ARGS, cli.EXIT_CONFIG,
@@ -179,14 +185,9 @@ class TestExitCodes:
         pytest.param(["train", "--schedule.kind=step-decay", "--schedule.milestones=1",
                       "--schedule.factor=inf"] + BLOBS_ARGS, cli.EXIT_CONFIG,
                      id="schedule-factor-inf"),
-        # Every multiplier would be 1: layer-wise rates silently off.
-        pytest.param(["train", "--opt.epsilon_norm=inf", "--opt.layerwise=true"] + BLOBS_ARGS,
-                     cli.EXIT_CONFIG, id="epsilon-norm-inf"),
         # The rate would be 0 after step 0.
         pytest.param(["train", "--schedule.kind=inverse-time", "--schedule.gamma=1",
                       "--schedule.p=inf"] + BLOBS_ARGS, cli.EXIT_CONFIG, id="schedule-p-inf"),
-        pytest.param(["train", "--opt.kind=adagrad", "--opt.epsilon_div=inf"] + BLOBS_ARGS,
-                     cli.EXIT_CONFIG, id="adagrad-epsilon-div-inf"),
         # A comma would split the label across two CSV columns.
         pytest.param(["table", "--processes", "1", "--seeds=1,2", "--variant=a,b"]
                      + BLOBS_ARGS, cli.EXIT_CONFIG, id="variant-comma"),
@@ -203,6 +204,17 @@ class TestExitCodes:
         pytest.param(["bench", "--landscape", "monkey-saddle", "--lrs", "1e308",
                       "--starts", "0.9", "--optimizers", "sgd"], cli.EXIT_NUMERIC,
                      id="bench-overflow"),
+        # A schedule whose rate overflows aborts at that iteration: the power
+        # overflows in the first two, t0 * factor in the third.
+        pytest.param(["train", "--schedule.kind=inverse-time", "--schedule.gamma=1",
+                      "--schedule.p=1000"] + BLOBS_ARGS, cli.EXIT_NUMERIC,
+                     id="schedule-inverse-time-overflow"),
+        pytest.param(["train", "--schedule.kind=step-decay", "--schedule.milestones=1,2",
+                      "--schedule.factor=1e300"] + BLOBS_ARGS, cli.EXIT_NUMERIC,
+                     id="schedule-step-decay-overflow"),
+        pytest.param(["train", "--schedule.kind=step-decay", "--schedule.milestones=1",
+                      "--schedule.factor=1e300", "--schedule.t0=1e10"] + BLOBS_ARGS,
+                     cli.EXIT_NUMERIC, id="schedule-rate-inf"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_argument_is_one_line_config_error(self, argv, code, tmp_path, capsys):
@@ -220,6 +232,8 @@ class TestExitCodes:
         assert "Traceback" not in err
         if argv[0] == "gradcheck":
             assert argv[1] in err
+        if any(a.startswith(f"--{key}=") for a in argv for key in REMOVED_KEYS):
+            assert "unknown config key" in err
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "missing").exists()
 

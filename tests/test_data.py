@@ -45,7 +45,7 @@ def write_idx_pair(tmp_path, n=12, h=5, w=4, image_magic=0x803, label_magic=0x80
 class TestMnistIdx:
     def test_loads_and_scales(self, tmp_path):
         img, lbl, pixels, labels = write_idx_pair(tmp_path)
-        ds = load_mnist_idx(img, lbl, split="train")
+        ds = load_mnist_idx(img, lbl)
         assert ds.images.shape == (12, 1, 5, 4)
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
         assert np.array_equal(ds.images[:, 0] * 255.0, pixels.astype(np.float64))
@@ -117,7 +117,7 @@ class TestCifar10Bin:
         p1 = tmp_path / "data_batch_1.bin"
         p2 = tmp_path / "data_batch_2.bin"
         labels = self.make_file(p1, n=7) + self.make_file(p2, n=5, first_label=3)
-        ds = load_cifar10_bin([p1, p2], split="train")
+        ds = load_cifar10_bin([p1, p2])
         assert ds.images.shape == (12, 3, 32, 32)
         assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
         assert ds.labels.tolist() == labels
@@ -144,7 +144,7 @@ class TestCifar10Bin:
         for path, n, first in zip(paths, (4, 7, 2), (5, 0, 8)):
             self.make_file(path, n=n, first_label=first)
         ds = load_cifar10_bin(paths[::-1])
-        parts = [load_cifar10_bin(path) for path in paths[::-1]]
+        parts = [load_cifar10_bin([path]) for path in paths[::-1]]
         assert ds.pixels.dtype == np.uint8
         assert np.array_equal(ds.pixels, np.concatenate([p.pixels for p in parts]))
         assert ds.labels.dtype == np.int64
@@ -164,8 +164,8 @@ class TestCifar10Bin:
         q = tmp_path / "test_batch.bin"
         self.make_file(p, n=9)
         self.make_file(q, n=4)
-        train = load_cifar10_bin([p], "train")
-        test = load_cifar10_bin([q], "test")
+        train = load_cifar10_bin([p])
+        test = load_cifar10_bin([q])
         orig_test = test.images.copy()
         train_c, test_c, means = channel_mean_center(train, test)
         assert np.allclose(train_c.images.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)

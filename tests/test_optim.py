@@ -30,13 +30,16 @@ def single_layer(*values):
     return [[np.array(v, dtype=np.float64)] for v in values]
 
 
+def state(opt):
+    """The optimizer's state tensors by key: the velocities of momentum and
+    NAG, the accumulators of AdaGrad, none for SGD (its slot is scratch)."""
+    if isinstance(opt, SGD):
+        return {}
+    return {key: slot[0] for key, slot in opt._slots.items()}
+
+
 def state_copy(opt):
-    """Copies of the optimizer's state tensors: the velocities of momentum
-    and NAG, the accumulators of AdaGrad, none for SGD."""
-    for name in ("velocity", "accumulator"):
-        if hasattr(opt, name):
-            return {key: a.copy() for key, a in getattr(opt, name).items()}
-    return {}
+    return {key: a.copy() for key, a in state(opt).items()}
 
 
 class TestSchedule:
@@ -64,6 +67,16 @@ class TestSchedule:
         rates = [s.rate(k) for k in range(0, 2000, 37)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
         assert all(r > 0 for r in rates)
+
+    @pytest.mark.parametrize("schedule", [
+        LrSchedule(kind="inverse-time", t0=1.0, gamma=1.0, p=1000.0),
+        LrSchedule(kind="step-decay", t0=1.0, milestones=(1, 2), factor=1e300),
+    ], ids=["inverse-time", "step-decay"])
+    def test_overflowing_rate_names_its_iteration(self, schedule):
+        assert schedule.rate(1) > 0  # 2.0 ** 1000 and 1e300 ** 1 are still finite
+        with pytest.raises(NumericError, match="learning rate overflows at iteration 2") as err:
+            schedule.rate(2)
+        assert err.value.iteration == 2
 
     @pytest.mark.parametrize("bad", [
         dict(kind="warmup"),
@@ -216,7 +229,7 @@ class TestMomentum:
             positions.append(params[0][0][0])
         # velocity halves every step; x converges to -t * sum of mu^j = -0.2
         assert positions[-1] == pytest.approx(-0.1 * 2.0, abs=1e-15)
-        vel = list(opt.velocity.values())[0]
+        vel = list(state(opt).values())[0]
         assert abs(vel[0]) < 1e-18
 
     def test_invalid_mu_rejected(self):
@@ -295,11 +308,11 @@ class TestAdaGrad:
         params = single_layer([1.0])
         opt = AdaGrad(0.1)
         opt.step(params, single_layer([2.0]))
-        acc_before = list(opt.accumulator.values())[0].copy()
+        acc_before = list(state(opt).values())[0].copy()
         x_before = params[0][0].copy()
         opt.step(params, single_layer([0.0]))
         assert np.array_equal(params[0][0], x_before)
-        assert np.array_equal(list(opt.accumulator.values())[0], acc_before)
+        assert np.array_equal(list(state(opt).values())[0], acc_before)
 
     def test_accumulator_nondecreasing(self):
         gen = rng.generator(21, 4)
@@ -308,17 +321,17 @@ class TestAdaGrad:
         prev = np.zeros(5)
         for _ in range(30):
             opt.step(params, [[gen.standard_normal(5)]])
-            acc = list(opt.accumulator.values())[0]
+            acc = list(state(opt).values())[0]
             assert np.all(acc >= prev)
             prev = acc.copy()
 
     def test_lazy_accumulator_shapes(self):
         opt = make_optimizer("adagrad", 0.1)
-        assert opt.accumulator == {}
+        assert state(opt) == {}
         params = [[np.zeros((2, 3)), np.zeros(3)], []]
         grads = [[np.ones((2, 3)), np.ones(3)], []]
         opt.step(params, grads)
-        shapes = {k: v.shape for k, v in opt.accumulator.items()}
+        shapes = {k: v.shape for k, v in state(opt).items()}
         assert shapes == {(0, 0): (2, 3), (0, 1): (3,)}
 
 
@@ -340,10 +353,6 @@ class TestMakeOptimizer:
         assert state_copy(opt) == {}
         for kind in ("momentum", "nag", "adagrad"):
             assert state_copy(make_optimizer(kind, 0.1)) == {}
-
-    def test_epsilon_overrides_validated(self):
-        with pytest.raises(ConfigError):
-            make_optimizer("sgd", 0.1, epsilon_norm=0.0)
 
 
 def _run_trajectory(opt, steps, grad_seq, start):
@@ -465,6 +474,31 @@ def test_non_finite_last_layer_aborts_before_any_update(kind, layerwise, bad):
     with pytest.raises(NumericError, match="layer 3 at iteration 3"):
         opt.step(params, grads)
     assert pickle.dumps((params, state_copy(opt), opt.k)) == before
+
+
+@pytest.mark.parametrize("layerwise", [False, True])
+@pytest.mark.parametrize("kind", ["sgd", "momentum", "nag", "adagrad"])
+def test_infinite_rate_aborts_before_any_update(kind, layerwise):
+    params, grad_seq = _layered_problem(14, 4)
+    # t(3) = 1e10 * 1e300 overflows to inf; t(0..2) are finite.
+    schedule = LrSchedule(kind="step-decay", t0=1e10, milestones=(3,), factor=1e300)
+    opt = make_optimizer(kind, schedule, layerwise=layerwise)
+    for grads in grad_seq[:3]:
+        opt.step(params, grads)
+    before = pickle.dumps((params, state_copy(opt), opt.k))
+    with pytest.raises(NumericError, match="effective rate in layer 0 at iteration 3"):
+        opt.step(params, grad_seq[3])
+    assert pickle.dumps((params, state_copy(opt), opt.k)) == before
+
+
+def test_multiplier_that_overflows_a_finite_rate_aborts():
+    params = single_layer([1.0], [2.0])
+    opt = SGD(1.5e308, layerwise=True)  # finite t(k); m(1.0) = 1.69 overflows it
+    with pytest.raises(NumericError, match="effective rate in layer 0 at iteration 0") as err:
+        opt.step(params, single_layer([1.0], [1e300]))
+    assert err.value.layer_norms == [[((0,), 1.0)]]
+    assert pickle.dumps((params, opt.k, opt._slots)) == pickle.dumps(
+        (single_layer([1.0], [2.0]), 0, {}))
 
 
 class TestLookaheadSwap:
