@@ -21,7 +21,7 @@ import numpy as np
 from . import harness
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .landscapes import LANDSCAPE_KINDS, check_escape_trial, run_escape_trial
-from .nn import gradient_check, network_from_spec, parse_arch
+from .nn import FIXED_INPUTS, gradient_check, network_from_spec, parse_arch
 from .optim import make_optimizer
 from . import rng
 
@@ -43,22 +43,12 @@ MNIST_MIRRORS = (
 CIFAR_URL = "https://www.cs.toronto.edu/~kriz/cifar-10-binary.tar.gz"
 
 
-def _split_overrides(extras):
-    overrides = []
-    for item in extras:
-        if item.startswith("--") and "=" in item:
-            overrides.append(item)
-        else:
-            raise ConfigError(f"unrecognized argument {item!r} (overrides look like --key=value)")
-    return overrides
-
-
 def _config_from_args(args, extras):
     if args.config:
         cfg = harness.load_config(args.config)
     else:
         cfg = harness.ExperimentConfig()
-    return harness.apply_overrides(cfg, _split_overrides(extras))
+    return harness.apply_overrides(cfg, extras)
 
 
 def _cmd_train(args, extras) -> int:
@@ -127,18 +117,16 @@ def _cmd_bench(args, extras) -> int:
         _bench_optimizer(kind, lr)
     harness.check_writable(args.out)
     lines = ["landscape,optimizer,start,lr,escape_iterations"]
-    # A trial that overflows ends in NumericError, so numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lr, start, kind in itertools.product(lrs, starts, kinds):
-            opt = _bench_optimizer(kind, lr)
-            try:
-                iters = run_escape_trial(opt, landscape, start, escape_radius=args.radius,
-                                         max_iter=args.max_iter)
-            except NumericError as exc:  # name the cell that diverged
-                raise NumericError(f"optimizer {kind}, lr {lr:.6g}, start {start[-1]:.6g}: {exc}",
-                                   iteration=exc.iteration, layer_norms=exc.layer_norms) from exc
-            lines.append(f"{landscape.kind},{kind},{start[-1]:.6g},{lr:.6g},{iters}")
-            print(lines[-1])
+    for lr, start, kind in itertools.product(lrs, starts, kinds):
+        opt = _bench_optimizer(kind, lr)
+        try:
+            iters = run_escape_trial(opt, landscape, start, escape_radius=args.radius,
+                                     max_iter=args.max_iter)
+        except NumericError as exc:  # name the cell that diverged
+            raise NumericError(f"optimizer {kind}, lr {lr:.6g}, start {start[-1]:.6g}: {exc}",
+                               iteration=exc.iteration, layer_norms=exc.layer_norms) from exc
+        lines.append(f"{landscape.kind},{kind},{start[-1]:.6g},{lr:.6g},{iters}")
+        print(lines[-1])
     harness.write_csv(args.out, lines)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -155,11 +143,11 @@ def _cmd_gradcheck(args, extras) -> int:
     archs = []  # every arch is parsed before any is checked
     for arch in args.archs.split(","):
         try:
-            name, _ = parse_arch(arch)
+            name, _, _ = parse_arch(arch)
         except DimensionError as exc:
             raise ConfigError(f"--archs: {exc}") from None
-        if name in harness.FIXED_INPUTS:
-            archs.append((arch, harness.FIXED_INPUTS[name], 10))
+        if name in FIXED_INPUTS:
+            archs.append((arch, FIXED_INPUTS[name], 10))
         else:
             archs.append((arch, (args.mlp_dim,), args.mlp_classes))
     failed = False
@@ -307,7 +295,10 @@ def main(argv=None) -> int:
         args, extras = build_parser().parse_known_args(argv)
         if extras and not args.allow_overrides:
             raise ConfigError(f"unrecognized arguments: {extras}")
-        return args.func(args, extras)
+        # A run or trial that overflows ends in NumericError (a non-finite
+        # loss, gradient, rate, iterate or evaluated output): numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args, extras)
     except (ConfigError, DimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,9 +5,12 @@ fetching the public archives is the CLI's job. A Dataset keeps its pixels
 as stored, uint8 (n, c, h, w) for IDX and CIFAR-10 files, and decodes only
 the rows asked for into float64: bytes scaled to [0, 1], then shifted by
 the per-channel means if the dataset is centred. Labels are an int64 vector.
+Each source checks its own input: a file that contradicts its header is a
+DataError, and blobs sizes that cannot be drawn are a ConfigError.
 """
 
 import gzip
+import math
 import os
 import struct
 from contextlib import ExitStack
@@ -71,58 +74,48 @@ class Dataset:
         return self.decode(slice(None))
 
 
-def _open_maybe_gzip(path):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, "rb")
+def _read_idx(path, magic, item):
+    """(counts, uint8 payload) of an IDX file, plain or .gz, whose header is
+    `magic` plus one big-endian count per dimension (the magic's low byte).
+    DataError on a short header, another magic, no items, or fewer payload
+    bytes than the counts claim; `item` names the payload's bytes in
+    messages."""
+    dims = magic & 0xFF
     # Unbuffered: a buffered read() to the end joins the bytes it reads in
     # one more copy of the file.
-    return open(path, "rb", buffering=0)
+    gz = str(path).endswith(".gz")
+    with gzip.open(path, "rb") if gz else open(path, "rb", buffering=0) as f:
+        header = f.read(4 + 4 * dims)
+        if len(header) < 4 + 4 * dims:
+            raise DataError(f"{path}: truncated IDX header")
+        got, *counts = struct.unpack(f">{1 + dims}I", header)
+        if got != magic:
+            raise DataError(f"{path}: bad IDX {item} magic 0x{got:08x} (expected 0x{magic:08x})")
+        size = math.prod(counts)
+        if size == 0:
+            raise DataError(f"{path}: no {item}s (counts {counts})")
+        raw = f.read()
+    if len(raw) < size:
+        raise DataError(f"{path}: expected {size} {item} bytes, got {len(raw)}")
+    return counts, np.frombuffer(raw, dtype=np.uint8, count=size)
 
 
 def load_mnist_idx(images_path, labels_path) -> Dataset:
     """Load an MNIST-style IDX image/label file pair.
 
-    Validates the big-endian magic numbers (0x803 images, 0x801 labels),
-    rejects a file with no pixels or with fewer bytes than its header's
-    counts claim, and cross-checks the item counts between the two files.
-    Pixels stay uint8.
+    Both files go through one reader, which validates the magic numbers
+    (0x803 images, 0x801 labels) and rejects a file with no items or with
+    fewer bytes than its header's counts claim; the item counts of the two
+    files must match. Pixels stay uint8.
     """
-    with _open_maybe_gzip(images_path) as f:
-        header = f.read(16)
-        if len(header) < 16:
-            raise DataError(f"{images_path}: truncated IDX header")
-        magic, n, h, w = struct.unpack(">IIII", header)
-        if magic != MNIST_IMAGE_MAGIC:
-            raise DataError(
-                f"{images_path}: bad IDX image magic 0x{magic:08x} "
-                f"(expected 0x{MNIST_IMAGE_MAGIC:08x})"
-            )
-        if n * h * w == 0:
-            raise DataError(f"{images_path}: no pixels ({n} images of {h}x{w})")
-        raw = f.read()
-        if len(raw) < n * h * w:
-            raise DataError(f"{images_path}: expected {n * h * w} pixel bytes, got {len(raw)}")
-        images = np.frombuffer(raw, dtype=np.uint8, count=n * h * w).reshape(n, 1, h, w)
-    with _open_maybe_gzip(labels_path) as f:
-        header = f.read(8)
-        if len(header) < 8:
-            raise DataError(f"{labels_path}: truncated IDX header")
-        magic, n_labels = struct.unpack(">II", header)
-        if magic != MNIST_LABEL_MAGIC:
-            raise DataError(
-                f"{labels_path}: bad IDX label magic 0x{magic:08x} "
-                f"(expected 0x{MNIST_LABEL_MAGIC:08x})"
-            )
-        raw = f.read()
-        if len(raw) < n_labels:
-            raise DataError(f"{labels_path}: expected {n_labels} label bytes, got {len(raw)}")
-        labels = np.frombuffer(raw, dtype=np.uint8, count=n_labels)
+    (n, h, w), pixels = _read_idx(images_path, MNIST_IMAGE_MAGIC, "pixel")
+    (n_labels,), labels = _read_idx(labels_path, MNIST_LABEL_MAGIC, "label")
     if n != n_labels:
         raise DataError(
             f"item count mismatch: {images_path} has {n} images "
             f"but {labels_path} has {n_labels} labels"
         )
-    return Dataset(images, labels.astype(np.int64), num_classes=10)
+    return Dataset(pixels.reshape(n, 1, h, w), labels.astype(np.int64), num_classes=10)
 
 
 def load_cifar10_bin(paths) -> Dataset:
@@ -172,8 +165,13 @@ def synth_blobs(seed: int, n: int, classes: int, dim: int,
     separation * e_c on the coordinate simplex. Deterministic per seed.
 
     Images come back shaped (n, 1, 1, dim) so the rest of the pipeline can
-    treat them like flat single-channel images.
+    treat them like flat single-channel images. ConfigError unless n and
+    classes are >= 1, classes divides n, dim >= classes, separation finite.
     """
+    if n < 1 or classes < 1:
+        raise ConfigError(f"n={n} and classes={classes} must each be >= 1")
+    if not math.isfinite(separation):
+        raise ConfigError(f"separation={separation} must be finite")
     if n % classes != 0:
         raise ConfigError(f"n={n} must be divisible by classes={classes}")
     if dim < classes:

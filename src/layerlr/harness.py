@@ -20,9 +20,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import data as data_io
-from .errors import ConfigError, DataError, NumericError
-from .nn import (ACTIVATIONS, CIFAR_QUICK_INPUT, LENET_INPUT, LOSSES, Network,
-                 network_from_spec, parse_arch)
+from .errors import ConfigError, DataError, DimensionError, NumericError
+from .nn import Network, network_from_spec, parse_arch
 from .optim import LrSchedule, make_optimizer
 # Unused here: benchmarks/workloads.py wraps harness.group_norm in traced runs.
 from .tensor import group_norm  # noqa: F401
@@ -38,10 +37,6 @@ BASELINE_T0 = {"lenet": 0.01, "cifar-quick": 0.001}
 # The blobs test split is keyed blobs.seed + BLOBS_TEST_OFFSET. Philox keys
 # are uint64, so every seed lies in [0, 2**64) with the offset added.
 BLOBS_TEST_OFFSET = 0x7E57
-
-# The input shape of each fixed architecture; both build their own layers
-# and train with softmax cross-entropy only.
-FIXED_INPUTS = {"lenet": LENET_INPUT, "cifar-quick": CIFAR_QUICK_INPUT}
 
 
 def default_data_dir() -> str:
@@ -111,8 +106,9 @@ class ExperimentConfig:
         self.checkpoints = tuple(int(c) for c in self.checkpoints)
         self.seeds = tuple(int(s) for s in self.seeds)
         self.schedule_milestones = tuple(int(m) for m in self.schedule_milestones)
-        if self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        for key in ("max_iterations", "batch_size", "eval_batch_size"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
         bad = [c for c in self.checkpoints if not 1 <= c <= self.max_iterations]
         if bad:
             raise ConfigError(
@@ -129,34 +125,13 @@ class ExperimentConfig:
                               f"got {self.blobs_seed}")
         if any(ch in self.variant for ch in ',"\r\n'):
             raise ConfigError(f"variant must hold no comma, quote or line break: {self.variant!r}")
-        if self.eval_batch_size < 1:
-            raise ConfigError(f"eval_batch_size must be >= 1, got {self.eval_batch_size}")
-        for key in ("n", "test_n", "classes"):
-            value = getattr(self, "blobs_" + key)
-            if value < 1:
-                raise ConfigError(f"blobs.{key} must be >= 1, got {value}")
-        if not math.isfinite(self.blobs_separation):
-            raise ConfigError(f"blobs.separation must be finite, got {self.blobs_separation}")
-        # Names, shapes and schedule fail before any data loads.
-        arch, _ = parse_arch(self.arch)
-        if self.arch_activation not in ("", *ACTIVATIONS):
-            raise ConfigError(f"unknown activation {self.arch_activation!r}; "
-                              f"expected one of {sorted(ACTIVATIONS)}")
-        if self.loss not in LOSSES:
-            raise ConfigError(f"unknown loss {self.loss!r}; expected one of {LOSSES}")
-        if arch in FIXED_INPUTS:
-            if self.arch_activation not in ("", "relu"):
-                raise ConfigError(f"architecture {self.arch!r} uses relu only, "
-                                  f"got activation {self.arch_activation!r}")
-            if self.loss != "softmax-cross-entropy":
-                raise ConfigError(f"architecture {self.arch!r} trains with "
-                                  f"softmax-cross-entropy only, got loss {self.loss!r}")
-            shape = {"blobs": (1, 1, self.blobs_dim), "mnist": (1, 28, 28),
-                     "cifar10": (3, 32, 32)}.get(self.dataset)
-            if shape is not None and shape != FIXED_INPUTS[arch]:
-                raise ConfigError(f"architecture {self.arch!r} expects input "
-                                  f"{FIXED_INPUTS[arch]}, dataset {self.dataset!r} "
-                                  f"provides {shape}")
+        # The network spec and the schedule fail before any data loads.
+        shape = {"blobs": (1, 1, self.blobs_dim), "mnist": (1, 28, 28),
+                 "cifar10": (3, 32, 32)}.get(self.dataset)
+        try:
+            parse_arch(self.arch, self.arch_activation, self.loss, shape)
+        except DimensionError as exc:
+            raise ConfigError(f"dataset {self.dataset!r}: {exc}") from None
         self.schedule()
 
     @property
@@ -250,10 +225,12 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
-    """Apply CLI overrides of the form 'key=value' or '--key=value'."""
+    """Apply CLI overrides, each of the form '--key=value'."""
     values = {}
     for item in overrides:
-        _parse_setting(item.lstrip("-"), f"override {item!r}", values)
+        if not (item.startswith("--") and "=" in item):
+            raise ConfigError(f"unrecognized argument {item!r} (overrides look like --key=value)")
+        _parse_setting(item[2:], f"override {item!r}", values)
     return replace(cfg, **values)
 
 
@@ -293,35 +270,28 @@ def load_datasets(cfg: ExperimentConfig):
         test = data_io.synth_blobs(cfg.blobs_seed + BLOBS_TEST_OFFSET, cfg.blobs_test_n,
                                    cfg.blobs_classes, cfg.blobs_dim, cfg.blobs_separation)
         return train, test
-    if cfg.dataset == "mnist":
-        paths = mnist_paths(cfg.data_dir)
-        missing = [p for p in paths.values() if not os.path.exists(p)]
-        if missing:
-            raise DataError(
-                f"MNIST files not found: {missing}; run `layerlr fetch-data "
-                f"--dataset mnist --root {cfg.data_dir}` first"
-            )
-        train = data_io.load_mnist_idx(paths["train_images"], paths["train_labels"])
-        test = data_io.load_mnist_idx(paths["test_images"], paths["test_labels"])
-        return train, test
-    if cfg.dataset == "cifar10":
-        paths = cifar10_paths(cfg.data_dir)
-        missing = [p for group in paths.values() for p in group if not os.path.exists(p)]
-        if missing:
-            raise DataError(
-                f"CIFAR-10 files not found: {missing}; run `layerlr fetch-data "
-                f"--dataset cifar10 --root {cfg.data_dir}` first"
-            )
-        train = data_io.load_cifar10_bin(paths["train"])
-        test = data_io.load_cifar10_bin(paths["test"])
-        train, test, _ = data_io.channel_mean_center(train, test)
-        return train, test
-    raise ConfigError(f"unknown dataset {cfg.dataset!r}")
+    if cfg.dataset not in ("mnist", "cifar10"):
+        raise ConfigError(f"unknown dataset {cfg.dataset!r}")
+    mnist = cfg.dataset == "mnist"
+    paths = mnist_paths(cfg.data_dir) if mnist else cifar10_paths(cfg.data_dir)
+    files = paths.values() if mnist else paths["train"] + paths["test"]
+    missing = [p for p in files if not os.path.exists(p)]
+    if missing:
+        raise DataError(
+            f"{'MNIST' if mnist else 'CIFAR-10'} files not found: {missing}; run `layerlr "
+            f"fetch-data --dataset {cfg.dataset} --root {cfg.data_dir}` first"
+        )
+    if mnist:
+        return (data_io.load_mnist_idx(paths["train_images"], paths["train_labels"]),
+                data_io.load_mnist_idx(paths["test_images"], paths["test_labels"]))
+    train, test, _ = data_io.channel_mean_center(data_io.load_cifar10_bin(paths["train"]),
+                                                 data_io.load_cifar10_bin(paths["test"]))
+    return train, test
 
 
 def build_network(cfg: ExperimentConfig, train: data_io.Dataset, seed: int) -> Network:
     return network_from_spec(cfg.arch, train.input_shape, train.num_classes,
-                             seed=seed, activation=cfg.arch_activation or "tanh",
+                             seed=seed, activation=cfg.arch_activation,
                              loss=cfg.loss)
 
 
@@ -354,13 +324,16 @@ def _targets_for(net: Network, labels, num_classes: int):
 
 def evaluate_error_percent(net: Network, dataset: data_io.Dataset,
                            batch_size: int = 64) -> float:
-    """Top-1 error in percent over a dataset; pure (no training state touched)."""
+    """Top-1 error in percent over a dataset; pure (no training state touched).
+    NumericError on a non-finite output, which no argmax may score."""
     wrong = 0
     n = len(dataset)
     for start in range(0, n, batch_size):
         x = dataset.decode(slice(start, start + batch_size))
         y = dataset.labels[start:start + batch_size]
         logits = net.predict(x)
+        if not np.isfinite(logits).all():
+            raise NumericError("non-finite network output in evaluation")
         pred = np.argmax(logits, axis=1)
         wrong += int(np.sum(pred != y))
     return 100.0 * wrong / n
@@ -370,10 +343,10 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
     """Train one seed for max_iterations minibatch steps, evaluating the
     held-out test set at each checkpoint. Returns the MetricsRecord list.
 
-    Raises NumericError if the loss or a gradient goes non-finite, with
-    the (key, norm) pairs of the last 10 steps' stats attached; after
-    a non-finite gradient the last row holds the failing step's pairs up
-    to the failing group.
+    Raises NumericError if the loss, a gradient or an evaluated output goes
+    non-finite, with the (key, norm) pairs of the last 10 steps' stats
+    attached; after a non-finite gradient the last row holds the failing
+    step's pairs up to the failing group.
     """
     t_start = time.perf_counter()
     opt = cfg.optimizer()  # rejects bad optimizer values before any data loads
@@ -462,6 +435,8 @@ def summarize_records(variant: str, per_seed_records, metric: str = "error") -> 
     return SummaryTable(rows=rows)
 
 
+# A spawned worker does not run under cli.main's errstate, so it sets its own.
+@np.errstate(over="ignore", invalid="ignore")
 def _run_worker(args):
     cfg, seed = args
     try:

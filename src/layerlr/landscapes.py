@@ -104,8 +104,8 @@ def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
 
     Each iteration is one opt.descend, so the optimizer owns its state and
     the point the gradient is taken at. A non-finite iterate or gradient
-    raises NumericError with the last 10 iterates in its message; a
-    gradient abort keeps the optimizer's norm row as `layer_norms`.
+    raises NumericError naming the step as Optimizer.step numbers it, with
+    the last 10 iterates; a gradient abort keeps its norm row as `layer_norms`.
     """
     params = landscape.make_params(start)
     check_escape_trial(landscape, start, escape_radius, max_iter)
@@ -118,14 +118,14 @@ def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
         try:
             opt.descend(params, value_grad)
         except NumericError as exc:
-            raise NumericError(f"{landscape.kind} trial diverged at iteration {k}: {exc}; "
-                               f"trailing iterates: {list(trail)}", iteration=k,
+            raise NumericError(f"{landscape.kind} trial diverged: {exc}; "
+                               f"trailing iterates: {list(trail)}", iteration=exc.iteration,
                                layer_norms=exc.layer_norms) from exc
         point = [group[0].item() for group in params]
         trail.append(point)
         if not all(map(math.isfinite, point)):
-            raise NumericError(f"{landscape.kind} trial diverged at iteration {k}; "
-                               f"trailing iterates: {list(trail)}", iteration=k)
+            raise NumericError(f"{landscape.kind} trial diverged at iteration {opt.k - 1}; "
+                               f"trailing iterates: {list(trail)}", iteration=opt.k - 1)
         if landscape.escape_distance(point) > escape_radius:
             return k
     return max_iter

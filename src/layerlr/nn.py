@@ -20,6 +20,10 @@ maximum in row-major window order, the element np.argmax would pick.
 A pass that keeps no cache (predict, loss_value) calls each layer's forward
 with need_cache=False: max-pool then skips its winners and ReLU its mask,
 which only backward and pattern read; every output is the same bit for bit.
+
+parse_arch holds the network contract: an architecture string with its
+activation, loss, input shape and class count. network_from_spec builds
+only what it accepts.
 """
 
 import math
@@ -627,8 +631,9 @@ def gradient_check(net: Network, inputs, targets, eps: float = 1e-6,
 # ---------------------------------------------------------------------------
 # Architecture factories
 
-LENET_INPUT = (1, 28, 28)
-CIFAR_QUICK_INPUT = (3, 32, 32)
+# The input shape of each fixed architecture. Both build their own layers:
+# ReLU units, 10 classes, softmax cross-entropy.
+FIXED_INPUTS = {"lenet": (1, 28, 28), "cifar-quick": (3, 32, 32)}
 
 
 def build_lenet(seed: int = 0) -> Network:
@@ -644,7 +649,7 @@ def build_lenet(seed: int = 0) -> Network:
         ReLU(),
         Dense(500, 10, init_gen=gen),
     ]
-    return Network(LENET_INPUT, layers, loss="softmax-cross-entropy")
+    return Network(FIXED_INPUTS["lenet"], layers, loss="softmax-cross-entropy")
 
 
 def build_cifar_quick(seed: int = 0) -> Network:
@@ -667,7 +672,7 @@ def build_cifar_quick(seed: int = 0) -> Network:
         ReLU(),
         Dense(64 * 4 * 4, 10, init_gen=gen),
     ]
-    return Network(CIFAR_QUICK_INPUT, layers, loss="softmax-cross-entropy")
+    return Network(FIXED_INPUTS["cifar-quick"], layers, loss="softmax-cross-entropy")
 
 
 ACTIVATIONS = {"relu": ReLU, "sigmoid": Sigmoid, "tanh": Tanh}
@@ -678,10 +683,6 @@ def build_mlp(input_shape, hidden_widths, num_classes: int,
               loss: str = "softmax-cross-entropy") -> Network:
     """Fully-connected stack: one Dense per hidden width (with activation),
     then a Dense output of `num_classes` units."""
-    if activation not in ACTIVATIONS:
-        raise DimensionError(
-            f"unknown activation {activation!r}; expected one of {sorted(ACTIVATIONS)}"
-        )
     gen = rng.generator(seed, rng.SALT_INIT)
     act = ACTIVATIONS[activation]
     layers = []
@@ -694,40 +695,55 @@ def build_mlp(input_shape, hidden_widths, num_classes: int,
     return Network(input_shape, layers, loss=loss)
 
 
-def parse_arch(spec: str):
-    """Parse a config-file architecture string into (name, hidden widths).
+def parse_arch(spec: str, activation: str = "", loss: str = "softmax-cross-entropy",
+               input_shape=None, num_classes=None):
+    """Check a whole network spec; return (name, hidden widths, activation).
 
-    Accepted forms: "lenet", "cifar-quick" (widths None), and
-    "mlp:<w1>-<w2>-..." where the widths are hidden-layer sizes (the output
-    layer is appended automatically). "mlp:" alone gives a linear softmax
-    classifier.
+    `spec` is "lenet", "cifar-quick" (widths None) or "mlp:<w1>-<w2>-...",
+    the hidden widths ("mlp:" alone is a linear softmax classifier). An
+    activation of "" is the architecture's own: tanh for mlp, relu for the
+    fixed nets, which take only relu, softmax cross-entropy, 10 classes and
+    their FIXED_INPUTS shape. None skips the input_shape or num_classes
+    check. Raises DimensionError.
     """
     spec = spec.strip()
-    if spec in ("lenet", "cifar-quick"):
-        return spec, None
-    if spec != "mlp" and not spec.startswith("mlp:"):
-        raise DimensionError(f"unknown architecture spec {spec!r}")
-    try:
-        widths = [int(w) for w in spec[4:].replace(",", "-").split("-") if w]
-    except ValueError:
+    if spec in FIXED_INPUTS:
         widths = None
-    if widths is None or min(widths, default=1) < 1:
-        raise DimensionError(f"architecture {spec!r}: mlp widths must be positive integers")
-    return "mlp", widths
+    elif spec == "mlp" or spec.startswith("mlp:"):
+        try:
+            widths = [int(w) for w in spec[4:].replace(",", "-").split("-") if w]
+        except ValueError:
+            widths = [0]  # refused below with the widths under 1
+        if min(widths, default=1) < 1:
+            raise DimensionError(f"architecture {spec!r}: mlp widths must be positive integers")
+    else:
+        raise DimensionError(f"unknown architecture spec {spec!r}")
+    if activation not in ("", *ACTIVATIONS):
+        raise DimensionError(
+            f"unknown activation {activation!r}; expected one of {sorted(ACTIVATIONS)}")
+    if loss not in LOSSES:
+        raise DimensionError(f"unknown loss {loss!r}; expected one of {LOSSES}")
+    if widths is not None:
+        return "mlp", widths, activation or "tanh"
+    if activation not in ("", "relu"):
+        raise DimensionError(f"architecture {spec!r} uses relu only, got activation {activation!r}")
+    if loss != "softmax-cross-entropy":
+        raise DimensionError(f"architecture {spec!r} trains with softmax-cross-entropy only, "
+                             f"got loss {loss!r}")
+    if num_classes not in (None, 10):
+        raise DimensionError(f"architecture {spec!r} has 10 classes, got {num_classes}")
+    if input_shape is not None and tuple(input_shape) != FIXED_INPUTS[spec]:
+        raise DimensionError(f"architecture {spec!r} expects input {FIXED_INPUTS[spec]}, "
+                             f"got {tuple(input_shape)}")
+    return spec, None, "relu"
 
 
 def network_from_spec(spec: str, input_shape, num_classes: int,
-                      seed: int = 0, activation: str = "tanh",
+                      seed: int = 0, activation: str = "",
                       loss: str = "softmax-cross-entropy") -> Network:
-    """Build a network from a config-file architecture string (parse_arch)."""
-    name, widths = parse_arch(spec)
+    """Build a network from a spec that parse_arch checks whole."""
+    name, widths, activation = parse_arch(spec, activation, loss, input_shape, num_classes)
     if name == "mlp":
         return build_mlp(input_shape, widths, num_classes,
                          activation=activation, seed=seed, loss=loss)
-    net = build_lenet(seed) if name == "lenet" else build_cifar_quick(seed)
-    if tuple(input_shape) != net.input_shape:
-        raise DimensionError(
-            f"architecture {spec!r} expects input {net.input_shape}, "
-            f"dataset provides {tuple(input_shape)}"
-        )
-    return net
+    return build_lenet(seed) if name == "lenet" else build_cifar_quick(seed)

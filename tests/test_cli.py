@@ -136,6 +136,9 @@ class TestExitCodes:
                      id="gradcheck-tol-neg"),
         pytest.param(["gradcheck", "--tol", "inf", "--archs", "mlp:4"], cli.EXIT_CONFIG,
                      id="gradcheck-tol-inf"),
+        # batch_size is checked with the config, before the files are looked for.
+        pytest.param(["train", "--dataset=mnist", "--data_dir={missing}", "--batch_size=0"],
+                     cli.EXIT_CONFIG, id="mnist-batch-0"),
         pytest.param(["train", "--eval_batch_size=-3"] + BLOBS_ARGS, cli.EXIT_CONFIG,
                      id="eval-batch-neg"),
         pytest.param(["train", "--eval_batch_size=0"] + BLOBS_ARGS, cli.EXIT_CONFIG,
@@ -215,6 +218,10 @@ class TestExitCodes:
         pytest.param(["train", "--schedule.kind=step-decay", "--schedule.milestones=1",
                       "--schedule.factor=1e300", "--schedule.t0=1e10"] + BLOBS_ARGS,
                      cli.EXIT_NUMERIC, id="schedule-rate-inf"),
+        # The one step overflows the weights: the checkpoint's outputs are not
+        # finite, and no error rate is made of them.
+        pytest.param(["train", "--schedule.t0=1.7e308"] + BLOBS_ARGS + ["--max_iterations=1"],
+                     cli.EXIT_NUMERIC, id="last-step-overflows-weights"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_argument_is_one_line_config_error(self, argv, code, tmp_path, capsys):
@@ -403,8 +410,22 @@ class TestSubcommands:
         assert code == cli.EXIT_NUMERIC
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("numeric error: optimizer ours-sgd, lr 1e+308, start 0.1: "
-                               "quadratic-saddle trial diverged at iteration 1")
+                               "quadratic-saddle trial diverged: non-finite effective rate "
+                               "in layer 0 at iteration 0;")
+        assert line.count("iteration") == 1
         assert not out.exists()
+
+    def test_bench_overflowed_iterate_names_one_iteration(self, tmp_path, capsys):
+        # The first step's product overflows: the gradient was finite, the
+        # iterate is not.
+        code = cli.main(["bench", "--landscape", "monkey-saddle", "--lrs", "1e308",
+                         "--starts", "0.9", "--optimizers", "sgd",
+                         "--out", str(tmp_path / "bench.csv")])
+        assert code == cli.EXIT_NUMERIC
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numeric error: optimizer sgd, lr 1e+308, start 0.9: "
+                               "monkey-saddle trial diverged at iteration 0;")
+        assert line.count("iteration") == 1
 
     def test_gradcheck_with_no_checked_coordinate_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "gradient_check",
@@ -463,3 +484,110 @@ def test_bench_fuzz_exits_cleanly(landscape, starts, lrs, radius, max_iter, opti
     assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_NUMERIC)
     assert err.getvalue().count("\n") == (code != cli.EXIT_OK)
     assert [str(w.message) for w in seen] == []
+
+
+def _pick(good, bad):
+    return _mostly(st.sampled_from(good), st.sampled_from(bad))
+
+
+def _ints(lo, hi):
+    """Integers in [lo, hi] as text, and malformed ones: sizes stay small
+    enough that no example allocates more than a few MB."""
+    return _mostly(st.integers(lo, hi).map(str), st.sampled_from(["1.5", "", "abc", "1e3", "0x10"]))
+
+
+def _floats(lo=0.0):
+    """Finite floats from `lo` up, extreme ones among them, then any float
+    and malformed numbers."""
+    good = st.one_of(st.floats(1e-3, 10.0), st.floats(lo, 1e308),
+                     st.sampled_from([1e308, 1.7976931348623157e308, 1e300, 5e-324]))
+    return _mostly(good.map(repr), st.one_of(st.floats().map(repr), BAD_NUMBERS))
+
+
+def _int_list(lo, hi):
+    return _mostly(st.lists(st.integers(lo, hi).map(str), max_size=3).map(",".join),
+                   st.sampled_from(["1,,2", "a,b", "1.0", "-", "0x1"]))
+
+
+# Every config key with a grammar of valid, extreme and malformed values.
+# `{tmp}` is a fresh empty directory per example; nothing in it is data.
+CONFIG_VALUES = {
+    "dataset": _pick(["blobs"], ["mnist", "cifar10", "svhn", ""]),
+    "data_dir": st.sampled_from(["{tmp}", "{tmp}/missing", "{tmp}/o.csv"]),
+    "blobs.n": _ints(-2, 240),
+    "blobs.test_n": _ints(-2, 120),
+    "blobs.classes": _ints(-1, 6),
+    "blobs.dim": _ints(-1, 16),
+    "blobs.separation": _floats(-1e308),
+    "blobs.seed": _mostly(st.integers(0, 2 ** 64 - 0x7E58).map(str),
+                          st.sampled_from(["-1", str(2 ** 64 - 0x7E57), str(2 ** 64), "x"])),
+    "arch": _pick(["mlp:", "mlp:4", "mlp:8-4", "mlp"],
+                  ["mlp:0", "mlp:-3", "mlp:abc", "lenet", "cifar-quick", "bogus", ""]),
+    "arch.activation": _pick(["", "relu", "tanh", "sigmoid"], ["gelu", "RELU"]),
+    "loss": _pick(["softmax-cross-entropy", "squared-error"], ["hinge", ""]),
+    "opt.kind": _pick(["sgd", "momentum", "nag", "adagrad"], ["adam", ""]),
+    "opt.layerwise": _pick(["true", "false", "1", "off"], ["maybe", ""]),
+    "opt.mu": _mostly(st.floats(0.0, 1.0).map(repr), st.one_of(st.floats().map(repr), BAD_NUMBERS)),
+    "opt.weight_decay": _floats(),
+    "schedule.kind": _pick(["constant", "inverse-time", "step-decay"], ["cosine", ""]),
+    "schedule.t0": _floats(),
+    "schedule.gamma": _floats(),
+    "schedule.p": _floats(),
+    "schedule.milestones": _int_list(-3, 12),
+    "schedule.factor": _floats(),
+    "batch_size": _ints(-2, 64),
+    "max_iterations": _ints(-1, 12),
+    "checkpoints": _int_list(-1, 13),
+    "eval_batch_size": _ints(-2, 64),
+    "seeds": _mostly(_int_list(0, 5), st.sampled_from(["-1", "1,1", str(2 ** 64)])),
+    # argparse reads --out=... as the subcommand's own --out.
+    "out": _pick(["{tmp}/o.csv"], ["{tmp}/missing/o.csv", "{tmp}"]),
+    "variant": _pick(["", "v", "x y"], ["a,b", 'a"b', "a\nb"]),
+}
+# A small blobs run, so that most examples train.
+FUZZ_BASE = ["--dataset=blobs", "--blobs.n=48", "--blobs.test_n=24", "--blobs.classes=3",
+             "--blobs.dim=4", "--arch=mlp:4", "--batch_size=8", "--max_iterations=6",
+             "--data_dir={tmp}/missing"]
+GRADCHECK_FLAGS = {
+    "--archs": _comma_list(_mostly(st.sampled_from(["mlp:", "mlp:3", "mlp:4-3"]),
+                                   st.sampled_from(["lenet", "cifar-quick", "bogus", "mlp:0", ""]))),
+    "--seeds": _ints(-1, 2),
+    "--batch": _ints(-1, 3),
+    "--samples": _ints(-1, 3),
+    "--tol": _mostly(st.floats(1e-12, 1.0).map(repr), BAD_NUMBERS),
+    "--mlp-dim": _ints(-1, 8),
+    "--mlp-classes": _ints(-1, 5),
+}
+
+
+@st.composite
+def _run_argv(draw):
+    command = draw(st.sampled_from(["train", "table", "gradcheck"]))
+    if command == "gradcheck":
+        flags = draw(st.lists(st.sampled_from(sorted(GRADCHECK_FLAGS)), unique=True, max_size=4))
+        return ["gradcheck", "--archs=mlp:3", "--seeds=1", "--batch=2", "--samples=3"] + [
+            f"{flag}={draw(GRADCHECK_FLAGS[flag])}" for flag in flags]
+    keys = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), unique=True, max_size=5))
+    argv = [command, "--out={tmp}/o.csv"] + FUZZ_BASE
+    if command == "table":
+        argv += ["--processes=1", "--seeds=0,1"]
+    return argv + [f"--{key}={draw(CONFIG_VALUES[key])}" for key in keys]
+
+
+@given(argv=_run_argv())
+@settings(max_examples=300, deadline=None)
+def test_train_table_gradcheck_fuzz_exits_cleanly(argv):
+    """Whatever train, table or gradcheck is given, it exits 0, 2, 3 or 4,
+    writes at most one line to stderr (besides one ABORTED line per failed
+    seed of a table that completes) and lets no exception or numpy warning
+    out."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as seen, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main([a.replace("{tmp}", tmp) for a in argv])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_DATA, cli.EXIT_NUMERIC)
+    lines = [line for line in err.getvalue().splitlines()
+             if not (code == cli.EXIT_OK and line.startswith("ABORTED "))]
+    assert len(lines) <= 1
+    assert [str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)] == []

@@ -195,6 +195,12 @@ class TestSynthBlobs:
         with pytest.raises(ConfigError):
             synth_blobs(0, 10, 5, 3)
 
+    @pytest.mark.parametrize("n, classes, separation", [
+        (12, 0, 6.0), (0, 4, 6.0), (12, 4, float("nan")), (12, 4, float("inf"))])
+    def test_bad_size_or_separation_rejected(self, n, classes, separation):
+        with pytest.raises(ConfigError):
+            synth_blobs(0, n, classes, 8, separation)
+
     def test_far_separated_blobs_are_linearly_separable(self):
         # Train a linear softmax model to convergence as the oracle.
         ds = synth_blobs(3, 200, 2, 2, separation=6.0)

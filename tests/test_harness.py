@@ -29,7 +29,7 @@ from layerlr.harness import (
     run_experiment,
     summarize_records,
 )
-from layerlr.nn import Network
+from layerlr.nn import FIXED_INPUTS, Network
 
 BLOBS_KW = dict(dataset="blobs", blobs_n=240, blobs_test_n=120, blobs_classes=4,
                 blobs_dim=8, arch="mlp:16", batch_size=32)
@@ -124,7 +124,8 @@ class TestConfigParsing:
         ("lenet", "cifar10", "(3, 32, 32)"), ("lenet", "blobs", "(1, 1, 8)"),
         ("cifar-quick", "mnist", "(1, 28, 28)")])
     def test_fixed_net_input_checked_against_dataset(self, arch, dataset, shape):
-        with pytest.raises(ConfigError, match=re.escape(f"dataset '{dataset}' provides {shape}")):
+        message = f"dataset '{dataset}': architecture '{arch}' expects input {FIXED_INPUTS[arch]}, "
+        with pytest.raises(ConfigError, match=re.escape(f"{message}got {shape}")):
             ExperimentConfig(dataset=dataset, arch=arch)
 
     @pytest.mark.parametrize("arch, dataset", [("lenet", "mnist"), ("cifar-quick", "cifar10")])

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -808,6 +810,22 @@ class TestNetworkFromSpec:
     def test_wrong_input_shape_for_factory(self):
         with pytest.raises(DimensionError):
             network_from_spec("lenet", (3, 32, 32), 10)
+
+    # A fixed net builds its own layers, so a spec that asks for others is
+    # refused rather than ignored.
+    @pytest.mark.parametrize("spec, shape", [("lenet", (1, 28, 28)), ("cifar-quick", (3, 32, 32))])
+    @pytest.mark.parametrize("classes, kwargs, message", [
+        (10, dict(loss="squared-error"),
+         "trains with softmax-cross-entropy only, got loss 'squared-error'"),
+        (10, dict(activation="sigmoid"), "uses relu only, got activation 'sigmoid'"),
+        (7, {}, "has 10 classes, got 7"),
+    ])
+    def test_fixed_net_refuses_another_contract(self, spec, shape, classes, kwargs, message):
+        with pytest.raises(DimensionError, match=re.escape(f"architecture {spec!r} {message}")):
+            network_from_spec(spec, shape, classes, **kwargs)
+
+    def test_empty_activation_is_the_architectures_own(self):
+        assert isinstance(network_from_spec("mlp:4", (6,), 3, activation="").layers[1], Tanh)
 
     def test_unknown_spec(self):
         with pytest.raises(DimensionError):
