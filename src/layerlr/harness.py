@@ -265,11 +265,16 @@ def cifar10_paths(data_dir: str) -> dict:
 def load_datasets(cfg: ExperimentConfig):
     """(train, test) pair for the configured dataset, preprocessing applied."""
     if cfg.dataset == "blobs":
-        train = data_io.synth_blobs(cfg.blobs_seed, cfg.blobs_n, cfg.blobs_classes,
-                                    cfg.blobs_dim, cfg.blobs_separation)
-        test = data_io.synth_blobs(cfg.blobs_seed + BLOBS_TEST_OFFSET, cfg.blobs_test_n,
-                                   cfg.blobs_classes, cfg.blobs_dim, cfg.blobs_separation)
-        return train, test
+        splits = []
+        test_seed = cfg.blobs_seed + BLOBS_TEST_OFFSET
+        for key, seed, n in (("blobs.n", cfg.blobs_seed, cfg.blobs_n),
+                             ("blobs.test_n", test_seed, cfg.blobs_test_n)):
+            try:
+                splits.append(data_io.synth_blobs(seed, n, cfg.blobs_classes, cfg.blobs_dim,
+                                                  cfg.blobs_separation))
+            except ConfigError as exc:
+                raise ConfigError(f"generating {key}={n} blobs: {exc}") from None
+        return tuple(splits)
     if cfg.dataset not in ("mnist", "cifar10"):
         raise ConfigError(f"unknown dataset {cfg.dataset!r}")
     mnist = cfg.dataset == "mnist"
@@ -377,7 +382,12 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
         norm_history.append([s[:2] for s in stats])
         iteration = k + 1
         if iteration in checkpoints:
-            err = evaluate_error_percent(net, test, cfg.eval_batch_size)
+            try:
+                err = evaluate_error_percent(net, test, cfg.eval_batch_size)
+            except NumericError as exc:
+                raise NumericError(f"run aborted at checkpoint {iteration}: {exc}",
+                                   iteration=iteration,
+                                   layer_norms=list(norm_history)) from exc
             records.append(MetricsRecord(
                 seed=seed, iteration=iteration, train_loss=loss,
                 test_error_percent=err,

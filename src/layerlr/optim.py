@@ -27,6 +27,10 @@ from .tensor import group_norm
 
 EPSILON_NORM = 1e-12
 EPSILON_DIV = 1e-12
+# Elements per row block of an update: a tensor larger than this is updated
+# one leading-axis slice at a time, so that each of a rule's passes over the
+# block finds it still in cache (256 KiB per float64 array).
+UPDATE_BLOCK = 1 << 15
 
 OPTIMIZER_KINDS = ("sgd", "momentum", "nag", "adagrad")
 SCHEDULE_KINDS = ("constant", "inverse-time", "step-decay")
@@ -182,7 +186,14 @@ class Optimizer:
             slot = slots.get(key)
             if slot is None:
                 slot = slots[key] = self._new_slot(p)
-            self._update(slot, p, g, t_eff)
+            if p.size <= UPDATE_BLOCK:
+                self._update(slot, p, g, t_eff)
+                continue
+            # Leading-axis slices are views whatever the strides.
+            rows = max(1, UPDATE_BLOCK * len(p) // p.size)
+            for i in range(0, len(p), rows):
+                block = slice(i, i + rows)
+                self._update(tuple(a[block] for a in slot), p[block], g[block], t_eff)
         self.k += 1
         return stats
 
@@ -212,40 +223,40 @@ class Momentum(Optimizer):
         if not 0.0 <= mu <= 1.0:
             raise ConfigError(f"momentum coefficient must lie in [0, 1], got {mu}")
         self.mu = mu
+        # A 0-d array operand skips the conversion a Python float costs on
+        # every ufunc call; the product is the same.
+        self._mu0 = np.array(mu, dtype=np.float64)
 
     def _new_slot(self, p):
         return (np.zeros_like(p), np.empty_like(p))
 
     def _update(self, slot, p, g, t_eff):
         v, buf = slot
-        v *= self.mu
+        np.multiply(v, self._mu0, out=v)
         v -= np.multiply(g, t_eff, out=buf)
         p += v
 
 
 class _Lookahead:
-    """What NAG.at_lookahead returns. On entry each tensor with a velocity
-    gets mu*v + x written into its scratch array; once all are formed, each
-    such array stands in for its tensor in the group list. On exit, also by
-    an exception, the original objects go back in place."""
+    """What NAG.at_lookahead returns. On entry the scratch array of each
+    tensor with a velocity, which holds the mu*v + x that the last step
+    formed, stands in for its tensor in the group list. On exit, also by an
+    exception, the original objects go back in place."""
 
     def __init__(self, nag, params):
         self.nag, self.params, self.swapped = nag, params, []
 
     def __enter__(self):
-        slots, mu = self.nag._slots, self.nag.mu
+        slots = self.nag._slots
         for li, group in enumerate(self.params):
             for ti, p in enumerate(group):
                 slot = slots.get((li, ti))
                 if slot is not None:
-                    ahead = np.multiply(slot[0], mu, out=slot[1])
-                    ahead += p
-                    self.swapped.append((group, ti, p, ahead))
-        for group, ti, _, ahead in self.swapped:
-            group[ti] = ahead
+                    self.swapped.append((group, ti, p))
+                    group[ti] = slot[1]
 
     def __exit__(self, *exc):
-        for group, ti, p, _ in self.swapped:
+        for group, ti, p in self.swapped:
             group[ti] = p
 
 
@@ -255,9 +266,20 @@ class NAG(Momentum):
     x + mu * v_prev: descend() puts that point in the parameter lists while
     value_grad runs. With layerwise=True the multiplier comes from the
     lookahead gradient norms and scales only the gradient term.
+
+    Each update also forms the next lookahead mu*v + x in the tensor's
+    scratch array, in the same block while v and x are in cache. So the
+    lookahead is the one the last step formed: nothing may write the
+    parameters between steps.
     """
 
     kind = "nag"
+
+    def _update(self, slot, p, g, t_eff):
+        super()._update(slot, p, g, t_eff)
+        v, ahead = slot
+        np.multiply(v, self._mu0, out=ahead)
+        ahead += p
 
     def descend(self, params, value_grad):
         with self.at_lookahead(params):
@@ -266,7 +288,9 @@ class NAG(Momentum):
 
     def at_lookahead(self, params):
         """Evaluate at the lookahead point x + mu*v_prev without touching x:
-        the parameters are never shifted, copied or restored."""
+        the parameters are never shifted, copied or restored. The point is
+        the one the last step formed, so it is stale if anything wrote the
+        parameters since."""
         return _Lookahead(self, params)
 
 

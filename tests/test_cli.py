@@ -282,6 +282,30 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_evaluation_abort_names_its_checkpoint(self, tmp_path, capsys):
+        # The one step overflows the weights; evaluation meets the outputs.
+        out = tmp_path / "r.csv"
+        argv = ["train", "--schedule.t0=1.7e308"] + BLOBS_ARGS + [
+            "--max_iterations=1", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_NUMERIC
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("numeric error: run aborted at checkpoint 1: "
+                               "non-finite network output in evaluation;")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, argv", [
+        ("blobs.n", ["--blobs.n=7", "--blobs.classes=3"]),
+        ("blobs.test_n", ["--blobs.test_n=7", "--blobs.classes=3"]),
+        ("blobs.test_n", ["--blobs.test_n=0"]),
+    ])
+    def test_blobs_size_error_names_its_key(self, key, argv, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert cli.main(["train"] + BLOBS_ARGS + argv + ["--out", str(out)]) == cli.EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"config error: generating {key}=")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["train"], ["table", "--processes", "1"]])
     def test_unwritable_out_fails_before_training(self, command, tmp_path, capsys,
                                                   monkeypatch):

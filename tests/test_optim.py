@@ -11,6 +11,7 @@ from layerlr.errors import ConfigError, NumericError
 from layerlr.optim import (
     EPSILON_DIV,
     SGD,
+    UPDATE_BLOCK,
     AdaGrad,
     LrSchedule,
     Momentum,
@@ -417,9 +418,17 @@ def _reference_run(kind, schedule, params, grad_seq, layerwise, weight_decay, mu
         yield ahead, params, state
 
 
-def _layered_problem(seed, steps):
+SMALL_SHAPES = [[(7, 5), (5,)], [], [(5, 3), (3,)], [(1,)]]
+# Tensors above one update block, then a small last layer: a 2-D tensor
+# whose row count the block's rows do not divide, a 1-D tensor 7 longer
+# than a block, and a conv-shaped 4-D tensor.
+_BLOCK_ROWS = UPDATE_BLOCK // 101
+BLOCKED_SHAPES = [[(2 * _BLOCK_ROWS + 5, 101), (101,)], [(UPDATE_BLOCK + 7,)],
+                  [(UPDATE_BLOCK // 75 + 9, 3, 5, 5), (UPDATE_BLOCK // 75 + 9,)], [(1,)]]
+
+
+def _layered_problem(seed, steps, shapes=SMALL_SHAPES):
     gen = rng.generator(seed, 9)
-    shapes = [[(7, 5), (5,)], [], [(5, 3), (3,)], [(1,)]]
     params = [[gen.standard_normal(s) for s in group] for group in shapes]
     # Gradient scales spread over 8 decades, so multipliers differ by layer.
     grad_seq = [[[gen.standard_normal(s) * 10.0 ** gen.integers(-6, 3) for s in group]
@@ -440,12 +449,9 @@ def _recording(params, grads, seen):
     return value_grad
 
 
-@pytest.mark.parametrize("layerwise, weight_decay",
-                         [(False, 0.0), (True, 0.0), (True, 1e-3)])
-@pytest.mark.parametrize("kind", ["sgd", "momentum", "nag", "adagrad"])
-def test_in_place_updates_match_allocating_reference_bitwise(kind, layerwise, weight_decay):
+def _check_against_reference(kind, layerwise, weight_decay, shapes, steps):
     schedule = LrSchedule(kind="inverse-time", t0=0.05, gamma=0.01, p=1.0)
-    params, grad_seq = _layered_problem(12, 25)
+    params, grad_seq = _layered_problem(12, steps, shapes)
     reference = _reference_run(kind, schedule, _nested_copy(params), grad_seq,
                                layerwise, weight_decay)
     opt = make_optimizer(kind, schedule, layerwise=layerwise, weight_decay=weight_decay)
@@ -457,6 +463,53 @@ def test_in_place_updates_match_allocating_reference_bitwise(kind, layerwise, we
         assert pickle.dumps(ahead) == pickle.dumps(want_ahead)
         assert pickle.dumps(params) == pickle.dumps(want_params)
         assert pickle.dumps(state_copy(opt)) == pickle.dumps(want_state)
+        if kind == "nag":
+            # The step just taken formed the next lookahead.
+            with opt.at_lookahead(params):
+                formed = _nested_copy(params)
+            velocity = state(opt)
+            want = [[opt.mu * velocity[(li, ti)] + x for ti, x in enumerate(group)]
+                    for li, group in enumerate(params)]
+            assert pickle.dumps(formed) == pickle.dumps(want)
+
+
+@pytest.mark.parametrize("layerwise, weight_decay",
+                         [(False, 0.0), (True, 0.0), (True, 1e-3)])
+@pytest.mark.parametrize("kind", ["sgd", "momentum", "nag", "adagrad"])
+def test_in_place_updates_match_allocating_reference_bitwise(kind, layerwise, weight_decay):
+    _check_against_reference(kind, layerwise, weight_decay, SMALL_SHAPES, 25)
+
+
+@pytest.mark.parametrize("layerwise, weight_decay",
+                         [(False, 0.0), (True, 0.0), (True, 1e-3)])
+@pytest.mark.parametrize("kind", ["sgd", "momentum", "nag", "adagrad"])
+def test_block_updates_match_allocating_reference_bitwise(kind, layerwise, weight_decay):
+    _check_against_reference(kind, layerwise, weight_decay, BLOCKED_SHAPES, 6)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "momentum", "nag", "adagrad"])
+def test_update_runs_once_per_small_tensor_and_per_row_block_above(kind):
+    # Exactly one block; one row over a block, so one row per call; the rest.
+    shapes = [[(UPDATE_BLOCK,), (2, UPDATE_BLOCK + 1)]] + BLOCKED_SHAPES
+    params, (grads,) = _layered_problem(17, 1, shapes)
+    opt = make_optimizer(kind, 0.05)
+    calls = []
+
+    def update(slot, p, g, t_eff):
+        assert all(a.shape == p.shape for a in (g,) + slot)
+        calls.append(p)
+    opt._update = update
+    opt.step(params, grads)
+    for p in (p for group in params for p in group):
+        blocks = [b for b in calls if b.base is p or b is p]
+        if p.size <= UPDATE_BLOCK:
+            assert len(blocks) == 1 and blocks[0] is p
+            continue
+        row = p.size // len(p)
+        assert all(b.size <= max(UPDATE_BLOCK, row) for b in blocks)
+        assert all(b.size >= row for b in blocks)
+        assert sum(len(b) for b in blocks) == len(p)
+        assert np.shares_memory(blocks[0], p[:1]) and np.shares_memory(blocks[-1], p[-1:])
 
 
 @pytest.mark.parametrize("layerwise", [False, True])
@@ -474,6 +527,21 @@ def test_non_finite_last_layer_aborts_before_any_update(kind, layerwise, bad):
     with pytest.raises(NumericError, match="layer 3 at iteration 3"):
         opt.step(params, grads)
     assert pickle.dumps((params, state_copy(opt), opt.k)) == before
+
+
+@pytest.mark.parametrize("kind", ["sgd", "momentum", "nag", "adagrad"])
+def test_nan_after_blocked_tensors_aborts_before_any_update(kind):
+    params, grad_seq = _layered_problem(19, 3, BLOCKED_SHAPES)
+    opt = make_optimizer(kind, 0.05, layerwise=True)
+    for grads in grad_seq[:2]:
+        opt.step(params, grads)
+    grads = grad_seq[2]
+    grads[-1][0] = np.full(1, np.nan)
+    # Every slot array, NAG's formed lookahead included.
+    before = pickle.dumps((params, opt._slots, opt.k))
+    with pytest.raises(NumericError, match="layer 3 at iteration 2"):
+        opt.step(params, grads)
+    assert pickle.dumps((params, opt._slots, opt.k)) == before
 
 
 @pytest.mark.parametrize("layerwise", [False, True])
