@@ -9,11 +9,13 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric abort.
 """
 
 import argparse
+import gzip
 import itertools
 import math
 import os
 import sys
 import tarfile
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -225,8 +227,9 @@ def _cmd_fetch_data(args, extras) -> int:
         try:
             with tarfile.open(archive, "r:gz") as tar:
                 _extract(tar, root)
-        except tarfile.TarError as exc:
-            raise DataError(f"cannot extract {archive}: {exc}") from exc
+        except (tarfile.TarError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise DataError(f"cannot extract {archive}: {exc}; delete it and run "
+                            f"fetch-data again") from exc
         print(f"CIFAR-10 ready under {os.path.join(root, 'cifar-10-batches-bin')}")
         return EXIT_OK
     raise ConfigError(f"unknown dataset {args.dataset!r} (mnist or cifar10)")

@@ -13,7 +13,8 @@ import gzip
 import math
 import os
 import struct
-from contextlib import ExitStack
+import zlib
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,17 +75,26 @@ class Dataset:
         return self.decode(slice(None))
 
 
+@contextmanager
+def _reading(path):
+    """A DataError naming `path` for any failure to open, read or inflate it."""
+    try:
+        yield
+    except (OSError, EOFError, zlib.error) as exc:
+        raise DataError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
+
+
 def _read_idx(path, magic, item):
     """(counts, uint8 payload) of an IDX file, plain or .gz, whose header is
     `magic` plus one big-endian count per dimension (the magic's low byte).
     DataError on a short header, another magic, no items, or fewer payload
-    bytes than the counts claim; `item` names the payload's bytes in
-    messages."""
+    bytes than the counts claim, and on a file it cannot open, read or
+    inflate; `item` names the payload's bytes in messages."""
     dims = magic & 0xFF
     # Unbuffered: a buffered read() to the end joins the bytes it reads in
     # one more copy of the file.
     gz = str(path).endswith(".gz")
-    with gzip.open(path, "rb") if gz else open(path, "rb", buffering=0) as f:
+    with _reading(path), gzip.open(path, "rb") if gz else open(path, "rb", buffering=0) as f:
         header = f.read(4 + 4 * dims)
         if len(header) < 4 + 4 * dims:
             raise DataError(f"{path}: truncated IDX header")
@@ -121,9 +131,13 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
 def load_cifar10_bin(paths) -> Dataset:
     """Load CIFAR-10 binary batch files (3073-byte records: label byte then
     3072 pixel bytes in channel-major order), read in order into one record
-    array. Pixels stay uint8, a view of it."""
+    array. Pixels stay uint8, a view of it. DataError on a file it cannot
+    open or read."""
     with ExitStack() as stack:
-        files = [(path, stack.enter_context(open(path, "rb"))) for path in paths]
+        files = []
+        for path in paths:
+            with _reading(path):
+                files.append((path, stack.enter_context(open(path, "rb"))))
         sizes = [os.fstat(f.fileno()).st_size for _, f in files]
         for (path, _), size in zip(files, sizes):
             if size == 0 or size % CIFAR_RECORD_BYTES != 0:
@@ -132,7 +146,8 @@ def load_cifar10_bin(paths) -> Dataset:
         records = np.empty((sum(sizes) // CIFAR_RECORD_BYTES, CIFAR_RECORD_BYTES), np.uint8)
         start = 0
         for (path, f), size in zip(files, sizes):
-            got = f.readinto(records.reshape(-1)[start:start + size])
+            with _reading(path):
+                got = f.readinto(records.reshape(-1)[start:start + size])
             if got != size:
                 raise DataError(f"{path}: read {got} of its {size} bytes")
             start += size

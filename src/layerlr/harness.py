@@ -344,6 +344,18 @@ def evaluate_error_percent(net: Network, dataset: data_io.Dataset,
     return 100.0 * wrong / n
 
 
+def train_steps(net: Network, opt, stream, num_classes: int, steps: int):
+    """Yield (k, loss, stats) after each of `steps` minibatch steps, k the
+    steps taken so far: stream.next_batch() at the step's start, then one
+    opt.descend whose gradients come from net.value_grad on that batch."""
+    params = net.parameters()
+    for k in range(1, steps + 1):
+        x, y = stream.next_batch()
+        targets = _targets_for(net, y, num_classes)
+        loss, stats = opt.descend(params, lambda: net.value_grad(x, targets))
+        yield k, loss, stats
+
+
 def run_experiment(cfg: ExperimentConfig, seed: int):
     """Train one seed for max_iterations minibatch steps, evaluating the
     held-out test set at each checkpoint. Returns the MetricsRecord list.
@@ -358,41 +370,25 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
     train, test = load_datasets(cfg)
     net = build_network(cfg, train, seed)
     stream = data_io.BatchStream(train, cfg.batch_size, seed)
-    params = net.parameters()
+    steps = train_steps(net, opt, stream, train.num_classes, cfg.max_iterations)
     checkpoints = set(cfg.checkpoint_iterations)
     records = []
     norm_history = deque(maxlen=10)
-    for k in range(cfg.max_iterations):
-        x, y = stream.next_batch()
-        targets = _targets_for(net, y, train.num_classes)
-
-        def value_grad():
-            loss, cache = net.forward(x, targets)
-            return loss, net.backward(cache)
-        try:
-            loss, stats = opt.descend(params, value_grad)
-        except NumericError as exc:
-            # A gradient abort carries the failing step's pairs.
-            norm_history.extend(exc.layer_norms or ())
-            raise NumericError(
-                f"run aborted at iteration {k}: {exc}",
-                iteration=k,
-                layer_norms=list(norm_history),
-            ) from exc
-        norm_history.append([s[:2] for s in stats])
-        iteration = k + 1
-        if iteration in checkpoints:
-            try:
+    k = 0
+    try:
+        for k, loss, stats in steps:
+            norm_history.append([s[:2] for s in stats])
+            if k in checkpoints:
                 err = evaluate_error_percent(net, test, cfg.eval_batch_size)
-            except NumericError as exc:
-                raise NumericError(f"run aborted at checkpoint {iteration}: {exc}",
-                                   iteration=iteration,
-                                   layer_norms=list(norm_history)) from exc
-            records.append(MetricsRecord(
-                seed=seed, iteration=iteration, train_loss=loss,
-                test_error_percent=err,
-                wall_ms=1000.0 * (time.perf_counter() - t_start),
-            ))
+                records.append(MetricsRecord(seed, k, loss, err,
+                                             1000.0 * (time.perf_counter() - t_start)))
+    except NumericError as exc:
+        # A step's abort ends the loop, with the failing step's pairs if a
+        # gradient failed; an evaluation's leaves it paused at checkpoint k.
+        where = "checkpoint" if steps.gi_frame else "iteration"
+        norm_history.extend(exc.layer_norms or ())
+        raise NumericError(f"run aborted at {where} {k}: {exc}", iteration=k,
+                           layer_norms=list(norm_history)) from exc
     return records
 
 

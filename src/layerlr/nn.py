@@ -504,6 +504,11 @@ class Network:
                 need_grad_in=False)
         return by_layer
 
+    def value_grad(self, inputs, targets):
+        """(mean loss, gradients): forward, then backward on its cache."""
+        loss, cache = self.forward(inputs, targets)
+        return loss, self.backward(cache)
+
     def predict(self, inputs):
         """Forward pass returning the final layer output; no layer forms a
         cache (need_cache=False)."""

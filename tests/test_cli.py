@@ -1,4 +1,5 @@
 import contextlib
+import gzip
 import io
 import os
 import struct
@@ -282,6 +283,34 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("dataset, arch", [("mnist", "mlp:8"), ("cifar10", "cifar-quick")])
+    def test_unreadable_split_is_one_line_data_error(self, dataset, arch, tmp_path, capsys):
+        # The first file read is a truncated .gz (MNIST) or a directory
+        # (CIFAR-10); the other files only need to exist.
+        if dataset == "mnist":
+            paths = list(harness.mnist_paths(str(tmp_path)).values())
+        else:
+            paths = sum(harness.cifar10_paths(str(tmp_path)).values(), [])
+        for path in paths:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            open(path, "wb").close()
+        target = paths[0]
+        if dataset == "mnist":
+            with gzip.open(target, "wb") as f:
+                f.write(struct.pack(">IIII", 0x803, 4, 28, 28) + bytes(4 * 28 * 28))
+            with open(target, "r+b") as f:
+                f.truncate(30)
+        else:
+            os.remove(target)
+            os.mkdir(target)
+        out = tmp_path / "r.csv"
+        argv = ["train", f"--dataset={dataset}", f"--arch={arch}", f"--data_dir={tmp_path}",
+                "--max_iterations=1", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"data error: {target}: cannot read: ")
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_evaluation_abort_names_its_checkpoint(self, tmp_path, capsys):
         # The one step overflows the weights; evaluation meets the outputs.
@@ -364,6 +393,17 @@ class TestFetchCifar:
         assert cli.main(["fetch-data", "--dataset", "cifar10", "--root", str(tmp_path)]) == \
             cli.EXIT_DATA
         assert capsys.readouterr().err.startswith("data error: cannot extract ")
+
+    def test_truncated_archive_is_data_error_saying_to_delete_it(self, tmp_path, capsys):
+        _cifar_archive(tmp_path, [("cifar-10-batches-bin/test_batch.bin", os.urandom(3073))])
+        archive = tmp_path / "cifar-10-binary.tar.gz"
+        archive.write_bytes(archive.read_bytes()[:1000])
+        assert cli.main(["fetch-data", "--dataset", "cifar10", "--root", str(tmp_path)]) == \
+            cli.EXIT_DATA
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"data error: cannot extract {archive}: ")
+        assert line.endswith("delete it and run fetch-data again")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cifar-10-binary.tar.gz"]
 
     @pytest.mark.parametrize("member", [
         pytest.param(("../escaped.bin", b"x"), id="dotdot"),

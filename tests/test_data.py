@@ -22,6 +22,9 @@ from layerlr.errors import ConfigError, DataError
 from layerlr.nn import build_mlp
 from layerlr.optim import SGD
 
+# A gzip member header with no optional fields (deflate, no flags, Unix).
+GZIP_HEADER = bytes.fromhex("1f8b0800000000000003")
+
 
 def write_idx_pair(tmp_path, n=12, h=5, w=4, image_magic=0x803, label_magic=0x801,
                    label_count=None, gz=False):
@@ -92,6 +95,28 @@ class TestMnistIdx:
         with pytest.raises(DataError, match=f"expected {2 ** 32 - 1} label bytes, got 12"):
             load_mnist_idx(img, lbl)
 
+    # One case per way a .gz can fail to inflate: gzip's EOFError, its
+    # BadGzipFile, and zlib.error from a bad deflate stream.
+    @pytest.mark.parametrize("damage, reason", [
+        pytest.param(lambda b: b[:len(b) // 2], "Compressed file ended", id="truncated"),
+        pytest.param(lambda b: b"not gzip", "Not a gzipped file", id="not-gzip"),
+        pytest.param(lambda b: GZIP_HEADER + b"\xff" * 40, "Error -3 while decompressing",
+                     id="bad-deflate"),
+    ])
+    def test_gzip_that_cannot_be_inflated_is_a_data_error(self, damage, reason, tmp_path):
+        img, lbl, _, _ = write_idx_pair(tmp_path, gz=True)
+        lbl.write_bytes(damage(lbl.read_bytes()))
+        with pytest.raises(DataError, match=re.escape(f"{lbl}: cannot read: ") + reason):
+            load_mnist_idx(img, lbl)
+
+    @pytest.mark.parametrize("gz", [False, True])
+    def test_directory_in_place_of_a_file_is_a_data_error(self, gz, tmp_path):
+        img, lbl, _, _ = write_idx_pair(tmp_path, gz=gz)
+        img.unlink()
+        img.mkdir()
+        with pytest.raises(DataError, match=re.escape(f"{img}: cannot read: Is a directory")):
+            load_mnist_idx(img, lbl)
+
     def test_round_trip_determinism(self, tmp_path):
         img, lbl, _, _ = write_idx_pair(tmp_path)
         a = load_mnist_idx(img, lbl)
@@ -137,6 +162,13 @@ class TestCifar10Bin:
         self.make_file(good, n=2)
         p.write_bytes(b"")
         with pytest.raises(DataError, match=re.escape(f"{p}: file length 0 ")):
+            load_cifar10_bin([good, p])
+
+    def test_directory_in_place_of_a_file_is_a_data_error(self, tmp_path):
+        good, p = tmp_path / "data_batch_1.bin", tmp_path / "data_batch_2.bin"
+        self.make_file(good, n=2)
+        p.mkdir()
+        with pytest.raises(DataError, match=re.escape(f"{p}: cannot read: Is a directory")):
             load_cifar10_bin([good, p])
 
     def test_files_load_in_order_as_the_per_file_loads_stacked(self, tmp_path):
@@ -208,8 +240,7 @@ class TestSynthBlobs:
         opt = SGD(0.5)
         x = ds.images.reshape(200, 2)
         for _ in range(300):
-            loss, cache = net.forward(x, ds.labels)
-            opt.step(net.parameters(), net.backward(cache))
+            opt.descend(net.parameters(), lambda: net.value_grad(x, ds.labels))
         pred = np.argmax(net.predict(x), axis=1)
         assert np.array_equal(pred, ds.labels)
 

@@ -81,8 +81,7 @@ def trajectory(arch, kind, layerwise):
         x, y = batches()
 
         def value_grad():
-            loss, cache = net.forward(x, y)
-            grads = net.backward(cache)
+            loss, grads = net.value_grad(x, y)
             norms.append([group_norm(g) for g in grads])
             return loss, grads
         loss, _ = opt.descend(params, value_grad)

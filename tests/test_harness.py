@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from layerlr import harness
+from layerlr.data import BatchStream
 from layerlr.errors import ConfigError, NumericError
 from layerlr.harness import (
     ExperimentConfig,
@@ -28,6 +29,7 @@ from layerlr.harness import (
     repeat_runs,
     run_experiment,
     summarize_records,
+    train_steps,
 )
 from layerlr.nn import FIXED_INPUTS, Network
 
@@ -192,13 +194,10 @@ class TestRunExperiment:
         from layerlr.harness import build_network
         net = build_network(cfg, train, seed=0)
         opt = cfg.optimizer()
-        from layerlr.data import BatchStream
         stream = BatchStream(train, cfg.batch_size, 0)
-        params = net.parameters()
-        for _ in range(10):
-            x, y = stream.next_batch()
-            loss, cache = net.forward(x, y)
-            opt.step(params, net.backward(cache))
+        for _ in train_steps(net, opt, stream, train.num_classes, 10):
+            pass
+
         def state():
             accumulators = {key: slot[0] for key, slot in opt._slots.items()}
             return pickle.dumps((net.parameters(), accumulators, opt.k))
@@ -262,6 +261,33 @@ class TestRunExperiment:
         monkeypatch.setattr(Network, "forward", checked)
         run_experiment(blobs_config(max_iterations=5, checkpoints=(2, 5)), seed=0)
         assert len(caches) == 5
+
+    @pytest.mark.parametrize("kind", ["sgd", "nag"])
+    def test_each_step_takes_its_batch_then_its_gradients_then_its_checkpoint(
+            self, kind, monkeypatch):
+        # The benchmark times a step from one next_batch call to the next and
+        # leaves out the checkpoint's evaluation: a loop that fetched the
+        # next batch before the evaluation would move it into another step.
+        calls = []
+
+        def spy(owner, name):
+            method = getattr(owner, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            monkeypatch.setattr(owner, name, call)
+        for owner, name in ((BatchStream, "next_batch"), (Network, "value_grad"),
+                            (Network, "forward"), (Network, "backward"),
+                            (harness, "evaluate_error_percent")):
+            spy(owner, name)
+        run_experiment(blobs_config(opt_kind=kind, max_iterations=6, checkpoints=(2, 5, 6)),
+                       seed=0)
+        step = ["next_batch", "value_grad", "forward", "backward"]
+        want = []
+        for k in range(1, 7):
+            want += step + ["evaluate_error_percent"] * (k in (2, 5, 6))
+        assert calls == want
 
 
 class TestSummaries:

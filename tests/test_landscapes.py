@@ -153,6 +153,50 @@ class TestEscapeTrials:
         assert mom < plain
 
 
+# The multiplier's norm floor, written out rather than read from
+# optim.EPSILON_NORM: the paper's formula has no floor, and the oracle must
+# not follow a change to the library's.
+NORM_FLOOR = 1e-12
+# Starts above, at and below the floor, down to 1e-300.
+ORACLE_STARTS = (1e-1, 1e-3, 1e-6, 1e-12, 1e-13, 1e-20, 1e-100, 1e-300)
+
+
+def oracle_escape(y0, t, layerwise, radius=1.0):
+    """SGD's escape count on the quadratic saddle from (0, y0), in Python
+    floats from the paper's formula. The y layer's gradient is -y, so each
+    step is y <- y - (-y) * (t * m), with m = 1 + ln(1 + 1/max(|y|, floor))
+    layer-wise and 1 otherwise; x stays at 0."""
+    y, k = y0, 0
+    while abs(y) <= radius:
+        m = 1.0 + math.log1p(1.0 / max(abs(y), NORM_FLOOR)) if layerwise else 1.0
+        y = y - (-y) * (t * m)
+        k += 1
+    return k
+
+
+class TestEscapeOracle:
+    # Plain SGD at t = 0.01 takes 23k and 69k iterations from 1e-100 and
+    # 1e-300, so its cells stop at 1e-6.
+    @pytest.mark.parametrize("layerwise, t, y0", [
+        *[(True, t, y0) for t in (0.1, 0.01) for y0 in ORACLE_STARTS],
+        *[(False, 0.1, y0) for y0 in ORACLE_STARTS],
+        *[(False, 0.01, y0) for y0 in ORACLE_STARTS[:3]],
+    ])
+    def test_sgd_escape_equals_the_oracle(self, layerwise, t, y0):
+        iters = run_escape_trial(SGD(t, layerwise=layerwise), QuadraticSaddle(), [0.0, y0])
+        assert iters == oracle_escape(y0, t, layerwise)
+
+    @pytest.mark.parametrize("t", [0.1, 0.01])
+    def test_the_laws_readme_states(self, t):
+        for y0 in ORACLE_STARTS:
+            assert oracle_escape(y0, t, False) == closed_form_escape(y0, t)
+        # Below the floor m stops at 1 + ln(1 + 1e12), so escape is linear
+        # in decades again.
+        per_decade = (oracle_escape(1e-300, t, True) - oracle_escape(1e-100, t, True)) / 200
+        m_floor = 1.0 + math.log1p(1.0 / NORM_FLOOR)
+        assert per_decade == pytest.approx(math.log(10) / math.log1p(m_floor * t), rel=0.01)
+
+
 KINDS = ["sgd", "momentum", "nag", "adagrad"]
 
 

@@ -129,6 +129,16 @@ class TestBackward:
                 rel = np.abs(a - n) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(n)))
                 assert rel.max() < 1e-5
 
+    def test_value_grad_is_forward_then_backward(self):
+        net = build_mlp((4,), [6], 3, activation="relu", seed=17)
+        gen = rng.generator(17, 0)
+        x, y = gen.standard_normal((5, 4)), gen.integers(0, 3, size=5)
+        loss, cache = net.forward(x, y)
+        want = [g.tobytes() for group in net.backward(cache) for g in group]
+        got, grads = net.value_grad(x, y)
+        assert got == loss
+        assert [g.tobytes() for group in grads for g in group] == want
+
     @pytest.mark.parametrize("build,shape", [
         (lambda: build_mlp((5,), [7, 4], 3, activation="relu", seed=18), (5,)),
         (lambda: Network((5,), [Tanh(), Dense(5, 3, init_gen=rng.generator(18, 1))]), (5,)),
@@ -699,9 +709,8 @@ def _tied_batch(seed, n=6):
 
 
 def _loss_and_grad_bytes(net, x, y):
-    loss, cache = net.forward(x, y)
-    return np.float64(loss).tobytes(), [g.tobytes() for group in net.backward(cache)
-                                        for g in group]
+    loss, grads = net.value_grad(x, y)
+    return np.float64(loss).tobytes(), [g.tobytes() for group in grads for g in group]
 
 
 class TestCifarQuickLayerOrder:
@@ -728,11 +737,7 @@ class TestCifarQuickLayerOrder:
             params = net.parameters()
             for step in range(3):
                 x, y = _tied_batch(step)
-
-                def value_grad():
-                    loss, cache = net.forward(x, y)
-                    return loss, net.backward(cache)
-                opt.descend(params, value_grad)
+                opt.descend(params, lambda: net.value_grad(x, y))
             runs.append((_loss_and_grad_bytes(net, *_tied_batch(3)),
                          [p.tobytes() for group in params for p in group]))
         assert runs[0] == runs[1]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from layerlr import data, nn, rng
 from layerlr.errors import ConfigError, NumericError
+from layerlr.harness import train_steps
 from layerlr.optim import (
     EPSILON_DIV,
     SGD,
@@ -713,17 +714,8 @@ class TestMultiplierOnASigmoidNet:
         net = nn.build_mlp((1, 1, 16), [32] * 5, 4, activation="sigmoid", seed=seed)
         stream = data.BatchStream(ds, 64, seed)
         opt = make_optimizer("sgd", 2.0, layerwise=True)
-        params = net.parameters()
-        multipliers = []
-        for _ in range(20):
-            x, y = stream.next_batch()
-
-            def value_grad():
-                loss, cache = net.forward(x, y)
-                return loss, net.backward(cache)
-            _, stats = opt.descend(params, value_grad)
-            multipliers.append([m for _, _, m, _ in stats])
-        m = np.array(multipliers)
+        m = np.array([[m for _, _, m, _ in stats]
+                      for _, _, stats in train_steps(net, opt, stream, 4, 20)])
         assert m.shape == (20, 6)
         # Per step the middle layers may swap; the first and last never do.
         assert np.all(m[:, 0] > m[:, -1])
