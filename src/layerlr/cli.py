@@ -32,12 +32,6 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-MNIST_FILES = (
-    "train-images-idx3-ubyte.gz",
-    "train-labels-idx1-ubyte.gz",
-    "t10k-images-idx3-ubyte.gz",
-    "t10k-labels-idx1-ubyte.gz",
-)
 MNIST_MIRRORS = (
     "https://ossci-datasets.s3.amazonaws.com/mnist/",
     "https://storage.googleapis.com/cvdf-datasets/mnist/",
@@ -174,15 +168,22 @@ def _cmd_gradcheck(args, extras) -> int:
 
 
 def _download(url: str, dest: str) -> bool:
+    """Fetch `url` to `dest` through `dest.part`, so that `dest` exists only
+    once the whole file has arrived."""
     import urllib.request
+    part = dest + ".part"
     try:
         print(f"fetching {url}")
-        with urllib.request.urlopen(url, timeout=60) as resp, open(dest, "wb") as f:
+        with urllib.request.urlopen(url, timeout=60) as resp, open(part, "wb") as f:
             f.write(resp.read())
+        os.replace(part, dest)
         return True
     except Exception as exc:  # noqa: BLE001 - report and fall through to mirrors
         print(f"  failed: {exc}", file=sys.stderr)
         return False
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
 
 
 def _extract(tar, root):
@@ -210,11 +211,11 @@ def _cmd_fetch_data(args, extras) -> int:
     if args.dataset == "mnist":
         target = os.path.join(root, "mnist")
         os.makedirs(target, exist_ok=True)
-        for name in MNIST_FILES:
-            dest = os.path.join(target, name)
-            if os.path.exists(dest) or os.path.exists(dest[:-3]):
+        for dest in harness.mnist_paths(root).values():
+            if os.path.exists(dest):
                 print(f"already have {dest}")
                 continue
+            name = os.path.basename(dest)
             if not any(_download(base + name, dest) for base in MNIST_MIRRORS):
                 raise DataError(f"could not download {name} from any mirror")
         print(f"MNIST ready under {target}")

@@ -17,9 +17,9 @@ Backward never forms the first layer's input gradient, the gradient with
 respect to the data, because nothing reads it. Max-pool ties go to the first
 maximum in row-major window order, the element np.argmax would pick.
 
-A pass that keeps no cache (predict, loss_value) calls each layer's forward
-with need_cache=False: max-pool then skips its winners and ReLU its mask,
-which only backward and pattern read; every output is the same bit for bit.
+A pass that keeps no cache (predict, finite differences) calls each layer's
+forward with need_cache=False: max-pool then skips its winners and ReLU its
+mask, which only backward and pattern read; every output is the same bit for bit.
 
 parse_arch holds the network contract: an architecture string with its
 activation, loss, input shape and class count. network_from_spec builds
@@ -59,9 +59,9 @@ class Layer:
         self.params = []
 
     def output_shape(self, in_shape):
-        """Output shape (excluding batch) for a given input shape; raises
-        DimensionError if the input is incompatible."""
-        raise NotImplementedError
+        """Output shape (excluding batch) for a given input shape, by default
+        the same; raises DimensionError if the input is incompatible."""
+        return tuple(in_shape)
 
     def forward(self, x, need_cache=True):
         """Return (output, cache). With need_cache=False a layer may skip the
@@ -83,6 +83,14 @@ class Layer:
         return None
 
 
+def _glorot(init_gen, shape, fan_in, fan_out):
+    """Glorot-uniform weights of `shape`, drawn from init_gen, or from the
+    seed-0 init stream when it is None."""
+    r = np.sqrt(6.0 / (fan_in + fan_out))
+    gen = init_gen if init_gen is not None else rng.generator(0, rng.SALT_INIT)
+    return gen.uniform(-r, r, size=shape)
+
+
 class Dense(Layer):
     """Fully-connected layer; flattens trailing input dimensions."""
 
@@ -92,11 +100,8 @@ class Dense(Layer):
         super().__init__()
         self.in_features = in_features
         self.out_features = out_features
-        r = np.sqrt(6.0 / (in_features + out_features))
-        gen = init_gen if init_gen is not None else rng.generator(0, rng.SALT_INIT)
-        w = gen.uniform(-r, r, size=(in_features, out_features))
-        b = np.zeros(out_features)
-        self.params = [w, b]
+        self.params = [_glorot(init_gen, (in_features, out_features), in_features, out_features),
+                       np.zeros(out_features)]
 
     def output_shape(self, in_shape):
         if math.prod(in_shape) != self.in_features:
@@ -138,13 +143,10 @@ class Conv2D(Layer):
         self.kernel_size = kernel_size
         self.stride = stride
         self.padding = padding
-        fan_in = in_channels * kernel_size * kernel_size
-        fan_out = out_channels * kernel_size * kernel_size
-        r = np.sqrt(6.0 / (fan_in + fan_out))
-        gen = init_gen if init_gen is not None else rng.generator(0, rng.SALT_INIT)
-        w = gen.uniform(-r, r, size=(out_channels, in_channels, kernel_size, kernel_size))
-        b = np.zeros(out_channels)
-        self.params = [w, b]
+        kk = kernel_size * kernel_size
+        self.params = [_glorot(init_gen, (out_channels, in_channels, kernel_size, kernel_size),
+                               in_channels * kk, out_channels * kk),
+                       np.zeros(out_channels)]
 
     def _spatial_out(self, h, w):
         k, s, p = self.kernel_size, self.stride, self.padding
@@ -316,9 +318,6 @@ class ReLU(Layer):
     kind = "relu"
     batch_last = None
 
-    def output_shape(self, in_shape):
-        return tuple(in_shape)
-
     def forward(self, x, need_cache=True):
         return np.maximum(x, 0.0), np.greater(x, 0) if need_cache else None
 
@@ -332,9 +331,6 @@ class ReLU(Layer):
 class Sigmoid(Layer):
     kind = "sigmoid"
     batch_last = None
-
-    def output_shape(self, in_shape):
-        return tuple(in_shape)
 
     def forward(self, x, need_cache=True):
         # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below: neither
@@ -350,9 +346,6 @@ class Sigmoid(Layer):
 class Tanh(Layer):
     kind = "tanh"
     batch_last = None
-
-    def output_shape(self, in_shape):
-        return tuple(in_shape)
 
     def forward(self, x, need_cache=True):
         out = np.tanh(x)
@@ -464,22 +457,22 @@ class Network:
             return _squared_error(out, targets)
         return _softmax_cross_entropy(out, targets)
 
-    def _pass(self, inputs, keep=None):
-        """Run every layer. Returns the final output
-        and the list of keep(layer, cache) per layer (empty without keep)."""
+    def _pass(self, inputs, need_cache):
+        """Run every layer. Returns the final output and the list of layer
+        caches, or None for it without need_cache."""
         inputs = np.asarray(inputs, dtype=np.float64)
         self._check_input(inputs)
         out = inputs
-        kept = []
+        caches = [] if need_cache else None
         for i, layer in enumerate(self.layers):
-            out, cache = layer.forward(self._move(i, out), need_cache=keep is not None)
-            if keep is not None:
-                kept.append(keep(layer, cache))
-        return self._move(len(self.layers), out), kept
+            out, cache = layer.forward(self._move(i, out), need_cache=need_cache)
+            if need_cache:
+                caches.append(cache)
+        return self._move(len(self.layers), out), caches
 
     def forward(self, inputs, targets):
         """Run the full forward pass; returns (mean loss, cache)."""
-        out, caches = self._pass(inputs, lambda layer, cache: cache)
+        out, caches = self._pass(inputs, True)
         loss, loss_grad = self._run_loss(out, targets)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss {loss!r} in forward pass")
@@ -512,26 +505,21 @@ class Network:
     def predict(self, inputs):
         """Forward pass returning the final layer output; no layer forms a
         cache (need_cache=False)."""
-        out, _ = self._pass(inputs)
+        out, _ = self._pass(inputs, False)
         return out
-
-    def loss_value(self, inputs, targets) -> float:
-        """Mean loss, bitwise the one forward returns, from a pass in which
-        no layer forms a cache (used by finite differences)."""
-        out, _ = self._pass(inputs)
-        loss, _ = self._run_loss(out, targets)
-        return loss
-
-    def loss_and_pattern(self, inputs, targets):
-        """Mean loss plus the discrete decision pattern (ReLU masks, pool
-        winners) of the pass."""
-        out, pattern = self._pass(inputs, lambda layer, cache: layer.pattern(cache))
-        loss, _ = self._run_loss(out, targets)
-        return loss, pattern
 
 
 # ---------------------------------------------------------------------------
 # Finite-difference oracle and gradient checking
+
+
+def _loss_and_patterns(net: Network, inputs, targets, need_cache):
+    """(mean loss, patterns) of one pass: the loss bitwise the one forward
+    returns, unchecked, and each layer's discrete decisions (ReLU masks,
+    pool winners), or None for a pass that keeps no cache."""
+    out, caches = net._pass(inputs, need_cache)
+    return net._run_loss(out, targets)[0], \
+        caches and [layer.pattern(c) for layer, c in zip(net.layers, caches)]
 
 
 def _central_differences(net: Network, evaluate, eps: float, coords=range):
@@ -564,19 +552,10 @@ def finite_difference_gradient(net: Network, inputs, targets, eps: float = 1e-6)
     Exact to O(eps^2); intended as an independent oracle for backward().
     """
     grads = [[np.empty_like(p) for p in group] for group in net.parameters()]
-    for li, ti, i, up, down in _central_differences(
-            net, lambda: net.loss_value(inputs, targets), eps):
+    for li, ti, i, (up, _), (down, _) in _central_differences(
+            net, lambda: _loss_and_patterns(net, inputs, targets, False), eps):
         grads[li][ti].flat[i] = (up - down) / (2.0 * eps)
     return grads
-
-
-def _patterns_equal(a, b):
-    for pa, pb in zip(a, b):
-        if pa is None and pb is None:
-            continue
-        if not np.array_equal(pa, pb):
-            return False
-    return True
 
 
 class GradCheckResult:
@@ -608,17 +587,16 @@ def gradient_check(net: Network, inputs, targets, eps: float = 1e-6,
         gen = sample_gen if sample_gen is not None else rng.generator(0, 0xC0DE)
         return gen.choice(size, size=samples_per_tensor, replace=False)
 
-    loss, cache = net.forward(inputs, targets)
+    _, cache = net.forward(inputs, targets)
     analytic = net.backward(cache)
-    _, base_pattern = net.loss_and_pattern(inputs, targets)
+    base = [layer.pattern(c) for layer, c in zip(net.layers, cache.layer_caches)]
     max_rel = 0.0
     worst = None
     checked = 0
     skipped = 0
     for li, ti, i, (up, pat_up), (down, pat_down) in _central_differences(
-            net, lambda: net.loss_and_pattern(inputs, targets), eps, coords):
-        if not (_patterns_equal(pat_up, base_pattern)
-                and _patterns_equal(pat_down, base_pattern)):
+            net, lambda: _loss_and_patterns(net, inputs, targets, True), eps, coords):
+        if not all(map(np.array_equal, pat_up + pat_down, base + base)):
             skipped += 1
             continue
         fd = (up - down) / (2.0 * eps)

@@ -5,6 +5,7 @@ import os
 import struct
 import tarfile
 import tempfile
+import types
 import warnings
 
 import pytest
@@ -429,6 +430,61 @@ class TestFetchCifar:
         # Every member is checked before any is extracted.
         assert sorted(p.name for p in root.iterdir()) == ["cifar-10-binary.tar.gz"]
         assert not (tmp_path / "escaped.bin").exists()
+
+
+class TestFetchMnist:
+    """fetch-data --dataset mnist against a fake urlopen: no network."""
+
+    @pytest.fixture
+    def urlopen(self, monkeypatch):
+        """Record each requested URL; serve b"ok", or fail mid-read while
+        `broken` is set."""
+        import urllib.request
+
+        fake = types.SimpleNamespace(urls=[], broken=False)
+
+        class Response(io.BytesIO):
+            def read(self, *args):
+                if fake.broken:
+                    raise ConnectionResetError("connection reset mid-transfer")
+                return super().read(*args)
+
+        def opened(url, timeout=None):
+            fake.urls.append(url)
+            return Response(b"ok")
+
+        monkeypatch.setattr(urllib.request, "urlopen", opened)
+        return fake
+
+    def _fetch(self, root):
+        return cli.main(["fetch-data", "--dataset", "mnist", "--root", str(root)])
+
+    def test_interrupted_download_leaves_no_file_and_is_fetched_again(
+            self, tmp_path, urlopen, capsys):
+        urlopen.broken = True
+        assert self._fetch(tmp_path) == cli.EXIT_DATA
+        assert list((tmp_path / "mnist").iterdir()) == []
+        first = urlopen.urls[0]
+        assert first.endswith("/train-images-idx3-ubyte.gz")
+        assert len(urlopen.urls) == len(cli.MNIST_MIRRORS)
+
+        urlopen.broken, urlopen.urls[:] = False, []
+        capsys.readouterr()
+        assert self._fetch(tmp_path) == cli.EXIT_OK
+        assert urlopen.urls[0] == first
+        assert "already have" not in capsys.readouterr().out
+        assert sorted(p.name for p in (tmp_path / "mnist").iterdir()) == sorted(
+            os.path.basename(p) for p in harness.mnist_paths(str(tmp_path)).values())
+        assert (tmp_path / "mnist" / "train-images-idx3-ubyte.gz").read_bytes() == b"ok"
+
+    def test_a_plain_file_present_is_not_fetched(self, tmp_path, urlopen):
+        (tmp_path / "mnist").mkdir()
+        (tmp_path / "mnist" / "train-images-idx3-ubyte").write_bytes(b"plain")
+        assert self._fetch(tmp_path) == cli.EXIT_OK
+        assert [url.rsplit("/", 1)[1] for url in urlopen.urls] == [
+            "train-labels-idx1-ubyte.gz", "t10k-images-idx3-ubyte.gz",
+            "t10k-labels-idx1-ubyte.gz"]
+        assert all(url.startswith(cli.MNIST_MIRRORS[0]) for url in urlopen.urls)
 
 
 class TestSubcommands:

@@ -251,24 +251,43 @@ class TestFiniteDifference:
             finite_difference_gradient(net, np.zeros((2, 5)), np.zeros(2, dtype=np.int64))
         assert [p.tobytes() for group in net.parameters() for p in group] == before
 
-        # gradient_check's unperturbed passes succeed; its first perturbed
+        # gradient_check's unperturbed pass succeeds; its first perturbed
         # evaluation raises.
         gen = rng.generator(3, 1)
         x, y = gen.standard_normal((2, 3)), np.array([0, 1])
-        base = net.loss_and_pattern
+        base = net._pass
         calls = []
 
-        def failing(inputs, targets):
+        def failing(inputs, need_cache):
             calls.append(1)
             if len(calls) > 1:
                 raise NumericError("loss went non-finite")
-            return base(inputs, targets)
+            return base(inputs, need_cache)
 
-        net.loss_and_pattern = failing
+        net._pass = failing
         with pytest.raises(NumericError):
             gradient_check(net, x, y)
         assert len(calls) == 2
         assert [p.tobytes() for group in net.parameters() for p in group] == before
+
+    def test_gradient_check_takes_its_base_patterns_from_forward(self, monkeypatch):
+        # One caching pass for forward and backward, whose caches give the
+        # unperturbed patterns, then two per coordinate.
+        net = build_lenet(seed=2)
+        calls = []
+        forward = net.layers[0].forward
+
+        def counting(x, need_cache=True):
+            calls.append(need_cache)
+            return forward(x, need_cache=need_cache)
+
+        monkeypatch.setattr(net.layers[0], "forward", counting)
+        gen = rng.generator(2, 0)
+        result = gradient_check(net, gen.standard_normal((2,) + net.input_shape),
+                                gen.integers(0, 10, size=2), samples_per_tensor=5,
+                                sample_gen=gen)
+        assert result.checked + result.skipped == 40
+        assert calls == [True] * (1 + 2 * 40)
 
     def test_nan_gradient_fails_the_check(self, monkeypatch):
         backward = Dense.backward
@@ -759,21 +778,23 @@ def _batch_of_8(net, seed):
 
 
 class TestPassesWithoutCaches:
-    """predict and loss_value ask no layer for a cache, and give the bits
-    of a pass that keeps every cache."""
+    """predict and the finite-difference loss ask no layer for a cache, and
+    give the bits of a pass that keeps every cache."""
 
     @pytest.mark.parametrize("build", _CACHELESS_NETS)
     def test_loss_value_is_the_forward_loss(self, build):
         net = build(seed=8)
         x, y = _batch_of_8(net, 1)
         loss, _ = net.forward(x, y)
-        assert np.float64(net.loss_value(x, y)).tobytes() == np.float64(loss).tobytes()
+        fd_loss, patterns = nn._loss_and_patterns(net, x, y, False)
+        assert np.float64(fd_loss).tobytes() == np.float64(loss).tobytes()
+        assert patterns is None
 
     @pytest.mark.parametrize("build", _CACHELESS_NETS)
     def test_predict_is_the_logits_of_a_caching_pass(self, build):
         net = build(seed=8)
         x, _ = _batch_of_8(net, 2)
-        logits, caches = net._pass(x, lambda layer, cache: cache)
+        logits, caches = net._pass(x, True)
         assert len(caches) == len(net.layers)
         assert net.predict(x).tobytes() == logits.tobytes()
 
@@ -787,13 +808,24 @@ class TestPassesWithoutCaches:
                 return _forward(a, need_cache=need_cache)
             monkeypatch.setattr(layer, "forward", forward)
         calls = {"predict": lambda: net.predict(x),
-                 "loss_value": lambda: net.loss_value(x, y),
+                 "fd-loss": lambda: nn._loss_and_patterns(net, x, y, False),
                  "forward": lambda: net.forward(x, y),
-                 "loss_and_pattern": lambda: net.loss_and_pattern(x, y)}
+                 "fd-patterns": lambda: nn._loss_and_patterns(net, x, y, True)}
         for name, call in calls.items():
             asked.clear()
             call()
-            assert asked == [name in ("forward", "loss_and_pattern")] * len(net.layers), name
+            assert asked == [name in ("forward", "fd-patterns")] * len(net.layers), name
+
+    def test_finite_difference_gradient_asks_for_no_cache(self, monkeypatch):
+        net = build_mlp((3,), [4], 2, activation="relu", seed=8)
+        asked = set()
+        for layer in net.layers:
+            def forward(a, need_cache=True, _forward=layer.forward):
+                asked.add(need_cache)
+                return _forward(a, need_cache=need_cache)
+            monkeypatch.setattr(layer, "forward", forward)
+        finite_difference_gradient(net, np.ones((2, 3)), np.array([0, 1]))
+        assert asked == {False}
 
 
 class TestNetworkFromSpec:
@@ -858,8 +890,8 @@ class TestWorkspace:
         _, cache = net.forward(x1, y1)
         want = [g.tobytes() for group in net.backward(cache) for g in group]
         net.predict(x2)
-        net.loss_value(x2, y2)
-        net.loss_and_pattern(x2, y2)
+        nn._loss_and_patterns(net, x2, y2, False)
+        nn._loss_and_patterns(net, x2, y2, True)
         net.forward(x2, y2)
         assert [g.tobytes() for group in net.backward(cache) for g in group] == want
 
@@ -872,11 +904,11 @@ class TestWorkspace:
         x1, x2 = gen.standard_normal((2, 3, 1, 8, 8))
         targets = np.zeros((3, 6))
         pred = net.predict(x1)
-        _, pattern = net.loss_and_pattern(x1, targets)
+        _, pattern = nn._loss_and_patterns(net, x1, targets, True)
         pred_before = pred.copy()
         pattern_before = [None if p is None else p.copy() for p in pattern]
         net.predict(x2)
-        net.loss_and_pattern(x2, targets)
+        nn._loss_and_patterns(net, x2, targets, True)
         _, cache = net.forward(x2, targets)
         net.backward(cache)
         assert np.array_equal(pred, pred_before)
