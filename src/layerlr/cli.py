@@ -15,6 +15,7 @@ import math
 import os
 import sys
 import tarfile
+import warnings
 import zlib
 from dataclasses import replace
 
@@ -300,10 +301,12 @@ def main(argv=None) -> int:
         if extras and not args.allow_overrides:
             raise ConfigError(f"unrecognized arguments: {extras}")
         # A run or trial that overflows ends in NumericError (a non-finite
-        # loss, gradient, rate, iterate or evaluated output): numpy need not warn.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # loss, gradient, rate, iterate or evaluated output): numpy need not
+        # warn. A library warning is one stderr line.
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
             return args.func(args, extras)
-    except (ConfigError, DimensionError) as exc:
+    except (ConfigError, DimensionError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DataError as exc:

@@ -203,15 +203,13 @@ def _parse_setting(text: str, where: str, values: dict) -> None:
         raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
 
-def parse_config_text(text: str, base: ExperimentConfig = None) -> ExperimentConfig:
+def parse_config_text(text: str) -> ExperimentConfig:
     """Parse the flat `key = value` config format ('#' starts a comment)."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             _parse_setting(line, f"line {lineno}", values)
-    if base is not None:
-        return replace(base, **values)
     return ExperimentConfig(**values)
 
 
@@ -446,7 +444,9 @@ def summarize_records(variant: str, per_seed_records, metric: str = "error") -> 
 def _run_worker(args):
     cfg, seed = args
     try:
-        return seed, run_experiment(cfg, seed), None
+        with warnings.catch_warnings():  # repeat_runs has warned once already
+            warnings.simplefilter("ignore", UserWarning)
+            return seed, run_experiment(cfg, seed), None
     except NumericError as exc:
         return seed, None, str(exc)
 
@@ -477,6 +477,7 @@ def repeat_runs(cfg: ExperimentConfig, processes: int = None) -> SummaryTable:
     `if __name__ == "__main__":`."""
     if len(cfg.seeds) < 2:
         raise ConfigError(f"repeat_runs needs at least 2 seeds, got {cfg.seeds}")
+    cfg.optimizer()  # warns once here, not once per seed
     jobs = [(cfg, seed) for seed in sorted(cfg.seeds)]
     if processes is None:
         processes = min(len(jobs), os.cpu_count() or 1)

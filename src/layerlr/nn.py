@@ -7,11 +7,11 @@ formed a block of output rows at a time (COL_BLOCK_BYTES) and formed again
 in backward, so no layer holds a whole column matrix.
 
 Conv2D and MaxPool2D take and return batch-last (C, H, W, N) arrays, in
-which every window slice of a stride-1 convolution is a run of W*N
-contiguous elements; Dense takes (N, ...) and the elementwise layers take
-either. A Network moves the batch axis last once, before the first spatial
-layer, and first again before the first Dense (or the loss), and its
-backward mirrors both moves; its inputs and outputs stay batch-first.
+which every window slice of a convolution is a run of W*N contiguous
+elements; Dense takes (N, ...) and the elementwise layers take either. A
+Network moves the batch axis last once, before the first spatial layer, and
+first again before the first Dense (or the loss), and its backward mirrors
+both moves; its inputs and outputs stay batch-first.
 
 Backward never forms the first layer's input gradient, the gradient with
 respect to the data, because nothing reads it. Max-pool ties go to the first
@@ -128,7 +128,7 @@ class Dense(Layer):
 
 
 class Conv2D(Layer):
-    """2-D convolution (cross-correlation), stride/padding, im2col based;
+    """2-D convolution (cross-correlation) with zero padding, im2col based;
     batch-last (C, H, W, N) in and out. The forward cache is the padded
     input."""
 
@@ -136,30 +136,24 @@ class Conv2D(Layer):
     batch_last = True
 
     def __init__(self, in_channels, out_channels, kernel_size,
-                 stride=1, padding=0, init_gen=None):
+                 padding=0, init_gen=None):
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
-        self.stride = stride
         self.padding = padding
         kk = kernel_size * kernel_size
         self.params = [_glorot(init_gen, (out_channels, in_channels, kernel_size, kernel_size),
                                in_channels * kk, out_channels * kk),
                        np.zeros(out_channels)]
 
-    def _spatial_out(self, h, w):
-        k, s, p = self.kernel_size, self.stride, self.padding
-        oh = (h + 2 * p - k) // s + 1
-        ow = (w + 2 * p - k) // s + 1
-        return oh, ow
-
     def output_shape(self, in_shape):
         if len(in_shape) != 3 or in_shape[0] != self.in_channels:
             raise DimensionError(
                 f"conv layer expects ({self.in_channels}, h, w) input, got {tuple(in_shape)}"
             )
-        oh, ow = self._spatial_out(in_shape[1], in_shape[2])
+        k, p = self.kernel_size, self.padding
+        oh, ow = in_shape[1] + 2 * p - k + 1, in_shape[2] + 2 * p - k + 1
         if oh < 1 or ow < 1:
             raise DimensionError(
                 f"conv kernel {self.kernel_size} does not fit input {tuple(in_shape)}"
@@ -169,11 +163,11 @@ class Conv2D(Layer):
     def _cols(self, x, oh, ow):
         """Yield (j0, j1, col) for each block of output rows: as many as fit
         in COL_BLOCK_BYTES, or one. col is the block's im2col, (c*k*k, j1-j0)
-        for output columns j0:j1 of (oc, oh*ow*n), from k*k slab copies; at
-        stride 1 each slab row is a run of ow*n contiguous elements. Each
-        col overwrites the last."""
+        for output columns j0:j1 of (oc, oh*ow*n), from k*k slab copies, each
+        slab row a run of ow*n contiguous elements. Each col overwrites the
+        last."""
         c, _, _, n = x.shape
-        k, s = self.kernel_size, self.stride
+        k = self.kernel_size
         row = c * k * k * ow * n
         rows = min(oh, max(1, COL_BLOCK_BYTES // (row * 8)))
         buf = np.empty(rows * row)
@@ -182,8 +176,7 @@ class Conv2D(Layer):
             col = buf[:(i1 - i0) * row].reshape(c, k, k, i1 - i0, ow, n)
             for dr in range(k):
                 for dc in range(k):
-                    col[:, dr, dc] = x[:, s * i0 + dr:s * (i1 - 1) + dr + 1:s,
-                                       dc:dc + s * ow:s]
+                    col[:, dr, dc] = x[:, i0 + dr:i1 + dr, dc:dc + ow]
             yield i0 * ow * n, i1 * ow * n, col.reshape(c * k * k, -1)
 
     def forward(self, x, need_cache=True):
@@ -205,7 +198,7 @@ class Conv2D(Layer):
 
     def backward(self, grad_out, cache, need_grad_in=True):
         x = cache
-        k, s, p = self.kernel_size, self.stride, self.padding
+        k, p = self.kernel_size, self.padding
         c, h, w, n = x.shape
         h, w = h - 2 * p, w - 2 * p
         oc, oh, ow = grad_out.shape[:3]
@@ -220,26 +213,26 @@ class Conv2D(Layer):
         if not need_grad_in:
             return None, [grad_w, grad_b]
         # col2im one output row at a time. Row i's gradient, copied once per
-        # kernel column dc to the input columns s*j + dc - p it reaches
-        # (zeros where none does), makes an (oc*k, w*n) matrix. One GEMM with
-        # the weights as (c*k, oc*k) gives its sums for the input rows
-        # s*i + dr - p, and those inside the input are added in place.
+        # kernel column dc to the input columns j + dc - p it reaches (zeros
+        # where none does), makes an (oc*k, w*n) matrix. One GEMM with the
+        # weights as (c*k, oc*k) gives its sums for the input rows i + dr - p,
+        # and those inside the input are added in place.
         wt = self.params[0].transpose(1, 2, 0, 3).reshape(c * k, oc * k)
         spread = np.zeros((oc, k, w, n))
         copies = []
         for dc in range(k):
-            lo, hi = max(0, -((dc - p) // s)), min(ow, (w - 1 + p - dc) // s + 1)
+            lo, hi = max(0, p - dc), min(ow, w + p - dc)
             if lo < hi:
-                copies.append((spread[:, dc, s * lo + dc - p:s * hi + dc - p:s], slice(lo, hi)))
+                copies.append((spread[:, dc, lo + dc - p:hi + dc - p], slice(lo, hi)))
         prod = np.empty((c, k, w, n))
         gx = np.zeros((c, h, w, n))
         for i in range(oh):
             for dst, cols in copies:
                 dst[...] = grad_out[:, i, cols]
             np.matmul(wt, spread.reshape(oc * k, w * n), out=prod.reshape(c * k, w * n))
-            d0, d1 = max(0, p - s * i), min(k, h + p - s * i)
+            d0, d1 = max(0, p - i), min(k, h + p - i)
             if d0 < d1:
-                gx[:, s * i - p + d0:s * i - p + d1] += prod[:, d0:d1]
+                gx[:, i - p + d0:i - p + d1] += prod[:, d0:d1]
         return gx, [grad_w, grad_b]
 
 

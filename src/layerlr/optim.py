@@ -27,12 +27,13 @@ from .tensor import group_norm
 
 EPSILON_NORM = 1e-12
 EPSILON_DIV = 1e-12
+# AdaGrad's floor as a 0-d array: a ufunc converts no Python float for it.
+_EPSILON_DIV0 = np.array(EPSILON_DIV)
 # Elements per row block of an update: a tensor larger than this is updated
 # one leading-axis slice at a time, so that each of a rule's passes over the
 # block finds it still in cache (256 KiB per float64 array).
 UPDATE_BLOCK = 1 << 15
 
-OPTIMIZER_KINDS = ("sgd", "momentum", "nag", "adagrad")
 SCHEDULE_KINDS = ("constant", "inverse-time", "step-decay")
 
 
@@ -93,10 +94,6 @@ class LrSchedule:
             raise NumericError(f"learning rate overflows at iteration {k}", iteration=k) from None
 
 
-def constant(t0: float) -> LrSchedule:
-    return LrSchedule(kind="constant", t0=t0)
-
-
 # ---------------------------------------------------------------------------
 # Optimizers
 
@@ -110,11 +107,9 @@ class Optimizer:
     by exactly one.
     """
 
-    kind = "base"
-
     def __init__(self, schedule, layerwise: bool = False, weight_decay: float = 0.0):
         if isinstance(schedule, (int, float)):
-            schedule = constant(float(schedule))
+            schedule = LrSchedule(t0=float(schedule))
         # Written so that NaN and infinity fail the check.
         if not 0 <= weight_decay < math.inf:
             raise ConfigError(f"weight_decay must be nonnegative and finite, got {weight_decay}")
@@ -207,16 +202,12 @@ class Optimizer:
 class SGD(Optimizer):
     """Plain gradient step x <- x - t_eff * g."""
 
-    kind = "sgd"
-
     def _update(self, slot, p, g, t_eff):
         p -= np.multiply(g, t_eff, out=slot[0])
 
 
 class Momentum(Optimizer):
     """Classical momentum: v <- mu*v - t_eff*g; x <- x + v."""
-
-    kind = "momentum"
 
     def __init__(self, schedule, mu: float = 0.9, **kwargs):
         super().__init__(schedule, **kwargs)
@@ -273,8 +264,6 @@ class NAG(Momentum):
     parameters between steps.
     """
 
-    kind = "nag"
-
     def _update(self, slot, p, g, t_eff):
         super()._update(slot, p, g, t_eff)
         v, ahead = slot
@@ -298,8 +287,6 @@ class AdaGrad(Optimizer):
     """AdaGrad: per-parameter rates from accumulated squared gradients,
     x <- x - t_eff * g / (sqrt(sum g^2) + EPSILON_DIV)."""
 
-    kind = "adagrad"
-
     def _new_slot(self, p):
         # The accumulator, the denominator and the scratch array.
         return (np.zeros_like(p), np.empty_like(p), np.empty_like(p))
@@ -308,7 +295,7 @@ class AdaGrad(Optimizer):
         acc, den, buf = slot
         acc += np.multiply(g, g, out=buf)
         np.sqrt(acc, out=den)
-        den += EPSILON_DIV
+        np.add(den, _EPSILON_DIV0, out=den)
         step = np.multiply(g, t_eff, out=buf)
         step /= den
         p -= step
@@ -321,7 +308,7 @@ def make_optimizer(kind: str, schedule, layerwise: bool = False, mu: float = 0.9
                    **kwargs) -> Optimizer:
     """Construct a fresh optimizer (k=0, zeroed buffers) by kind name."""
     if kind not in _KIND_MAP:
-        raise ConfigError(f"unknown optimizer kind {kind!r}; expected one of {OPTIMIZER_KINDS}")
+        raise ConfigError(f"unknown optimizer kind {kind!r}; expected one of {tuple(_KIND_MAP)}")
     cls = _KIND_MAP[kind]
     if kind in ("momentum", "nag"):
         return cls(schedule, mu=mu, layerwise=layerwise, **kwargs)

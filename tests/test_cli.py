@@ -224,6 +224,10 @@ class TestExitCodes:
         # finite, and no error rate is made of them.
         pytest.param(["train", "--schedule.t0=1.7e308"] + BLOBS_ARGS + ["--max_iterations=1"],
                      cli.EXIT_NUMERIC, id="last-step-overflows-weights"),
+        # The first weight matrix would take 568 PiB, more than a 57-bit
+        # address space holds, so numpy's MemoryError comes at once.
+        pytest.param(["train", "--dataset=blobs", "--arch=mlp:10000000000000000",
+                      "--max_iterations=1"], cli.EXIT_CONFIG, id="mlp-width-unallocatable"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_bad_argument_is_one_line_config_error(self, argv, code, tmp_path, capsys):

@@ -10,7 +10,7 @@ import struct
 import numpy as np
 import pytest
 
-from layerlr import rng
+from layerlr import cli, rng
 from layerlr.harness import (
     ExperimentConfig,
     emit_csv,
@@ -85,3 +85,20 @@ def test_lenet_experiment_pipeline_end_to_end(synthetic_mnist_dir, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "variant,iteration,mean,std,n"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["train"], id="train"),
+    pytest.param(["table", "--seeds=0,1,2", "--processes", "3"], id="table-3-workers"),
+])
+def test_baseline_rate_warning_is_one_stderr_line(command, synthetic_mnist_dir, tmp_path,
+                                                  capfd):
+    # capfd also reads what spawned workers write to the inherited stderr.
+    code = cli.main(command + [
+        "--dataset=mnist", f"--data_dir={synthetic_mnist_dir}", "--arch=lenet",
+        "--opt.layerwise=true", "--schedule.t0=0.01", "--batch_size=16",
+        "--eval_batch_size=64", "--max_iterations=1", "--out", str(tmp_path / "out.csv")])
+    assert code == cli.EXIT_OK
+    (line,) = capfd.readouterr().err.splitlines()
+    assert line.startswith("warning: layer-wise rates only increase the effective step")
+    assert "baseline-tuned rate for 'lenet'" in line

@@ -17,7 +17,6 @@ from layerlr.optim import (
     LrSchedule,
     Momentum,
     NAG,
-    constant,
     layer_multiplier,
     make_optimizer,
 )
@@ -46,7 +45,9 @@ def state_copy(opt):
 
 class TestSchedule:
     def test_constant(self):
-        s = constant(0.3)
+        # A float rate is the constant schedule at that rate.
+        s = SGD(0.3).schedule
+        assert s == LrSchedule(t0=0.3)
         assert s.rate(0) == 0.3
         assert s.rate(10 ** 6) == 0.3
 
