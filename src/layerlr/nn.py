@@ -2,9 +2,10 @@
 
 Forward passes return an explicit cache object, and layers keep no arrays
 from one call to the next, so a cache stays valid whatever passes run after
-it. All math is float64; convolution uses im2col backed by BLAS matmul,
-formed a block of output rows at a time (COL_BLOCK_BYTES) and formed again
-in backward, so no layer holds a whole column matrix.
+it, until backward consumes it and frees each layer's arrays as it goes.
+All math is float64; convolution uses im2col backed by BLAS matmul, formed
+a block of output rows at a time (COL_BLOCK_BYTES) and formed again in
+backward, so no layer holds a whole column matrix.
 
 Conv2D and MaxPool2D take and return batch-last (C, H, W, N) arrays, in
 which every window slice of a convolution is a run of W*N contiguous
@@ -73,7 +74,8 @@ class Layer:
 
         Network.backward does not call this on a parameterless layer 0, and
         calls a layer 0 with parameters as backward(grad_out, cache,
-        need_grad_in=False), which returns None for grad_in.
+        need_grad_in=False), which returns None for grad_in. Nothing else
+        holds `cache`, so its arrays are freed when this returns.
         """
         raise NotImplementedError
 
@@ -387,7 +389,8 @@ def _softmax_cross_entropy(logits, labels):
 
 
 class ForwardCache:
-    """Opaque result of Network.forward, consumed by Network.backward."""
+    """Opaque result of Network.forward, consumed by Network.backward: a
+    second backward needs a new forward."""
 
     def __init__(self, net, layer_caches, loss_grad):
         self._net = net
@@ -474,20 +477,26 @@ class Network:
     def backward(self, cache):
         """Gradients of the loss, one list per layer with one array per
         parameter tensor, from a cache that forward on this network
-        returned."""
+        returned. It pops each layer's cache off cache.layer_caches as it
+        calls that layer's backward, so the layer's arrays are freed once it
+        is done; a consumed cache, also one whose backward raised part-way,
+        raises UsageError."""
         if not isinstance(cache, ForwardCache) or cache._net is not self:
             raise UsageError("backward requires the cache returned by forward on this network")
+        caches = cache.layer_caches
+        if len(caches) != len(self.layers):
+            raise UsageError("backward consumes its cache: run forward again")
         grad = cache.loss_grad
         by_layer = [[] for _ in self.layers]
         for i in range(len(self.layers) - 1, 0, -1):
             grad, by_layer[i] = self.layers[i].backward(
-                self._move(i + 1, grad, backward=True), cache.layer_caches[i])
+                self._move(i + 1, grad, backward=True), caches.pop())
         # Layer 0's input gradient is the gradient with respect to the data,
         # which nothing reads.
         if self.layers and self.layers[0].params:
             _, by_layer[0] = self.layers[0].backward(
-                self._move(1, grad, backward=True), cache.layer_caches[0],
-                need_grad_in=False)
+                self._move(1, grad, backward=True), caches.pop(), need_grad_in=False)
+        caches.clear()  # a parameterless layer 0's cache
         return by_layer
 
     def value_grad(self, inputs, targets):
@@ -581,8 +590,9 @@ def gradient_check(net: Network, inputs, targets, eps: float = 1e-6,
         return gen.choice(size, size=samples_per_tensor, replace=False)
 
     _, cache = net.forward(inputs, targets)
-    analytic = net.backward(cache)
+    # Read the unperturbed patterns first: backward consumes the cache.
     base = [layer.pattern(c) for layer, c in zip(net.layers, cache.layer_caches)]
+    analytic = net.backward(cache)
     max_rel = 0.0
     worst = None
     checked = 0

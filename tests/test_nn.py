@@ -1,4 +1,5 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -153,6 +154,8 @@ class TestBackward:
         x = gen.standard_normal((3,) + shape)
         y = gen.integers(0, 3, size=3)
         _, cache = net.forward(x, y)
+        # Backward consumes the cache, so keep its layer caches for the chain.
+        layer_caches = list(cache.layer_caches)
         got = net.backward(cache)
         grad = cache.loss_grad
         for i in range(len(net.layers) - 1, -1, -1):
@@ -160,7 +163,7 @@ class TestBackward:
             # takes (C, H, W, N).
             if grad.ndim == 4 and isinstance(net.layers[i + 1], Dense):
                 grad = batch_last(grad)
-            grad, expected = net.layers[i].backward(grad, cache.layer_caches[i])
+            grad, expected = net.layers[i].backward(grad, layer_caches[i])
             assert len(got[i]) == len(expected)
             for g, e in zip(got[i], expected):
                 assert np.array_equal(g, e), i
@@ -186,9 +189,10 @@ class TestBackward:
         x1, x2 = gen.standard_normal((2, 5, 3))
         y = gen.integers(0, 2, size=5)
         _, cache1 = net.forward(x1, y)
-        want = [g.copy() for group in net.backward(cache1) for g in group]
         _, cache2 = net.forward(x2, y)
         got = [g for group in net.backward(cache1) for g in group]
+        # The reference: a second forward of the same batch, run after both.
+        want = [g for group in net.backward(net.forward(x1, y)[1]) for g in group]
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         other = [g for group in net.backward(cache2) for g in group]
         assert not all(np.array_equal(g, w) for g, w in zip(other, want))
@@ -203,6 +207,66 @@ class TestBackward:
             net.backward(cache)
         with pytest.raises(UsageError):
             net.backward(None)
+
+    def test_a_consumed_cache_is_refused(self):
+        net = build_mlp((3,), [4], 2, activation="relu", seed=2)
+        x, y = np.ones((2, 3)), np.array([0, 1])
+        _, cache = net.forward(x, y)
+        net.backward(cache)
+        with pytest.raises(UsageError, match="backward consumes its cache: run forward again"):
+            net.backward(cache)
+
+    def test_a_cache_whose_backward_raised_is_refused(self, monkeypatch):
+        net = build_mlp((3,), [4], 2, activation="relu", seed=2)
+        _, cache = net.forward(np.ones((2, 3)), np.array([0, 1]))
+
+        def fail(grad_out, layer_cache):
+            raise RuntimeError("layer backward failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(net.layers[1], "backward", fail)
+            with pytest.raises(RuntimeError, match="layer backward failed"):
+                net.backward(cache)
+        with pytest.raises(UsageError, match="backward consumes its cache"):
+            net.backward(cache)
+
+    @pytest.mark.parametrize("through", ["backward", "value_grad"])
+    def test_each_layer_cache_is_freed_after_its_backward(self, through):
+        # Autograd frees saved tensors as backward goes; so does backward
+        # here. When pool1's backward runs, conv2's padded input (layer 3's
+        # cache) is already gone, and so is every array cached above pool1.
+        net = build_cifar_quick(seed=3)
+        gen = rng.generator(3, 0)
+        x, y = gen.standard_normal((2,) + net.input_shape), np.array([4, 7])
+        assert isinstance(net.layers[1], MaxPool2D) and isinstance(net.layers[3], Conv2D)
+        refs = {}
+        forward = net.forward
+
+        def keep_refs(inputs, targets):
+            loss, cache = forward(inputs, targets)
+            for i, layer_cache in enumerate(cache.layer_caches):
+                parts = layer_cache if isinstance(layer_cache, tuple) else (layer_cache,)
+                refs[i] = [weakref.ref(a) for a in parts if isinstance(a, np.ndarray)]
+            return loss, cache
+
+        alive_at_pool1 = {}
+        pool1 = net.layers[1]
+        pool1_backward = pool1.backward
+
+        def check_then_backward(grad_out, layer_cache):
+            alive_at_pool1["layers"] = [i for i in range(2, len(net.layers))
+                                        for ref in refs[i] if ref() is not None]
+            return pool1_backward(grad_out, layer_cache)
+
+        net.forward = keep_refs
+        pool1.backward = check_then_backward
+        if through == "backward":
+            _, cache = net.forward(x, y)
+            net.backward(cache)
+        else:
+            net.value_grad(x, y)
+        assert len(refs[3]) == 1  # conv2's padded input is watched
+        assert alive_at_pool1 == {"layers": []}
 
 
 class TestFiniteDifference:
@@ -871,12 +935,14 @@ class TestWorkspace:
         x1, x2 = gen.standard_normal((2, 64) + net.input_shape)
         y1, y2 = gen.integers(0, 10, size=(2, 64))
         _, cache = net.forward(x1, y1)
-        want = [g.tobytes() for group in net.backward(cache) for g in group]
         net.predict(x2)
         nn._loss_and_patterns(net, x2, y2, False)
         nn._loss_and_patterns(net, x2, y2, True)
         net.forward(x2, y2)
-        assert [g.tobytes() for group in net.backward(cache) for g in group] == want
+        got = [g.tobytes() for group in net.backward(cache) for g in group]
+        # The reference: a second forward of the same batch, after the others.
+        _, again = net.forward(x1, y1)
+        assert got == [g.tobytes() for group in net.backward(again) for g in group]
 
     def test_predictions_and_patterns_survive_later_passes(self):
         gen = rng.generator(5, 0)
