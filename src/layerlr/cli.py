@@ -62,7 +62,7 @@ def _cmd_train(args, extras) -> int:
                      f"{r.test_error_percent:.6g},{r.wall_ms:.6g}")
     harness.write_csv(out, lines)
     for r in records:
-        print(f"iter {r.iteration:>7}  train_loss {r.train_loss:.4f}  "
+        print(f"iter {r.iteration:>7}  train_loss {r.train_loss:.6g}  "
               f"test_error {r.test_error_percent:.2f}%")
     print(f"wrote {out}")
     return EXIT_OK
@@ -313,8 +313,7 @@ def main(argv=None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:
-        norms = exc.layer_norms
-        tail = f"; last per-layer gradient norms: {norms[-1]}" if norms else ""
+        tail = f"; last per-layer gradient norms: {exc.layer_norms}" if exc.layer_norms else ""
         print(f"numeric error: {exc}{tail}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -20,8 +20,8 @@ class DataError(Exception):
 class NumericError(Exception):
     """A computation produced a non-finite value.
 
-    Carries optional diagnostic context (iteration index, recent per-layer
-    gradient norms) so aborted runs can be inspected.
+    Carries optional diagnostic context so aborted runs can be inspected:
+    the iteration index and one row of (layer index, gradient norm) pairs.
     """
 
     def __init__(self, message, iteration=None, layer_norms=None):

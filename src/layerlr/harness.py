@@ -12,7 +12,6 @@ import multiprocessing
 import os
 import time
 import warnings
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -83,7 +82,6 @@ class ExperimentConfig:
     opt_kind: str = "sgd"
     opt_layerwise: bool = False
     opt_mu: float = 0.9
-    opt_weight_decay: float = 0.0
     schedule_kind: str = "constant"
     schedule_t0: float = 0.01
     schedule_gamma: float = 0.0
@@ -157,8 +155,7 @@ class ExperimentConfig:
 
     def optimizer(self):
         opt = make_optimizer(self.opt_kind, self.schedule(),
-                             layerwise=self.opt_layerwise, mu=self.opt_mu,
-                             weight_decay=self.opt_weight_decay)
+                             layerwise=self.opt_layerwise, mu=self.opt_mu)
         baseline = BASELINE_T0.get(self.arch)
         if self.opt_layerwise and baseline is not None and self.schedule_t0 == baseline:
             warnings.warn(
@@ -359,9 +356,9 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
     held-out test set at each checkpoint. Returns the MetricsRecord list.
 
     Raises NumericError if the loss, a gradient or an evaluated output goes
-    non-finite, with the (key, norm) pairs of the last 10 steps' stats
-    attached; after a non-finite gradient the last row holds the failing
-    step's pairs up to the failing group.
+    non-finite, with one row of (li, norm) pairs as `layer_norms`: the
+    failing step's up to the failing layer if the optimizer aborted it,
+    else the last completed step's (empty before the first).
     """
     t_start = time.perf_counter()
     opt = cfg.optimizer()  # rejects bad optimizer values before any data loads
@@ -371,22 +368,19 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
     steps = train_steps(net, opt, stream, train.num_classes, cfg.max_iterations)
     checkpoints = set(cfg.checkpoint_iterations)
     records = []
-    norm_history = deque(maxlen=10)
-    k = 0
+    k, stats = 0, ()
     try:
         for k, loss, stats in steps:
-            norm_history.append([s[:2] for s in stats])
             if k in checkpoints:
                 err = evaluate_error_percent(net, test, cfg.eval_batch_size)
                 records.append(MetricsRecord(seed, k, loss, err,
                                              1000.0 * (time.perf_counter() - t_start)))
     except NumericError as exc:
-        # A step's abort ends the loop, with the failing step's pairs if a
-        # gradient failed; an evaluation's leaves it paused at checkpoint k.
+        # A step's abort ends the loop, with the failing step's pairs if the
+        # optimizer raised; an evaluation's leaves it paused at checkpoint k.
         where = "checkpoint" if steps.gi_frame else "iteration"
-        norm_history.extend(exc.layer_norms or ())
         raise NumericError(f"run aborted at {where} {k}: {exc}", iteration=k,
-                           layer_norms=list(norm_history)) from exc
+                           layer_norms=exc.layer_norms or [s[:2] for s in stats]) from exc
     return records
 
 

@@ -105,7 +105,7 @@ def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
     Each iteration is one opt.descend, so the optimizer owns its state and
     the point the gradient is taken at. A non-finite iterate or gradient
     raises NumericError naming the step as Optimizer.step numbers it, with
-    the last 10 iterates; a gradient abort keeps its norm row as `layer_norms`.
+    the last 10 iterates; a step's abort keeps its (li, norm) row as `layer_norms`.
     """
     params = landscape.make_params(start)
     check_escape_trial(landscape, start, escape_radius, max_iter)

@@ -8,9 +8,9 @@ for large norms the multiplier tends to 1 and the base optimizer is
 recovered. It composes with any rule that consumes a global learning rate:
 SGD, classical momentum, Nesterov momentum, and AdaGrad are provided.
 
-Each layer is one norm group. Optimizer.step returns a (key, norm,
-multiplier, t_eff) tuple per layer: the gradient norm, multiplier and
-effective rate it applied.
+Each layer is one norm group. Optimizer.step returns one (li, norm,
+multiplier, t_eff) row per layer: its index, the norm of its gradient as
+given, and the multiplier and effective rate it applied.
 Optimizer.descend(params, value_grad) is one training step: it calls
 value_grad() once for (value, grads) and steps on those grads. Only NAG
 knows where that gradient is taken: its descend calls value_grad with the
@@ -107,15 +107,11 @@ class Optimizer:
     by exactly one.
     """
 
-    def __init__(self, schedule, layerwise: bool = False, weight_decay: float = 0.0):
+    def __init__(self, schedule, layerwise: bool = False):
         if isinstance(schedule, (int, float)):
             schedule = LrSchedule(t0=float(schedule))
-        # Written so that NaN and infinity fail the check.
-        if not 0 <= weight_decay < math.inf:
-            raise ConfigError(f"weight_decay must be nonnegative and finite, got {weight_decay}")
         self.schedule = schedule
         self.layerwise = layerwise
-        self.weight_decay = weight_decay
         # Test hook: forcing the multiplier to 1 must reproduce the
         # layerwise=False trajectory exactly.
         self.multiplier_fn = layer_multiplier
@@ -135,10 +131,10 @@ class Optimizer:
 
     def step(self, params, grads):
         """Apply one update from per-layer gradients; returns one
-        (key, norm, multiplier, t_eff) tuple per layer with parameters, in
-        update order: the key (li,), the l2 norm of the layer's gradient
-        (weight decay included), the multiplier (1.0 when layerwise is off)
-        and t(k) * multiplier. Tensor ti of layer li has state key (li, ti).
+        (li, norm, multiplier, t_eff) row per layer with parameters, in
+        update order: the layer index, the l2 norm of its gradient, the
+        multiplier (1.0 when layerwise is off) and t(k) * multiplier.
+        Tensor ti of layer li has state key (li, ti).
 
         Every layer is checked, and its norm computed, before any tensor is
         updated: a NumericError leaves parameters, state and k untouched.
@@ -157,13 +153,11 @@ class Optimizer:
                 if p.shape != g.shape:
                     raise ConfigError(f"layer {li}: gradient shape {g.shape} "
                                       f"!= parameter shape {p.shape}")
-            if self.weight_decay:
-                ggroup = [g + self.weight_decay * p for p, g in zip(pgroup, ggroup)]
             # A finite norm proves every entry finite; an infinite one may be
             # an overflowed sum of squares of finite entries, which gives
             # multiplier 1 rather than an abort. A finite rate t(k) times the
-            # multiplier may still overflow. An abort's one row holds the
-            # (key, norm) pairs this step has computed.
+            # multiplier may still overflow. An abort's row holds the
+            # (li, norm) pairs this step has computed.
             norm = group_norm(ggroup)
             bad_grad = not math.isfinite(norm) and not all(np.isfinite(g).all() for g in ggroup)
             m = self.multiplier_fn(norm, EPSILON_NORM) if self.layerwise else 1.0
@@ -172,8 +166,8 @@ class Optimizer:
                 raise NumericError(
                     f"non-finite {'gradient' if bad_grad else 'effective rate'} in layer {li} "
                     f"at iteration {self.k}", iteration=self.k,
-                    layer_norms=[[s[:2] for s in stats] + [((li,), norm)]])
-            stats.append(((li,), norm, m, t_eff))
+                    layer_norms=[s[:2] for s in stats] + [(li, norm)])
+            stats.append((li, norm, m, t_eff))
             for ti, p in enumerate(pgroup):
                 updates.append(((li, ti), p, ggroup[ti], t_eff))
         slots = self._slots
@@ -209,8 +203,8 @@ class SGD(Optimizer):
 class Momentum(Optimizer):
     """Classical momentum: v <- mu*v - t_eff*g; x <- x + v."""
 
-    def __init__(self, schedule, mu: float = 0.9, **kwargs):
-        super().__init__(schedule, **kwargs)
+    def __init__(self, schedule, mu: float = 0.9, layerwise: bool = False):
+        super().__init__(schedule, layerwise)
         if not 0.0 <= mu <= 1.0:
             raise ConfigError(f"momentum coefficient must lie in [0, 1], got {mu}")
         self.mu = mu
@@ -304,12 +298,11 @@ class AdaGrad(Optimizer):
 _KIND_MAP = {"sgd": SGD, "momentum": Momentum, "nag": NAG, "adagrad": AdaGrad}
 
 
-def make_optimizer(kind: str, schedule, layerwise: bool = False, mu: float = 0.9,
-                   **kwargs) -> Optimizer:
+def make_optimizer(kind: str, schedule, layerwise: bool = False, mu: float = 0.9) -> Optimizer:
     """Construct a fresh optimizer (k=0, zeroed buffers) by kind name."""
     if kind not in _KIND_MAP:
         raise ConfigError(f"unknown optimizer kind {kind!r}; expected one of {tuple(_KIND_MAP)}")
     cls = _KIND_MAP[kind]
     if kind in ("momentum", "nag"):
-        return cls(schedule, mu=mu, layerwise=layerwise, **kwargs)
-    return cls(schedule, layerwise=layerwise, **kwargs)
+        return cls(schedule, mu=mu, layerwise=layerwise)
+    return cls(schedule, layerwise=layerwise)

@@ -21,7 +21,8 @@ BLOBS_ARGS = [
     "--blobs.dim=6", "--arch=mlp:8", "--batch_size=24", "--max_iterations=20",
 ]
 # Config keys that were deleted; setting one is an unknown-key error.
-REMOVED_KEYS = ("opt.bias_separate", "opt.epsilon_norm", "opt.epsilon_div", "report")
+REMOVED_KEYS = ("opt.bias_separate", "opt.epsilon_norm", "opt.epsilon_div", "opt.weight_decay",
+                "report")
 
 
 class TestExitCodes:
@@ -83,8 +84,8 @@ class TestExitCodes:
         pytest.param(["bench", "--optimizers", "sgd,ours-foo"], cli.EXIT_CONFIG,
                      id="bench-optimizer-unknown"),
         # Each layer is one norm group; the per-tensor option is gone. So are
-        # the epsilon floors, now constants, and the report metric, which
-        # follows from the dataset.
+        # the epsilon floors, now constants, the report metric, which follows
+        # from the dataset, and weight decay, which no norm may read.
         pytest.param(["train", "--opt.bias_separate=true"] + BLOBS_ARGS, cli.EXIT_CONFIG,
                      id="opt-bias-separate"),
         pytest.param(["train", "--opt.epsilon_norm=1e-8"] + BLOBS_ARGS, cli.EXIT_CONFIG,
@@ -93,6 +94,8 @@ class TestExitCodes:
                      id="opt-epsilon-div"),
         pytest.param(["train", "--report=accuracy"] + BLOBS_ARGS, cli.EXIT_CONFIG,
                      id="report"),
+        pytest.param(["train", "--opt.weight_decay=nan"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="weight-decay-nan"),
         pytest.param(["train", "--out", "{missing}/r.csv"] + BLOBS_ARGS, cli.EXIT_DATA,
                      id="train-out-unwritable"),
         pytest.param(["bench", "--starts", "1e-2", "--lrs", "0.1", "--max-iter", "100",
@@ -178,10 +181,6 @@ class TestExitCodes:
         # The test split is keyed blobs.seed + 0x7E57, which must fit too.
         pytest.param(["train", "--blobs.seed=18446744073709551615"] + BLOBS_ARGS,
                      cli.EXIT_CONFIG, id="blobs-seed-top"),
-        pytest.param(["train", "--opt.weight_decay=nan"] + BLOBS_ARGS, cli.EXIT_CONFIG,
-                     id="weight-decay-nan"),
-        pytest.param(["train", "--opt.weight_decay=inf"] + BLOBS_ARGS, cli.EXIT_CONFIG,
-                     id="weight-decay-inf"),
         pytest.param(["train", "--schedule.t0=inf"] + BLOBS_ARGS, cli.EXIT_CONFIG,
                      id="schedule-t0-inf"),
         # inf * 0 would make the first inverse-time rate NaN.
@@ -539,6 +538,15 @@ class TestSubcommands:
         assert line.count("iteration") == 1
         assert not out.exists()
 
+    def test_bench_abort_prints_the_failing_steps_norm_row(self, tmp_path, capsys):
+        # Layer 0 sits at x = 0: its norm is 0.0, and 1e308 times the
+        # multiplier 1 + ln(1 + 1e12) overflows before any update.
+        code = cli.main(["bench", "--starts", "1e-3", "--lrs", "1e308", "--optimizers",
+                         "ours-sgd", "--max-iter", "5", "--out", str(tmp_path / "bench.csv")])
+        assert code == cli.EXIT_NUMERIC
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.endswith("; last per-layer gradient norms: [(0, 0.0)]")
+
     def test_bench_overflowed_iterate_names_one_iteration(self, tmp_path, capsys):
         # The first step's product overflows: the gradient was finite, the
         # iterate is not.
@@ -550,6 +558,24 @@ class TestSubcommands:
         assert line.startswith("numeric error: optimizer sgd, lr 1e+308, start 0.9: "
                                "monkey-saddle trial diverged at iteration 0;")
         assert line.count("iteration") == 1
+
+    @pytest.mark.parametrize("args", [[], ["--schedule.t0=1e300", "--opt.layerwise=true"]],
+                             ids=["small-loss", "loss-3.8e298"])
+    def test_train_prints_the_loss_the_csv_holds(self, args, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        argv = ["train", "--dataset=blobs", "--max_iterations=5", "--out", str(out)] + args
+        assert cli.main(argv) == cli.EXIT_OK
+        printed = capsys.readouterr().out.splitlines()[0].split()
+        csv_loss = out.read_text().splitlines()[1].split(",")[2]
+        assert printed[printed.index("train_loss") + 1] == csv_loss
+
+    def test_removed_key_in_a_config_file_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("dataset = blobs\nopt.weight_decay = 0.0\n")
+        code = cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: line 2: unknown config key 'opt.weight_decay'\n")
 
     def test_gradcheck_with_no_checked_coordinate_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "gradient_check",
@@ -652,7 +678,6 @@ CONFIG_VALUES = {
     "opt.kind": _pick(["sgd", "momentum", "nag", "adagrad"], ["adam", ""]),
     "opt.layerwise": _pick(["true", "false", "1", "off"], ["maybe", ""]),
     "opt.mu": _mostly(st.floats(0.0, 1.0).map(repr), st.one_of(st.floats().map(repr), BAD_NUMBERS)),
-    "opt.weight_decay": _floats(),
     "schedule.kind": _pick(["constant", "inverse-time", "step-decay"], ["cosine", ""]),
     "schedule.t0": _floats(),
     "schedule.gamma": _floats(),

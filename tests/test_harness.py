@@ -32,6 +32,7 @@ from layerlr.harness import (
     train_steps,
 )
 from layerlr.nn import FIXED_INPUTS, Network
+from layerlr.optim import Optimizer
 
 BLOBS_KW = dict(dataset="blobs", blobs_n=240, blobs_test_n=120, blobs_classes=4,
                 blobs_dim=8, arch="mlp:16", batch_size=32)
@@ -212,10 +213,8 @@ class TestRunExperiment:
                            schedule_t0=1e18, max_iterations=60)
         with pytest.raises(NumericError) as err:
             run_experiment(cfg, seed=0)
-        assert err.value.layer_norms
-        assert len(err.value.layer_norms) <= 10
-        # Rows are the (key, norm) pairs of the steps' stats.
-        assert all([key for key, _ in row] == [(0,)] for row in err.value.layer_norms)
+        # One row: the (li, norm) pairs of the stats of the last step.
+        assert [li for li, _ in err.value.layer_norms] == [0]
 
     def test_gradient_abort_ends_with_the_failing_steps_norms(self, monkeypatch):
         backward = Network.backward
@@ -228,10 +227,61 @@ class TestRunExperiment:
         monkeypatch.setattr(Network, "backward", nan_last_layer)
         with pytest.raises(NumericError, match="iteration 0") as err:
             run_experiment(blobs_config(opt_layerwise=True), seed=0)
-        # mlp:16 is Dense, ReLU, Dense: groups (0,) and (2,), and (2,) fails.
-        [row] = err.value.layer_norms
-        assert [key for key, _ in row] == [(0,), (2,)]
+        # mlp:16 is Dense, ReLU, Dense: layers 0 and 2 have parameters, and 2 fails.
+        row = err.value.layer_norms
+        assert [li for li, _ in row] == [0, 2]
         assert np.isfinite(row[0][1]) and np.isnan(row[1][1])
+
+    @staticmethod
+    def _record_rows(monkeypatch):
+        """The (li, norm) row of every step Optimizer.step completes."""
+        rows = []
+        step = Optimizer.step
+
+        def recording(opt, params, grads):
+            stats = step(opt, params, grads)
+            rows.append([s[:2] for s in stats])
+            return stats
+        monkeypatch.setattr(Optimizer, "step", recording)
+        return rows
+
+    @pytest.mark.parametrize("fails_at", [1, 4])
+    def test_loss_abort_carries_the_last_completed_steps_row(self, fails_at, monkeypatch):
+        rows = self._record_rows(monkeypatch)
+        value_grad = Network.value_grad
+        calls = []
+
+        def failing(net, x, targets):
+            calls.append(None)
+            if len(calls) == fails_at:
+                raise NumericError("non-finite loss nan in forward pass")
+            return value_grad(net, x, targets)
+        monkeypatch.setattr(Network, "value_grad", failing)
+        with pytest.raises(NumericError, match=f"iteration {fails_at - 1}:") as err:
+            run_experiment(blobs_config(opt_layerwise=True), seed=0)
+        assert len(rows) == fails_at - 1
+        assert err.value.layer_norms == (rows[-1] if rows else [])
+
+    def test_rate_overflow_carries_the_last_completed_steps_row(self, monkeypatch):
+        rows = self._record_rows(monkeypatch)
+        # 3 ** 1000 overflows: t(2) raises, t(0) and t(1) are finite.
+        cfg = blobs_config(schedule_kind="inverse-time", schedule_gamma=1.0, schedule_p=1000.0)
+        with pytest.raises(NumericError, match="learning rate overflows at iteration 2") as err:
+            run_experiment(cfg, seed=0)
+        assert len(rows) == 2
+        assert err.value.layer_norms == rows[-1]
+        assert [li for li, _ in rows[-1]] == [0, 2]
+
+    def test_evaluation_abort_carries_its_steps_row(self, monkeypatch):
+        rows = self._record_rows(monkeypatch)
+
+        def failing(*args):
+            raise NumericError("non-finite network output in evaluation")
+        monkeypatch.setattr(harness, "evaluate_error_percent", failing)
+        with pytest.raises(NumericError, match="checkpoint 3:") as err:
+            run_experiment(blobs_config(max_iterations=5, checkpoints=(3, 5)), seed=0)
+        assert len(rows) == 3
+        assert err.value.layer_norms == rows[-1]
 
     def test_run_experiment_takes_the_norms_the_optimizer_reports(self, monkeypatch):
         def refuse(tensors):

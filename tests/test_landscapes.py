@@ -143,8 +143,8 @@ class TestEscapeTrials:
         assert "diverged" in str(err.value)
         assert "trailing iterates: [[" in str(err.value)
         # The gradient abort keeps the optimizer's norm row, not the iterates.
-        (row,) = err.value.layer_norms
-        assert row[-1][0] == (0,) and not np.isfinite(row[-1][1])
+        row = err.value.layer_norms
+        assert row[-1][0] == 0 and not np.isfinite(row[-1][1])
 
     def test_momentum_also_escapes(self):
         plain = run_escape_trial(SGD(0.01), QuadraticSaddle(), [0.0, 1e-3], max_iter=10 ** 5)
