@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -430,6 +431,16 @@ CONV_GEOMETRIES = [
 ]
 
 
+def pool_cases(*geometries):
+    """(kernel, stride, size) pool geometries for five-channel inputs, each
+    taken in three channel groupings: all five channels in one group (id:
+    the geometry alone), two channels a group with a ragged last one, and
+    one channel a group."""
+    return [pytest.param(*g, group, id="-".join(map(str, g)) + suffix)
+            for g in geometries
+            for group, suffix in ((5, ""), (2, "-ragged"), (1, "-channel"))]
+
+
 class TestConvAndPoolOracles:
     def brute_conv(self, x, w, b, pad):
         n, c, h, wd = x.shape
@@ -542,23 +553,36 @@ class TestConvAndPoolOracles:
                 out[:, :, i, j] = x[:, :, r:r + k, q:q + k].max(axis=(2, 3))
         return out
 
-    @pytest.mark.parametrize("k,s,hw", [(2, 2, 24), (3, 2, 32), (3, 2, 8), (3, 3, 10),
-                                        (2, 4, 11)])
-    def test_pool_matches_brute_force(self, k, s, hw):
+    @staticmethod
+    def set_group_channels(monkeypatch, channels, x_shape):
+        """Set POOL_GROUP_BYTES so that MaxPool2D takes `channels` channels
+        of a batch-last input of `x_shape` at a time."""
+        c, h, w, n = x_shape
+        monkeypatch.setattr(nn, "POOL_GROUP_BYTES", channels * h * w * n * 8)
+
+    @pytest.mark.parametrize("k,s,hw,group", pool_cases((2, 2, 24), (3, 2, 32), (3, 2, 8),
+                                                        (3, 3, 10), (2, 4, 11)))
+    def test_pool_matches_brute_force(self, k, s, hw, group, monkeypatch):
         gen = rng.generator(29, k * 100 + s * 10 + hw)
         layer = MaxPool2D(k, s)
-        x = gen.standard_normal((3, 2, hw, hw))
+        x = gen.standard_normal((3, 5, hw, hw))
+        x[:, 1] = np.round(x[:, 1])  # tied windows
+        self.set_group_channels(monkeypatch, group, batch_last(x).shape)
         out, _ = layer.forward(batch_last(x))
         assert np.array_equal(batch_first(out), self.brute_pool(x, k, s))
+        bare, cache = layer.forward(batch_last(x), need_cache=False)
+        assert cache is None
+        assert bare.tobytes() == out.tobytes()
 
     def tied_inputs(self, hw, seed):
         """Inputs rich in ties: ReLU'd noise (all-zero windows), constant
-        planes, and a channel of small integers."""
+        planes, and two channels of small integers."""
         gen = rng.generator(33, seed)
-        x = np.maximum(gen.standard_normal((2, 4, hw, hw)) - 0.5, 0.0)
+        x = np.maximum(gen.standard_normal((2, 5, hw, hw)) - 0.5, 0.0)
         x[:, 1] = 0.0
         x[:, 2] = -1.5
         x[:, 3] = gen.integers(-2, 2, size=(2, hw, hw))
+        x[:, 4] = gen.integers(0, 2, size=(2, hw, hw))
         return x
 
     def first_max_winners(self, x, k, s):
@@ -577,11 +601,13 @@ class TestConvAndPoolOracles:
                         winners[i, ch, r, q] = pr * k + pq
         return winners
 
-    @pytest.mark.parametrize("k,s,hw", [(2, 2, 8), (3, 2, 8), (3, 2, 10), (3, 3, 10)])
-    def test_pool_winners_are_first_maximum(self, k, s, hw):
+    @pytest.mark.parametrize("k,s,hw,group", pool_cases((2, 2, 8), (3, 2, 8), (3, 2, 10),
+                                                        (3, 3, 10)))
+    def test_pool_winners_are_first_maximum(self, k, s, hw, group, monkeypatch):
         # Even sizes under 3x3/2 take the clipped edge windows.
         layer = MaxPool2D(k, s)
         x = self.tied_inputs(hw, k * 100 + s * 10 + hw)
+        self.set_group_channels(monkeypatch, group, batch_last(x).shape)
         _, cache = layer.forward(batch_last(x))
         assert np.array_equal(batch_first(layer.pattern(cache)),
                               self.first_max_winners(x, k, s))
@@ -599,11 +625,12 @@ class TestConvAndPoolOracles:
         assert np.all(got[nan] == k * k)
         assert np.array_equal(got[~nan], want[~nan])
 
-    @pytest.mark.parametrize("k,s,hw", [(2, 2, 8), (3, 2, 8), (3, 3, 10)])
-    def test_pool_backward_routes_to_first_maximum(self, k, s, hw):
+    @pytest.mark.parametrize("k,s,hw,group", pool_cases((2, 2, 8), (3, 2, 8), (3, 3, 10)))
+    def test_pool_backward_routes_to_first_maximum(self, k, s, hw, group, monkeypatch):
         gen = rng.generator(34, k * 100 + s * 10 + hw)
         layer = MaxPool2D(k, s)
         x = self.tied_inputs(hw, hw)
+        self.set_group_channels(monkeypatch, group, batch_last(x).shape)
         out, cache = layer.forward(batch_last(x))
         grad_out = gen.standard_normal(out.shape)
         gx, param_grads = layer.backward(grad_out, cache)
@@ -978,6 +1005,45 @@ class TestWorkspace:
                     c, h, w = shape
                     padded = c * (h + 2 * layer.padding) * (w + 2 * layer.padding) * 64 * 8
                     assert layer_cache.nbytes <= padded
+
+    @staticmethod
+    def peak_above_live(call):
+        """Peak bytes that call() holds above those live before it, as
+        tracemalloc counts them; numpy reports its buffers to it."""
+        tracemalloc.start()
+        try:
+            live = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - live
+        finally:
+            tracemalloc.stop()
+
+    def test_conv_backward_frees_its_columns_before_the_input_gradient(self):
+        # cifar-quick's conv2 at batch 64: a block is one output row of
+        # im2col, 6.6 MB, and the input gradient is 4.2 MB.
+        gen = rng.generator(36, 0)
+        layer = Conv2D(32, 32, 5, padding=2, init_gen=gen)
+        x = gen.standard_normal((32, 16, 16, 64))
+        out, cache = layer.forward(x)
+        grad_out = gen.standard_normal(out.shape)
+        row = 32 * 5 * 5 * 16 * 64 * 8
+        block = min(16, max(1, nn.COL_BLOCK_BYTES // row)) * row
+        assert self.peak_above_live(lambda: layer.backward(grad_out, cache)) < block + x.nbytes
+
+    def test_pool_backward_builds_one_group_of_scatter_index_at_a_time(self):
+        # cifar-quick's pool1 at batch 64: a 16.8 MB input gradient. Besides
+        # it, a group's int64 index, its gathered winner offsets and the
+        # gather's cast of the uint8 winners, each the size of the group's
+        # output; a whole-output index adds 4.2 MB to the gradient.
+        gen = rng.generator(37, 0)
+        layer = MaxPool2D(3, 2)
+        x = gen.standard_normal((32, 32, 32, 64))
+        out, cache = layer.forward(x)
+        grad_out = gen.standard_normal(out.shape)
+        channels = max(1, nn.POOL_GROUP_BYTES // x[0].nbytes)
+        group_index = channels * out[0].nbytes
+        assert self.peak_above_live(lambda: layer.backward(grad_out, cache)) \
+            <= x.nbytes + 3 * group_index
 
     def test_a_layer_instance_sits_at_one_position(self):
         relu = ReLU()
