@@ -167,7 +167,9 @@ def channel_mean_center(train: Dataset, test: Dataset):
     """
     pixels = train.pixels
     if pixels.dtype == np.uint8:
-        sums = pixels.sum(axis=(0, 2, 3), dtype=np.int64)
+        # Per-image uint32 sums are exact while h*w <= 16,843,009, so that
+        # 255*h*w < 2**32, and their int64 sum over images is exact too.
+        sums = pixels.sum(axis=(2, 3), dtype=np.uint32).sum(axis=0, dtype=np.int64)
         means = sums / (PIXEL_MAX * (pixels.size // pixels.shape[1]))
     else:
         means = pixels.mean(axis=(0, 2, 3))

@@ -3,18 +3,19 @@
 Forward passes return an explicit cache object, and layers keep no arrays
 from one call to the next, so a cache stays valid whatever passes run after
 it, until backward consumes it and frees each layer's arrays as it goes.
-All math is float64; convolution uses im2col backed by BLAS matmul, formed
-a block of output rows at a time (COL_BLOCK_BYTES) and formed again in
-backward, so no layer holds a whole column matrix. Max-pool works on a
-group of channels at a time (POOL_GROUP_BYTES), so its strided passes run
-in cache and its backward's scatter index covers one group.
+All math is float64. A convolution reads each window of its padded input as
+a 2-D view and sums k BLAS GEMMs per output row, in forward and for the
+weight gradient, so no layer forms an im2col matrix. Max-pool works on a
+group of output rows at a time (POOL_GROUP_BYTES), so its strided passes
+run in cache and its backward's scatter index covers one group.
 
-Conv2D and MaxPool2D take and return batch-last (C, H, W, N) arrays, in
-which every window slice of a convolution is a run of W*N contiguous
-elements; Dense takes (N, ...) and the elementwise layers take either. A
-Network moves the batch axis last once, before the first spatial layer, and
-first again before the first Dense (or the loss), and its backward mirrors
-both moves; its inputs and outputs stay batch-first.
+Conv2D and MaxPool2D take and return batch-last (H, C, W, N) arrays, in
+which the k input rows under an output row are one contiguous block and
+each of their (c, w) rows a run of W*N elements; Dense takes (N, ...) and
+the elementwise layers take either. A Network moves to that layout once,
+before the first spatial layer, and back to (N, C, H, W) before the first
+Dense (or the loss), and its backward mirrors both moves; its inputs and
+outputs stay batch-first.
 
 Backward never forms the first layer's input gradient, the gradient with
 respect to the data, because nothing reads it. Max-pool ties go to the first
@@ -37,13 +38,8 @@ from . import rng
 from .errors import DimensionError, NumericError, UsageError
 
 
-# Conv2D forms im2col for as many output rows at a time as fit in this many
-# bytes, and for one row where a row alone is larger. Each block's GEMM
-# reads the columns its copies have just written while they are in cache,
-# and no layer holds its whole column matrix.
-COL_BLOCK_BYTES = 4 << 20
-# MaxPool2D takes as many channels at a time as fit in this many bytes of
-# input, and one where a channel alone is larger (see its docstring).
+# MaxPool2D takes as many output rows at a time as fit in this many bytes of
+# input, and one where a row alone is larger (see its docstring).
 POOL_GROUP_BYTES = 1 << 20
 
 
@@ -57,7 +53,7 @@ class Layer:
 
     kind = "base"
     # Where the batch axis of the arrays the layer takes and returns sits:
-    # first (N, ...), last (C, H, W, N), or None for an elementwise layer,
+    # first (N, ...), last (H, C, W, N), or None for an elementwise layer,
     # which takes either and keeps it.
     batch_last = False
 
@@ -135,9 +131,12 @@ class Dense(Layer):
 
 
 class Conv2D(Layer):
-    """2-D convolution (cross-correlation) with zero padding, im2col based;
-    batch-last (C, H, W, N) in and out. The forward cache is the padded
-    input."""
+    """2-D convolution (cross-correlation) with zero padding; (H, C, W, N) in
+    and out. The forward cache is the padded input xp, of shape
+    (hp, c, wp, n). Seen as rows = xp.reshape(hp*c, wp*n), the window of
+    output row i and kernel column dc is rows[i*c:(i+k)*c, dc*n:(dc+ow)*n],
+    a (k*c, ow*n) view whose rows run (dr, c): forward and the weight
+    gradient read every window in place, and no im2col is formed."""
 
     kind = "convolution-2d"
     batch_last = True
@@ -167,97 +166,84 @@ class Conv2D(Layer):
             )
         return (self.out_channels, oh, ow)
 
-    def _cols(self, x, oh, ow):
-        """Yield (j0, j1, col) for each block of output rows: as many as fit
-        in COL_BLOCK_BYTES, or one. col is the block's im2col, (c*k*k, j1-j0)
-        for output columns j0:j1 of (oc, oh*ow*n), from k*k slab copies, each
-        slab row a run of ow*n contiguous elements. Each col overwrites the
-        last."""
-        c, _, _, n = x.shape
-        k = self.kernel_size
-        row = c * k * k * ow * n
-        rows = min(oh, max(1, COL_BLOCK_BYTES // (row * 8)))
-        buf = np.empty(rows * row)
-        for i0 in range(0, oh, rows):
-            i1 = min(i0 + rows, oh)
-            col = buf[:(i1 - i0) * row].reshape(c, k, k, i1 - i0, ow, n)
-            for dr in range(k):
-                for dc in range(k):
-                    col[:, dr, dc] = x[:, i0 + dr:i1 + dr, dc:dc + ow]
-            yield i0 * ow * n, i1 * ow * n, col.reshape(c * k * k, -1)
-
     def forward(self, x, need_cache=True):
-        c, h, w, n = x.shape
+        h, c, w, n = x.shape
         oc, oh, ow = self.output_shape((c, h, w))
-        p = self.padding
+        k, p = self.kernel_size, self.padding
         if p:
-            xp = np.zeros((c, h + 2 * p, w + 2 * p, n))
-            xp[:, p:p + h, p:p + w] = x
+            xp = np.zeros((h + 2 * p, c, w + 2 * p, n))
+            xp[p:p + h, :, p:p + w] = x
             x = xp
-        # One GEMM per row block writes its columns of the (oc, oh*ow*n)
-        # output, which is the layer's output as it stands.
-        out = np.empty((oc, oh * ow * n))
-        wm = self.params[0].reshape(oc, -1)
-        for j0, j1, col in self._cols(x, oh, ow):
-            np.matmul(wm, col, out=out[:, j0:j1])
+        rows = x.reshape(-1, x.shape[2] * n)
+        # wk[dc] is kernel column dc as an (oc, k*c) matrix, its columns in
+        # the (dr, c) order of a window's rows. Output row i, (oc, ow*n), is
+        # the sum of k GEMMs, one per kernel column.
+        wk = self.params[0].transpose(3, 0, 2, 1).reshape(k, oc, k * c)
+        out = np.empty((oh, oc, ow * n))
+        part = np.empty((oc, ow * n))
+        for i in range(oh):
+            win = rows[i * c:(i + k) * c]
+            np.matmul(wk[0], win[:, :ow * n], out=out[i])
+            for dc in range(1, k):
+                out[i] += np.matmul(wk[dc], win[:, dc * n:(dc + ow) * n], out=part)
         out += self.params[1][:, None]
-        return out.reshape(oc, oh, ow, n), x
+        return out.reshape(oh, oc, ow, n), x
 
     def backward(self, grad_out, cache, need_grad_in=True):
         x = cache
         k, p = self.kernel_size, self.padding
-        c, h, w, n = x.shape
-        h, w = h - 2 * p, w - 2 * p
-        oc, oh, ow = grad_out.shape[:3]
-        g2 = grad_out.reshape(oc, oh * ow * n)
-        # The weight gradient sums g @ col.T over the row blocks, whose
-        # columns are formed again from the cached (padded) input.
-        grad_w = np.zeros((oc, c * k * k))
-        for j0, j1, col in self._cols(x, oh, ow):
-            grad_w += g2[:, j0:j1] @ col.T
-        del col  # the last block, freed before the input gradient's arrays
-        grad_w = grad_w.reshape(self.params[0].shape)
-        grad_b = g2.sum(axis=1)
+        hp, c, wp, n = x.shape
+        h, w = hp - 2 * p, wp - 2 * p
+        rows = x.reshape(hp * c, wp * n)
+        oh, oc, ow = grad_out.shape[:3]
+        g = grad_out.reshape(oh, oc, ow * n)
+        # Kernel column dc's weight gradient, laid out as forward's wk[dc],
+        # sums each output row's gradient times that row's window.
+        gw = np.zeros((k, oc, k * c))
+        for i in range(oh):
+            win = rows[i * c:(i + k) * c]
+            for dc in range(k):
+                gw[dc] += np.matmul(g[i], win[:, dc * n:(dc + ow) * n].T)
+        grad_w = np.ascontiguousarray(gw.reshape(k, oc, k, c).transpose(1, 3, 2, 0))
+        grad_b = g.sum(axis=(0, 2))
         if not need_grad_in:
             return None, [grad_w, grad_b]
         # col2im one output row at a time. Row i's gradient, copied once per
         # kernel column dc to the input columns j + dc - p it reaches (zeros
         # where none does), makes an (oc*k, w*n) matrix. One GEMM with the
-        # weights as (c*k, oc*k) gives its sums for the input rows i + dr - p,
+        # weights as (k*c, oc*k) gives its sums for the input rows i + dr - p,
         # and those inside the input are added in place.
-        wt = self.params[0].transpose(1, 2, 0, 3).reshape(c * k, oc * k)
+        wt = self.params[0].transpose(2, 1, 0, 3).reshape(k * c, oc * k)
         spread = np.zeros((oc, k, w, n))
         copies = []
         for dc in range(k):
             lo, hi = max(0, p - dc), min(ow, w + p - dc)
             if lo < hi:
                 copies.append((spread[:, dc, lo + dc - p:hi + dc - p], slice(lo, hi)))
-        prod = np.empty((c, k, w, n))
-        gx = np.zeros((c, h, w, n))
+        prod = np.empty((k, c, w, n))
+        gx = np.zeros((h, c, w, n))
         for i in range(oh):
             for dst, cols in copies:
-                dst[...] = grad_out[:, i, cols]
-            np.matmul(wt, spread.reshape(oc * k, w * n), out=prod.reshape(c * k, w * n))
+                dst[...] = grad_out[i, :, cols]
+            np.matmul(wt, spread.reshape(oc * k, w * n), out=prod.reshape(k * c, w * n))
             d0, d1 = max(0, p - i), min(k, h + p - i)
             if d0 < d1:
-                gx[:, i - p + d0:i - p + d1] += prod[:, d0:d1]
+                gx[i - p + d0:i - p + d1] += prod[d0:d1]
         return gx, [grad_w, grad_b]
 
 
 class MaxPool2D(Layer):
     """Max pooling with Caffe-style ceil output sizing; windows that overrun
-    the input are clipped to its bounds. Batch-last (C, H, W, N) in and
-    out.
+    the input are clipped to its bounds. (H, C, W, N) in and out.
 
-    Forward and backward take the channels in groups of POOL_GROUP_BYTES
-    (1 MiB) of input. Forward's running max and winner passes re-read a
-    group while it is in a 2 MiB L2; backward builds the int64 scatter
-    index for one group and adds into that group's slice of the input
-    gradient. Windows never cross channels, so every output is that
-    of one whole-input group, bit for bit. 1 MiB, two of cifar-quick
-    pool1's 32 channels, gave about the fastest forwards in a sweep from
-    256 KiB to 4 MiB; at 4 MiB pool1's index and gather arrays take about
-    2.4 MB again beside its 16.8 MB input gradient."""
+    Forward and backward take the output rows in groups of about
+    POOL_GROUP_BYTES (1 MiB) of input, stride rows of input per output row,
+    each group a contiguous block of the input and of the output. Forward's
+    running max and winner passes re-read a group while it is in a 2 MiB
+    L2; backward builds the int64 scatter index for one group and adds it
+    into the input gradient in output-row order, as one whole-input group
+    would, so every output is that of one group, bit for bit, also where
+    windows overlap a group boundary."""
 
     kind = "max-pool-2d"
     batch_last = True
@@ -279,28 +265,29 @@ class MaxPool2D(Layer):
         oh, ow = self._spatial_out(in_shape[1], in_shape[2])
         return (in_shape[0], oh, ow)
 
-    def _groups(self, c, h, w, n):
-        """Channel slices of about POOL_GROUP_BYTES of input each, or one
-        channel each."""
-        g = max(1, POOL_GROUP_BYTES // (h * w * n * 8))
-        return [slice(c0, c0 + g) for c0 in range(0, c, g)]
+    def _groups(self, x_shape, oh):
+        """(r0, r1) output-row ranges of about POOL_GROUP_BYTES of input
+        each, or one row each."""
+        h, c, w, n = x_shape
+        g = max(1, POOL_GROUP_BYTES // (self.stride * c * w * n * 8))
+        return [(r0, min(r0 + g, oh)) for r0 in range(0, oh, g)]
 
     def forward(self, x, need_cache=True):
-        c, h, w, n = x.shape
+        h, c, w, n = x.shape
         k, s = self.kernel_size, self.stride
         oh, ow = self._spatial_out(h, w)
-        out = np.empty((c, oh, ow, n))
+        out = np.empty((oh, c, ow, n))
         weight = np.min_scalar_type(k * k).type
         best = np.zeros(out.shape, weight) if need_cache else None
-        for g in self._groups(c, h, w, n):
+        for r0, r1 in self._groups(x.shape, oh):
             # Window offset (dr, dc) of every output: where it overruns the
             # input, it reaches only the first `part` of the outputs.
             views = []
             for dr in range(k):
                 for dc in range(k):
-                    view = x[g, dr::s, dc::s][:, :oh, :ow]
-                    views.append((view, np.s_[:, :view.shape[1], :view.shape[2]]))
-            og = out[g]
+                    view = x[r0 * s + dr::s, :, dc::s][:r1 - r0, :, :ow]
+                    views.append((view, np.s_[:view.shape[0], :, :view.shape[2]]))
+            og = out[r0:r1]
             og[...] = views[0][0]
             for view, part in views[1:]:
                 np.maximum(og[part], view, out=og[part])
@@ -311,28 +298,27 @@ class MaxPool2D(Layer):
             # weight among the maxima marks the first. A NaN window has no
             # maximum and gets k*k, out of range; the non-finite loss it
             # leads to stops training first.
-            bg = best[g]
+            bg = best[r0:r1]
             for j, (view, part) in enumerate(views):
                 np.maximum(bg[part], np.equal(view, og[part]) * weight(k * k - j),
                            out=bg[part])
-        return out, (k * k - best, (c, h, w, n)) if need_cache else None
+        return out, (k * k - best, x.shape) if need_cache else None
 
     def backward(self, grad_out, cache):
-        winner, (c, h, w, n) = cache
+        winner, x_shape = cache
+        h, c, w, n = x_shape
         k, s = self.kernel_size, self.stride
         oh, ow = self._spatial_out(h, w)
-        # Flat position in a group's input of each window's first element,
-        # plus that of its winner within the window. Windows stay inside
-        # their channel, so each group's scatter touches only its own slice.
-        offset = (np.add.outer(np.arange(k) * w, np.arange(k)) * n).ravel()
-        gx = np.zeros((c, h, w, n))
-        for g in self._groups(c, h, w, n):
-            wg = winner[g]
-            origin = (np.arange(len(wg))[:, None, None] * h + s * np.arange(oh)[:, None]) * w \
+        # Flat position in the input of each window's first element, plus
+        # that of its winner within the window.
+        offset = (np.add.outer(np.arange(k) * (c * w), np.arange(k)) * n).ravel()
+        gx = np.zeros(x_shape)
+        for r0, r1 in self._groups(x_shape, oh):
+            origin = (s * np.arange(r0, r1)[:, None, None] * c + np.arange(c)[:, None]) * w \
                 + s * np.arange(ow)
             index = (origin * n)[..., None] + np.arange(n)
-            index += offset[wg]
-            np.add.at(gx[g].reshape(-1), index.ravel(), grad_out[g].ravel())
+            index += offset[winner[r0:r1]]
+            np.add.at(gx.reshape(-1), index.ravel(), grad_out[r0:r1].ravel())
         return gx, []
 
     def pattern(self, cache):
@@ -470,13 +456,14 @@ class Network:
             )
 
     def _move(self, i, a, backward=False):
-        """`a` as layer i takes it: a copy with the batch axis moved where
-        _moves[i] says. In backward, a gradient moved back."""
+        """`a` as layer i takes it: a copy moved from (N, C, H, W) to the
+        spatial layers' (H, C, W, N) or back, as _moves[i] says. In
+        backward, a gradient moved the other way."""
         last = self._moves.get(i)
         if last is None:
             return a
         return np.ascontiguousarray(
-            np.moveaxis(a, 0, -1) if last != backward else np.moveaxis(a, -1, 0))
+            a.transpose((2, 1, 3, 0) if last != backward else (3, 1, 0, 2)))
 
     def _run_loss(self, out, targets):
         if self.loss == "squared-error":

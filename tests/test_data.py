@@ -372,6 +372,17 @@ class TestDecode:
         float_means = (pixels / 255.0).mean(axis=(0, 2, 3))
         assert np.all(np.abs(means - float_means) <= 64 * np.spacing(float_means))
 
+    def test_integer_sums_are_exact_at_the_largest_image(self):
+        # All-255 images of h*w = 16,843,009 pixels: each image's sum is
+        # 2**32 - 1, the largest a uint32 holds, and two images' sum is not.
+        h, w = 257, 65537
+        pixels = np.broadcast_to(np.uint8(255), (2, 1, h, w))
+        ds = Dataset(pixels, np.zeros(2, dtype=np.int64), 10)
+        _, _, means = channel_mean_center(ds, ds)
+        total = sum(255 * h * w for _ in range(2))
+        assert total > 2 ** 32
+        assert means[0] == total / (255 * 2 * h * w) == 1.0
+
     def test_centring_twice_is_centring_once(self, tmp_path):
         p = tmp_path / "data_batch_1.bin"
         TestCifar10Bin().make_file(p, n=5)

@@ -26,12 +26,13 @@ from layerlr.optim import make_optimizer
 
 
 def batch_last(x):
-    """(N, C, H, W) -> the (C, H, W, N) layout Conv2D and MaxPool2D take."""
-    return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+    """(N, C, H, W) -> the (H, C, W, N) layout Conv2D and MaxPool2D take."""
+    return np.ascontiguousarray(x.transpose(2, 1, 3, 0))
 
 
 def batch_first(x):
-    return np.moveaxis(x, -1, 0)
+    """(H, C, W, N) -> (N, C, H, W)."""
+    return x.transpose(3, 1, 0, 2)
 
 
 def identity_dense(n):
@@ -161,7 +162,7 @@ class TestBackward:
         grad = cache.loss_grad
         for i in range(len(net.layers) - 1, -1, -1):
             # The first Dense takes (N, C, H, W); the pool below it gives and
-            # takes (C, H, W, N).
+            # takes (H, C, W, N).
             if grad.ndim == 4 and isinstance(net.layers[i + 1], Dense):
                 grad = batch_last(grad)
             grad, expected = net.layers[i].backward(grad, layer_caches[i])
@@ -433,12 +434,12 @@ CONV_GEOMETRIES = [
 
 def pool_cases(*geometries):
     """(kernel, stride, size) pool geometries for five-channel inputs, each
-    taken in three channel groupings: all five channels in one group (id:
-    the geometry alone), two channels a group with a ragged last one, and
-    one channel a group."""
+    taken in three groupings of output rows: all rows in one group (id: the
+    geometry alone), two groups of which the last is one row (ragged), and
+    one row a group. Under 3x3/2 windows overlap every group boundary."""
     return [pytest.param(*g, group, id="-".join(map(str, g)) + suffix)
             for g in geometries
-            for group, suffix in ((5, ""), (2, "-ragged"), (1, "-channel"))]
+            for group, suffix in (("all", ""), ("ragged", "-ragged"), ("row", "-row"))]
 
 
 class TestConvAndPoolOracles:
@@ -497,28 +498,14 @@ class TestConvAndPoolOracles:
         assert np.allclose(gw, want_gw, rtol=0, atol=1e-12)
         assert np.allclose(gb, want_gb, rtol=0, atol=1e-12)
 
-    @staticmethod
-    def set_block_rows(monkeypatch, rows, layer, x_shape):
-        """Set COL_BLOCK_BYTES so that `layer` forms im2col for `rows`
-        output rows at a time (0: 1 byte, which still takes one row)."""
-        c, h, w, n = x_shape
-        _, _, ow = layer.output_shape((c, h, w))
-        monkeypatch.setattr(nn, "COL_BLOCK_BYTES",
-                            max(1, rows * c * layer.kernel_size ** 2 * ow * n * 8))
-
-    @pytest.mark.parametrize("rows", [0, 2], ids=["row", "two-rows"])
     @pytest.mark.parametrize("k,pad,h,w", CONV_GEOMETRIES)
-    def test_conv_row_blocks_match_brute_force(self, k, pad, h, w, rows, monkeypatch):
-        # Two rows a block leave a ragged last block where the output
-        # height is odd ("output-wider").
+    def test_one_channel_conv_of_one_image_matches_brute_force(self, k, pad, h, w):
+        # One input channel makes each window k rows deep, and one image
+        # makes each of its rows ow elements long: the narrowest GEMMs.
         gen = rng.generator(25, k * 1000 + 100 + pad * 10 + h)
-        layer = Conv2D(3, 4, k, padding=pad, init_gen=gen)
-        x = gen.standard_normal((2, 3, h, w))
-        whole, _ = layer.forward(batch_last(x))
-        self.set_block_rows(monkeypatch, rows, layer, batch_last(x).shape)
+        layer = Conv2D(1, 2, k, padding=pad, init_gen=gen)
+        x = gen.standard_normal((1, 1, h, w))
         out, cache = layer.forward(batch_last(x))
-        # BLAS may sum a narrow block's dot products in another order.
-        assert np.allclose(out, whole, rtol=0, atol=1e-14)
         assert np.allclose(batch_first(out),
                            self.brute_conv(x, layer.params[0], layer.params[1], pad),
                            rtol=0, atol=1e-12)
@@ -530,16 +517,29 @@ class TestConvAndPoolOracles:
         assert np.allclose(gw, want_gw, rtol=0, atol=1e-12)
         assert np.allclose(gb, want_gb, rtol=0, atol=1e-12)
 
-    def test_conv_forward_is_bitwise_the_same_in_wide_row_blocks(self, monkeypatch):
-        # cifar-quick's conv2 at batch 8: every block is 128 columns or more.
-        gen = rng.generator(26, 0)
-        layer = Conv2D(32, 32, 5, padding=2, init_gen=gen)
-        x = batch_last(gen.standard_normal((8, 32, 16, 16)))
-        outs = []
-        for rows in (0, 3, 16):
-            self.set_block_rows(monkeypatch, rows, layer, x.shape)
-            outs.append(layer.forward(x)[0].tobytes())
-        assert outs[0] == outs[1] == outs[2]
+    @pytest.mark.parametrize("k,pad,h,w", CONV_GEOMETRIES)
+    def test_conv_reads_every_window_in_place(self, k, pad, h, w, monkeypatch):
+        # Forward and the weight gradient make k GEMMs per output row, each
+        # on a (k*c, ow*n) window that is a view of the cached padded input.
+        gen = rng.generator(26, k * 1000 + 100 + pad * 10 + h)
+        layer = Conv2D(3, 4, k, padding=pad, init_gen=gen)
+        x = batch_last(gen.standard_normal((2, 3, h, w)))
+        _, oh, ow = layer.output_shape((3, h, w))
+        operands = []
+        matmul = np.matmul
+
+        def recording(a, b, **kwargs):
+            operands.append(b)
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(nn.np, "matmul", recording)
+        out, cache = layer.forward(x)
+        layer.backward(gen.standard_normal(out.shape), cache, need_grad_in=False)
+        monkeypatch.undo()
+        assert (cache is x) == (pad == 0)
+        windows = [(3 * k, ow * 2)] * (oh * k) + [(ow * 2, 3 * k)] * (oh * k)
+        assert [b.shape for b in operands] == windows
+        assert all(np.shares_memory(b, cache) for b in operands)
 
     def brute_pool(self, x, k, s):
         # A window starts every s elements inside the input, up to the first
@@ -554,11 +554,13 @@ class TestConvAndPoolOracles:
         return out
 
     @staticmethod
-    def set_group_channels(monkeypatch, channels, x_shape):
-        """Set POOL_GROUP_BYTES so that MaxPool2D takes `channels` channels
-        of a batch-last input of `x_shape` at a time."""
-        c, h, w, n = x_shape
-        monkeypatch.setattr(nn, "POOL_GROUP_BYTES", channels * h * w * n * 8)
+    def set_group_rows(monkeypatch, layer, group, x_shape):
+        """Set POOL_GROUP_BYTES so that `layer` takes the output rows of a
+        batch-last input of `x_shape` in the pool_cases `group`."""
+        h, c, w, n = x_shape
+        oh = layer.output_shape((c, h, w))[1]
+        rows = {"all": oh, "ragged": oh - 1, "row": 1}[group]
+        monkeypatch.setattr(nn, "POOL_GROUP_BYTES", rows * layer.stride * c * w * n * 8)
 
     @pytest.mark.parametrize("k,s,hw,group", pool_cases((2, 2, 24), (3, 2, 32), (3, 2, 8),
                                                         (3, 3, 10), (2, 4, 11)))
@@ -567,7 +569,7 @@ class TestConvAndPoolOracles:
         layer = MaxPool2D(k, s)
         x = gen.standard_normal((3, 5, hw, hw))
         x[:, 1] = np.round(x[:, 1])  # tied windows
-        self.set_group_channels(monkeypatch, group, batch_last(x).shape)
+        self.set_group_rows(monkeypatch, layer, group, batch_last(x).shape)
         out, _ = layer.forward(batch_last(x))
         assert np.array_equal(batch_first(out), self.brute_pool(x, k, s))
         bare, cache = layer.forward(batch_last(x), need_cache=False)
@@ -607,7 +609,7 @@ class TestConvAndPoolOracles:
         # Even sizes under 3x3/2 take the clipped edge windows.
         layer = MaxPool2D(k, s)
         x = self.tied_inputs(hw, k * 100 + s * 10 + hw)
-        self.set_group_channels(monkeypatch, group, batch_last(x).shape)
+        self.set_group_rows(monkeypatch, layer, group, batch_last(x).shape)
         _, cache = layer.forward(batch_last(x))
         assert np.array_equal(batch_first(layer.pattern(cache)),
                               self.first_max_winners(x, k, s))
@@ -630,7 +632,7 @@ class TestConvAndPoolOracles:
         gen = rng.generator(34, k * 100 + s * 10 + hw)
         layer = MaxPool2D(k, s)
         x = self.tied_inputs(hw, hw)
-        self.set_group_channels(monkeypatch, group, batch_last(x).shape)
+        self.set_group_rows(monkeypatch, layer, group, batch_last(x).shape)
         out, cache = layer.forward(batch_last(x))
         grad_out = gen.standard_normal(out.shape)
         gx, param_grads = layer.backward(grad_out, cache)
@@ -813,7 +815,7 @@ class TestCifarQuickLayerOrder:
         net, _ = _cifar_quick_both_orders()
         x, _ = _tied_batch(0)
         out, _ = net.layers[0].forward(batch_last(x))
-        windows = np.lib.stride_tricks.sliding_window_view(out, (3, 3), axis=(1, 2))[:, ::2, ::2]
+        windows = np.lib.stride_tricks.sliding_window_view(out, (3, 3), axis=(0, 2))[::2, :, ::2]
         top = windows.max(axis=(-2, -1))
         tied = (windows == top[..., None, None]).sum(axis=(-2, -1)) > 1
         assert (tied & (top > 0)).any() and (tied & (top < 0)).any()
@@ -1018,17 +1020,27 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
 
-    def test_conv_backward_frees_its_columns_before_the_input_gradient(self):
-        # cifar-quick's conv2 at batch 64: a block is one output row of
-        # im2col, 6.6 MB, and the input gradient is 4.2 MB.
+    def test_conv_holds_no_column_block(self):
+        # cifar-quick's conv2 at batch 64, where one output row of im2col
+        # would be 6.6 MB. Forward holds its padded input and output, one
+        # output row of scratch and a copy of the weights. The weight
+        # gradient takes little more than itself, laid out two ways, and the
+        # input gradient adds the two (k, w) bands of one row's col2im.
         gen = rng.generator(36, 0)
         layer = Conv2D(32, 32, 5, padding=2, init_gen=gen)
-        x = gen.standard_normal((32, 16, 16, 64))
+        x = gen.standard_normal((16, 32, 16, 64))
+        padded = 20 * 32 * 20 * 64 * 8
+        row = 32 * 16 * 64 * 8
+        weights = layer.params[0].nbytes
+        assert self.peak_above_live(lambda: layer.forward(x)) \
+            < padded + x.nbytes + 2 * row + weights
         out, cache = layer.forward(x)
         grad_out = gen.standard_normal(out.shape)
-        row = 32 * 5 * 5 * 16 * 64 * 8
-        block = min(16, max(1, nn.COL_BLOCK_BYTES // row)) * row
-        assert self.peak_above_live(lambda: layer.backward(grad_out, cache)) < block + x.nbytes
+        assert self.peak_above_live(
+            lambda: layer.backward(grad_out, cache, need_grad_in=False)) < row + 3 * weights
+        band = 32 * 5 * 16 * 64 * 8
+        assert self.peak_above_live(lambda: layer.backward(grad_out, cache)) \
+            < x.nbytes + 2 * band + row + 3 * weights
 
     def test_pool_backward_builds_one_group_of_scatter_index_at_a_time(self):
         # cifar-quick's pool1 at batch 64: a 16.8 MB input gradient. Besides
@@ -1040,8 +1052,8 @@ class TestWorkspace:
         x = gen.standard_normal((32, 32, 32, 64))
         out, cache = layer.forward(x)
         grad_out = gen.standard_normal(out.shape)
-        channels = max(1, nn.POOL_GROUP_BYTES // x[0].nbytes)
-        group_index = channels * out[0].nbytes
+        rows = max(1, nn.POOL_GROUP_BYTES // (2 * x[0].nbytes))
+        group_index = rows * out[0].nbytes
         assert self.peak_above_live(lambda: layer.backward(grad_out, cache)) \
             <= x.nbytes + 3 * group_index
 
