@@ -434,12 +434,15 @@ CONV_GEOMETRIES = [
 
 def pool_cases(*geometries):
     """(kernel, stride, size) pool geometries for five-channel inputs, each
-    taken in three groupings of output rows: all rows in one group (id: the
-    geometry alone), two groups of which the last is one row (ragged), and
-    one row a group. Under 3x3/2 windows overlap every group boundary."""
+    taken in four groupings of output rows: all rows in one group (id: the
+    geometry alone), two groups of which the last is one row (ragged), one
+    row a group, and a budget of one channel of one input row, less than an
+    output row, of which a group still takes one whole row (channel). Under
+    3x3/2 windows overlap every group boundary."""
     return [pytest.param(*g, group, id="-".join(map(str, g)) + suffix)
             for g in geometries
-            for group, suffix in (("all", ""), ("ragged", "-ragged"), ("row", "-row"))]
+            for group, suffix in (("all", ""), ("ragged", "-ragged"), ("row", "-row"),
+                                  ("channel", "-channel"))]
 
 
 class TestConvAndPoolOracles:
@@ -559,6 +562,9 @@ class TestConvAndPoolOracles:
         batch-last input of `x_shape` in the pool_cases `group`."""
         h, c, w, n = x_shape
         oh = layer.output_shape((c, h, w))[1]
+        if group == "channel":
+            monkeypatch.setattr(nn, "POOL_GROUP_BYTES", w * n * 8)
+            return
         rows = {"all": oh, "ragged": oh - 1, "row": 1}[group]
         monkeypatch.setattr(nn, "POOL_GROUP_BYTES", rows * layer.stride * c * w * n * 8)
 
