@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import harness
+from . import harness, landscapes
 from .errors import ConfigError, DataError, DimensionError, NumericError
 from .landscapes import LANDSCAPE_KINDS, check_escape_trial, run_escape_trial
 from .nn import FIXED_INPUTS, gradient_check, network_from_spec, parse_arch
@@ -272,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--lrs", default="0.1,0.01", help="comma list of learning rates")
     p_bench.add_argument("--optimizers", default="sgd,ours-sgd",
                          help="comma list; prefix ours- for layerwise")
-    p_bench.add_argument("--radius", type=float, default=1.0)
-    p_bench.add_argument("--max-iter", type=int, default=10 ** 6)
+    p_bench.add_argument("--radius", type=float, default=landscapes.DEFAULT_ESCAPE_RADIUS)
+    p_bench.add_argument("--max-iter", type=int, default=landscapes.DEFAULT_MAX_ITER)
     p_bench.add_argument("--out", default="bench.csv")
     p_bench.set_defaults(func=_cmd_bench, allow_overrides=False)
 

@@ -23,7 +23,7 @@ from .errors import ConfigError, DataError, DimensionError, NumericError
 from .nn import Network, network_from_spec, parse_arch
 from .optim import LrSchedule, make_optimizer
 # Unused here: benchmarks/workloads.py wraps harness.group_norm in traced runs.
-from .tensor import group_norm  # noqa: F401
+from .optim import group_norm  # noqa: F401
 
 DATA_DIR_ENV = "LAYERLR_DATA_DIR"
 BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"

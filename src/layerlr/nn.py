@@ -31,6 +31,7 @@ only what it accepts.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -577,16 +578,12 @@ def finite_difference_gradient(net: Network, inputs, targets, eps: float = 1e-6)
     return grads
 
 
+@dataclass
 class GradCheckResult:
-    def __init__(self, max_rel_err, checked, skipped, worst):
-        self.max_rel_err = max_rel_err
-        self.checked = checked
-        self.skipped = skipped
-        self.worst = worst  # (layer_index, tensor_index, flat_coord)
-
-    def __repr__(self):
-        return (f"GradCheckResult(max_rel_err={self.max_rel_err:.3e}, "
-                f"checked={self.checked}, skipped={self.skipped}, worst={self.worst})")
+    max_rel_err: float
+    checked: int
+    skipped: int
+    worst: tuple  # (layer_index, tensor_index, flat_coord), or None
 
 
 def gradient_check(net: Network, inputs, targets, eps: float = 1e-6,

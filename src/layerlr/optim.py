@@ -8,9 +8,10 @@ for large norms the multiplier tends to 1 and the base optimizer is
 recovered. It composes with any rule that consumes a global learning rate:
 SGD, classical momentum, Nesterov momentum, and AdaGrad are provided.
 
-Each layer is one norm group. Optimizer.step returns one (li, norm,
-multiplier, t_eff) row per layer: its index, the norm of its gradient as
-given, and the multiplier and effective rate it applied.
+Each layer is one norm group, and group_norm, defined here, is the l2 norm
+of its gradient. Optimizer.step returns one (li, norm, multiplier, t_eff)
+row per layer: its index, that norm of its gradient as given, and the
+multiplier and effective rate it applied.
 Optimizer.descend(params, value_grad) is one training step: it calls
 value_grad() once for (value, grads) and steps on those grads. Only NAG
 knows where that gradient is taken: its descend calls value_grad with the
@@ -18,12 +19,12 @@ lookahead point x + mu*v in the parameter lists.
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .tensor import group_norm
 
 EPSILON_NORM = 1e-12
 EPSILON_DIV = 1e-12
@@ -46,6 +47,21 @@ def layer_multiplier(norm: float, epsilon_norm: float = EPSILON_NORM) -> float:
     if norm < 0:
         raise ValueError(f"gradient norm must be nonnegative, got {norm}")
     return 1.0 + math.log1p(1.0 / max(norm, epsilon_norm))
+
+
+def group_norm(tensors) -> float:
+    """l2 norm of the flattened concatenation of `tensors`.
+
+    Each tensor's sum of squares is one np.vdot(t, t), with no squared
+    temporary and no copy. Any NaN or inf entry makes the result
+    non-finite, and so does a sum of squares that overflows (say, entries
+    of 1e155).
+    """
+    total = 0.0
+    for t in tensors:
+        t = np.asarray(t, dtype=np.float64)
+        total += float(np.vdot(t, t))
+    return math.sqrt(total)
 
 
 # ---------------------------------------------------------------------------
@@ -222,29 +238,6 @@ class Momentum(Optimizer):
         p += v
 
 
-class _Lookahead:
-    """What NAG.at_lookahead returns. On entry the scratch array of each
-    tensor with a velocity, which holds the mu*v + x that the last step
-    formed, stands in for its tensor in the group list. On exit, also by an
-    exception, the original objects go back in place."""
-
-    def __init__(self, nag, params):
-        self.nag, self.params, self.swapped = nag, params, []
-
-    def __enter__(self):
-        slots = self.nag._slots
-        for li, group in enumerate(self.params):
-            for ti, p in enumerate(group):
-                slot = slots.get((li, ti))
-                if slot is not None:
-                    self.swapped.append((group, ti, p))
-                    group[ti] = slot[1]
-
-    def __exit__(self, *exc):
-        for group, ti, p in self.swapped:
-            group[ti] = p
-
-
 class NAG(Momentum):
     """Nesterov momentum. The same recurrence as classical momentum, but the
     gradients it consumes are evaluated at the lookahead point
@@ -269,12 +262,25 @@ class NAG(Momentum):
             value, grads = value_grad()
         return value, self.step(params, grads)
 
+    @contextmanager
     def at_lookahead(self, params):
         """Evaluate at the lookahead point x + mu*v_prev without touching x:
-        the parameters are never shifted, copied or restored. The point is
-        the one the last step formed, so it is stale if anything wrote the
-        parameters since."""
-        return _Lookahead(self, params)
+        the scratch array of each tensor with a velocity, which holds the
+        mu*v + x the last step formed, stands in for its tensor in the group
+        list, and on exit, also by an exception, the original objects go
+        back. The point is stale if anything wrote the parameters since."""
+        swapped = []
+        try:
+            for li, group in enumerate(params):
+                for ti, p in enumerate(group):
+                    slot = self._slots.get((li, ti))
+                    if slot is not None:
+                        swapped.append((group, ti, p))
+                        group[ti] = slot[1]
+            yield
+        finally:
+            for group, ti, p in swapped:
+                group[ti] = p
 
 
 class AdaGrad(Optimizer):

@@ -27,8 +27,7 @@ from layerlr import rng
 from layerlr.data import BatchStream, synth_blobs
 from layerlr.landscapes import LANDSCAPE_KINDS, run_escape_trial
 from layerlr.nn import build_cifar_quick, build_lenet, build_mlp
-from layerlr.optim import make_optimizer
-from layerlr.tensor import group_norm
+from layerlr.optim import group_norm, make_optimizer
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 STEPS = 10

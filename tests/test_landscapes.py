@@ -7,8 +7,7 @@ import pytest
 from layerlr import optim, rng
 from layerlr.errors import DimensionError, NumericError
 from layerlr.landscapes import Landscape, MonkeySaddle, QuadraticSaddle, run_escape_trial
-from layerlr.optim import SGD, layer_multiplier, make_optimizer
-from layerlr.tensor import group_norm
+from layerlr.optim import SGD, group_norm, layer_multiplier, make_optimizer
 
 
 class DeepLinearChain(Landscape):
