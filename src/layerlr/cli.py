@@ -17,7 +17,6 @@ import sys
 import tarfile
 import warnings
 import zlib
-from dataclasses import replace
 
 import numpy as np
 
@@ -40,18 +39,10 @@ MNIST_MIRRORS = (
 CIFAR_URL = "https://www.cs.toronto.edu/~kriz/cifar-10-binary.tar.gz"
 
 
-def _config_from_args(args, extras):
-    if args.config:
-        cfg = harness.load_config(args.config)
-    else:
-        cfg = harness.ExperimentConfig()
-    return harness.apply_overrides(cfg, extras)
-
-
 def _cmd_train(args, extras) -> int:
-    cfg = _config_from_args(args, extras)
-    if args.seed is not None:
-        cfg = replace(cfg, seeds=(args.seed,))  # validates it as a config seed
+    if args.seed is not None:  # the last override, checked as a config seed
+        extras = extras + [f"--seeds={args.seed}"]
+    cfg = harness.load_config(args.config, extras)
     seed = cfg.seeds[0]
     out = args.out or "records.csv"
     harness.check_writable(out)
@@ -69,7 +60,7 @@ def _cmd_train(args, extras) -> int:
 
 
 def _cmd_table(args, extras) -> int:
-    cfg = _config_from_args(args, extras)
+    cfg = harness.load_config(args.config, extras)
     out = args.out or cfg.out
     harness.check_writable(out)
     table = harness.repeat_runs(cfg, processes=args.processes)

@@ -14,7 +14,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class ExperimentConfig:
         if not self.data_dir:
             self.data_dir = default_data_dir()
         # An empty checkpoints tuple means "final iteration only"; it is
-        # resolved lazily so later overrides of max_iterations still apply.
+        # resolved lazily so a replace() of max_iterations moves it too.
         self.checkpoints = tuple(int(c) for c in self.checkpoints)
         self.seeds = tuple(int(s) for s in self.seeds)
         self.schedule_milestones = tuple(int(m) for m in self.schedule_milestones)
@@ -123,14 +123,22 @@ class ExperimentConfig:
                               f"got {self.blobs_seed}")
         if any(ch in self.variant for ch in ',"\r\n'):
             raise ConfigError(f"variant must hold no comma, quote or line break: {self.variant!r}")
-        # The network spec and the schedule fail before any data loads.
+        # The network spec and the optimizer fail before any data loads.
         shape = {"blobs": (1, 1, self.blobs_dim), "mnist": (1, 28, 28),
                  "cifar10": (3, 32, 32)}.get(self.dataset)
         try:
             parse_arch(self.arch, self.arch_activation, self.loss, shape)
         except DimensionError as exc:
             raise ConfigError(f"dataset {self.dataset!r}: {exc}") from None
-        self.schedule()
+        self.optimizer()
+        baseline = BASELINE_T0.get(self.arch)
+        if self.opt_layerwise and baseline is not None and self.schedule_t0 == baseline:
+            warnings.warn(
+                f"layer-wise rates only increase the effective step, but t0="
+                f"{self.schedule_t0} equals the baseline-tuned rate for "
+                f"{self.arch!r}; consider a smaller t0",
+                stacklevel=3,
+            )
 
     @property
     def checkpoint_iterations(self) -> tuple:
@@ -154,17 +162,8 @@ class ExperimentConfig:
                           factor=self.schedule_factor)
 
     def optimizer(self):
-        opt = make_optimizer(self.opt_kind, self.schedule(),
-                             layerwise=self.opt_layerwise, mu=self.opt_mu)
-        baseline = BASELINE_T0.get(self.arch)
-        if self.opt_layerwise and baseline is not None and self.schedule_t0 == baseline:
-            warnings.warn(
-                f"layer-wise rates only increase the effective step, but t0="
-                f"{self.schedule_t0} equals the baseline-tuned rate for "
-                f"{self.arch!r}; consider a smaller t0",
-                stacklevel=2,
-            )
-        return opt
+        return make_optimizer(self.opt_kind, self.schedule(),
+                              layerwise=self.opt_layerwise, mu=self.opt_mu)
 
 
 def _field_registry():
@@ -200,33 +199,33 @@ def _parse_setting(text: str, where: str, values: dict) -> None:
         raise ConfigError(f"{where}: bad value for {key}: {exc}") from exc
 
 
-def parse_config_text(text: str) -> ExperimentConfig:
-    """Parse the flat `key = value` config format ('#' starts a comment)."""
+def parse_config_text(text: str, overrides=()) -> ExperimentConfig:
+    """Parse the flat `key = value` config format ('#' starts a comment),
+    then each '--key=value' override, and build the config once from both:
+    an override can make a file's value valid."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             _parse_setting(line, f"line {lineno}", values)
-    return ExperimentConfig(**values)
-
-
-def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path) as f:
-            text = f.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text)
-
-
-def apply_overrides(cfg: ExperimentConfig, overrides) -> ExperimentConfig:
-    """Apply CLI overrides, each of the form '--key=value'."""
-    values = {}
     for item in overrides:
         if not (item.startswith("--") and "=" in item):
             raise ConfigError(f"unrecognized argument {item!r} (overrides look like --key=value)")
         _parse_setting(item[2:], f"override {item!r}", values)
-    return replace(cfg, **values)
+    return ExperimentConfig(**values)
+
+
+def load_config(path, overrides=()) -> ExperimentConfig:
+    """parse_config_text on the file at `path`, or on no lines when `path`
+    is None, with `overrides` applied after the file's lines."""
+    text = ""
+    if path is not None:
+        try:
+            with open(path) as f:
+                text = f.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config_text(text, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +360,7 @@ def run_experiment(cfg: ExperimentConfig, seed: int):
     else the last completed step's (empty before the first).
     """
     t_start = time.perf_counter()
-    opt = cfg.optimizer()  # rejects bad optimizer values before any data loads
+    opt = cfg.optimizer()  # a fresh one per run, k = 0 and no slots
     train, test = load_datasets(cfg)
     net = build_network(cfg, train, seed)
     stream = data_io.BatchStream(train, cfg.batch_size, seed)
@@ -438,9 +437,7 @@ def summarize_records(variant: str, per_seed_records, metric: str = "error") -> 
 def _run_worker(args):
     cfg, seed = args
     try:
-        with warnings.catch_warnings():  # repeat_runs has warned once already
-            warnings.simplefilter("ignore", UserWarning)
-            return seed, run_experiment(cfg, seed), None
+        return seed, run_experiment(cfg, seed), None
     except NumericError as exc:
         return seed, None, str(exc)
 
@@ -471,7 +468,6 @@ def repeat_runs(cfg: ExperimentConfig, processes: int = None) -> SummaryTable:
     `if __name__ == "__main__":`."""
     if len(cfg.seeds) < 2:
         raise ConfigError(f"repeat_runs needs at least 2 seeds, got {cfg.seeds}")
-    cfg.optimizer()  # warns once here, not once per seed
     jobs = [(cfg, seed) for seed in sorted(cfg.seeds)]
     if processes is None:
         processes = min(len(jobs), os.cpu_count() or 1)

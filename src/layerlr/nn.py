@@ -370,8 +370,6 @@ class Tanh(Layer):
 # ---------------------------------------------------------------------------
 # Losses (operate on the final layer output; mean over the batch)
 
-LOSSES = ("squared-error", "softmax-cross-entropy")
-
 
 def _squared_error(pred, targets):
     if pred.shape != targets.shape:
@@ -401,6 +399,9 @@ def _softmax_cross_entropy(logits, labels):
     return loss, grad / n
 
 
+LOSSES = {"squared-error": _squared_error, "softmax-cross-entropy": _softmax_cross_entropy}
+
+
 # ---------------------------------------------------------------------------
 # Network
 
@@ -422,7 +423,7 @@ class Network:
 
     def __init__(self, input_shape, layers, loss="softmax-cross-entropy"):
         if loss not in LOSSES:
-            raise DimensionError(f"unknown loss {loss!r}; expected one of {LOSSES}")
+            raise DimensionError(f"unknown loss {loss!r}; expected one of {tuple(LOSSES)}")
         self.input_shape = tuple(int(s) for s in input_shape)
         self.layers = list(layers)
         if len({id(layer) for layer in self.layers}) != len(self.layers):
@@ -466,11 +467,6 @@ class Network:
         return np.ascontiguousarray(
             a.transpose((2, 1, 3, 0) if last != backward else (3, 1, 0, 2)))
 
-    def _run_loss(self, out, targets):
-        if self.loss == "squared-error":
-            return _squared_error(out, targets)
-        return _softmax_cross_entropy(out, targets)
-
     def _pass(self, inputs, need_cache):
         """Run every layer. Returns the final output and the list of layer
         caches, or None for it without need_cache."""
@@ -487,7 +483,7 @@ class Network:
     def forward(self, inputs, targets):
         """Run the full forward pass; returns (mean loss, cache)."""
         out, caches = self._pass(inputs, True)
-        loss, loss_grad = self._run_loss(out, targets)
+        loss, loss_grad = LOSSES[self.loss](out, targets)
         if not np.isfinite(loss):
             raise NumericError(f"non-finite loss {loss!r} in forward pass")
         return loss, ForwardCache(self, caches, loss_grad)
@@ -538,7 +534,7 @@ def _loss_and_patterns(net: Network, inputs, targets, need_cache):
     returns, unchecked, and each layer's discrete decisions (ReLU masks,
     pool winners), or None for a pass that keeps no cache."""
     out, caches = net._pass(inputs, need_cache)
-    return net._run_loss(out, targets)[0], \
+    return LOSSES[net.loss](out, targets)[0], \
         caches and [layer.pattern(c) for layer, c in zip(net.layers, caches)]
 
 
@@ -722,7 +718,7 @@ def parse_arch(spec: str, activation: str = "", loss: str = "softmax-cross-entro
         raise DimensionError(
             f"unknown activation {activation!r}; expected one of {sorted(ACTIVATIONS)}")
     if loss not in LOSSES:
-        raise DimensionError(f"unknown loss {loss!r}; expected one of {LOSSES}")
+        raise DimensionError(f"unknown loss {loss!r}; expected one of {tuple(LOSSES)}")
     if widths is not None:
         return "mlp", widths, activation or "tanh"
     if activation not in ("", "relu"):

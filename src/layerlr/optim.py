@@ -95,6 +95,8 @@ class LrSchedule:
         if not 0 < self.factor < math.inf:
             raise ConfigError(f"step-decay factor must be positive and finite, got {self.factor}")
         object.__setattr__(self, "milestones", tuple(sorted(int(m) for m in self.milestones)))
+        if self.milestones and self.milestones[0] < 0:  # steps count from 0
+            raise ConfigError(f"step-decay milestones must be >= 0, got {self.milestones[0]}")
 
     def rate(self, k: int) -> float:
         if k < 0:

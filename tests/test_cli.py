@@ -192,6 +192,9 @@ class TestExitCodes:
         # The rate would be 0 after step 0.
         pytest.param(["train", "--schedule.kind=inverse-time", "--schedule.gamma=1",
                       "--schedule.p=inf"] + BLOBS_ARGS, cli.EXIT_CONFIG, id="schedule-p-inf"),
+        # A milestone below 0 would drop the rate from step 0, as 0 does.
+        pytest.param(["train", "--schedule.kind=step-decay", "--schedule.milestones=-5"]
+                     + BLOBS_ARGS, cli.EXIT_CONFIG, id="schedule-milestone-neg"),
         # A comma would split the label across two CSV columns.
         pytest.param(["table", "--processes", "1", "--seeds=1,2", "--variant=a,b"]
                      + BLOBS_ARGS, cli.EXIT_CONFIG, id="variant-comma"),
@@ -513,6 +516,36 @@ class TestSubcommands:
                          "--processes", "1", "--opt.layerwise=true"])
         assert code == cli.EXIT_OK
         assert out.read_text().splitlines()[1].startswith("ours-sgd,10,")
+
+    def test_override_makes_the_files_checkpoints_valid(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("max_iterations = 5\ncheckpoints = 10,20\n")
+        out = tmp_path / "r.csv"
+        code = cli.main(["train", "--config", str(cfg), "--dataset=blobs",
+                         "--max_iterations=20", "--out", str(out)])
+        assert code == cli.EXIT_OK
+        assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == \
+            [["0", "10"], ["0", "20"]]
+
+    def test_override_makes_the_files_arch_valid(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("arch = lenet\n")
+        (tmp_path / "empty").mkdir()
+        code = cli.main(["train", "--config", str(cfg), "--dataset=mnist",
+                         f"--data_dir={tmp_path / 'empty'}", "--out", str(tmp_path / "r.csv")])
+        assert code == cli.EXIT_DATA
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("data error: MNIST files not found: ")
+        assert "train-images-idx3-ubyte" in line
+
+    def test_train_seed_overrides_the_files_seeds(self, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("seeds = 1,1\n")
+        out = tmp_path / "r.csv"
+        code = cli.main(["train", "--config", str(cfg), "--seed", "3", "--out", str(out)]
+                        + BLOBS_ARGS)
+        assert code == cli.EXIT_OK
+        assert out.read_text().splitlines()[1].startswith("3,20,")
 
     def test_bench_grid_csv(self, tmp_path):
         out = tmp_path / "bench.csv"

@@ -20,7 +20,6 @@ from layerlr.harness import (
     MetricsRecord,
     SummaryRow,
     SummaryTable,
-    apply_overrides,
     emit_csv,
     evaluate_error_percent,
     load_datasets,
@@ -96,16 +95,27 @@ class TestConfigParsing:
             parse_config_text("just a line")
 
     def test_overrides(self):
-        cfg = blobs_config()
-        out = apply_overrides(cfg, ["--opt.layerwise=true", "--schedule.t0=0.2", "--seeds=3,4"])
+        out = parse_config_text("opt.layerwise = false\nschedule.t0 = 0.1\nblobs.n = 120",
+                                ["--opt.layerwise=true", "--schedule.t0=0.2", "--seeds=3,4"])
         assert out.opt_layerwise is True
         assert out.schedule_t0 == 0.2
         assert out.seeds == (3, 4)
-        assert cfg.opt_layerwise is False  # original untouched
+        assert out.blobs_n == 120  # a line no override names stays
 
     def test_override_unknown_key(self):
+        with pytest.raises(ConfigError, match="override '--opt.beta=0.9': unknown config key"):
+            parse_config_text("", ["--opt.beta=0.9"])
+
+    @pytest.mark.parametrize("line, override, attr, value", [
+        ("checkpoints = 600", "--max_iterations=600", "checkpoint_iterations", (600,)),
+        ("seeds = 1,1", "--seeds=2", "seeds", (2,))])
+    def test_override_makes_the_files_value_valid(self, line, override, attr, value):
+        assert getattr(parse_config_text(line, [override]), attr) == value
+
+    @pytest.mark.parametrize("kw", [dict(opt_kind="adam"), dict(opt_kind="momentum", opt_mu=2.0)])
+    def test_bad_optimizer_refused_at_construction(self, kw):
         with pytest.raises(ConfigError):
-            apply_overrides(blobs_config(), ["--opt.beta=0.9"])
+            ExperimentConfig(**kw)
 
     def test_checkpoints_default_to_final_iteration(self):
         cfg = blobs_config(max_iterations=42)
@@ -152,10 +162,9 @@ class TestConfigParsing:
         assert ExperimentConfig().data_dir == "/tmp/datasets"
 
     def test_baseline_rate_warning(self):
-        cfg = ExperimentConfig(dataset="mnist", arch="lenet", opt_layerwise=True,
-                               schedule_t0=0.01)
         with pytest.warns(UserWarning, match="baseline-tuned"):
-            cfg.optimizer()
+            ExperimentConfig(dataset="mnist", arch="lenet", opt_layerwise=True,
+                             schedule_t0=0.01)
 
     def test_no_warning_for_adjusted_rate(self, recwarn):
         cfg = ExperimentConfig(dataset="mnist", arch="lenet", opt_layerwise=True,

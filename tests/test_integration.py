@@ -90,6 +90,7 @@ def test_lenet_experiment_pipeline_end_to_end(synthetic_mnist_dir, tmp_path):
 @pytest.mark.parametrize("command", [
     pytest.param(["train"], id="train"),
     pytest.param(["table", "--seeds=0,1,2", "--processes", "3"], id="table-3-workers"),
+    pytest.param(["table", "--seeds=0,1,2", "--processes", "1"], id="table-serial"),
 ])
 def test_baseline_rate_warning_is_one_stderr_line(command, synthetic_mnist_dir, tmp_path,
                                                   capfd):

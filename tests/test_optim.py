@@ -92,6 +92,12 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             LrSchedule(**bad)
 
+    def test_negative_milestone_rejected_and_zero_kept(self):
+        with pytest.raises(ConfigError, match="milestones must be >= 0, got -5"):
+            LrSchedule(kind="step-decay", milestones=(10, -5))
+        s = LrSchedule(kind="step-decay", t0=1.0, milestones=(0,), factor=0.5)
+        assert s.rate(0) == 0.5  # steps count from 0
+
 
 class TestLayerMultiplier:
     def test_high_precision_values(self):
