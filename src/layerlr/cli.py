@@ -9,9 +9,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric abort.
 """
 
 import argparse
-import gzip
 import itertools
-import math
 import os
 import sys
 import tarfile
@@ -38,39 +36,41 @@ MNIST_MIRRORS = (
 )
 CIFAR_URL = "https://www.cs.toronto.edu/~kriz/cifar-10-binary.tar.gz"
 
+# gradcheck's fixed settings; the tolerance is acceptance criterion 2's.
+GRADCHECK_BATCH = 2
+GRADCHECK_SAMPLES = 25
+GRADCHECK_TOL = 1e-5
+GRADCHECK_MLP_INPUT = (12,)
+GRADCHECK_MLP_CLASSES = 4
+
 
 def _cmd_train(args, extras) -> int:
-    if args.seed is not None:  # the last override, checked as a config seed
-        extras = extras + [f"--seeds={args.seed}"]
     cfg = harness.load_config(args.config, extras)
-    seed = cfg.seeds[0]
-    out = args.out or "records.csv"
-    harness.check_writable(out)
-    records = harness.run_experiment(cfg, seed)
+    harness.check_writable(args.out)
+    records = harness.run_experiment(cfg, cfg.seeds[0])
     lines = ["seed,iteration,train_loss,test_error_percent,wall_ms"]
     for r in records:
         lines.append(f"{r.seed},{r.iteration},{r.train_loss:.6g},"
                      f"{r.test_error_percent:.6g},{r.wall_ms:.6g}")
-    harness.write_csv(out, lines)
+    harness.write_csv(args.out, lines)
     for r in records:
         print(f"iter {r.iteration:>7}  train_loss {r.train_loss:.6g}  "
               f"test_error {r.test_error_percent:.2f}%")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_table(args, extras) -> int:
     cfg = harness.load_config(args.config, extras)
-    out = args.out or cfg.out
-    harness.check_writable(out)
+    harness.check_writable(args.out)
     table = harness.repeat_runs(cfg, processes=args.processes)
-    harness.emit_csv(table, out)
+    harness.emit_csv(table, args.out)
     for row in table.sorted_rows():
         print(f"{row.variant:>14}  iter {row.iteration:>7}  "
               f"{row.mean:.4f} +/- {row.std:.4f}  (n={row.n})")
     for variant, seed, message in table.aborted:
         print(f"ABORTED {variant} seed {seed}: {message}", file=sys.stderr)
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
@@ -100,7 +100,7 @@ def _cmd_bench(args, extras) -> int:
     kinds = args.optimizers.split(",")
     # Every value is checked before any row is printed.
     for start in starts:
-        check_escape_trial(landscape, start, args.radius, args.max_iter)
+        check_escape_trial(landscape, start, landscapes.DEFAULT_ESCAPE_RADIUS, args.max_iter)
     for lr, kind in itertools.product(lrs, kinds):
         _bench_optimizer(kind, lr)
     harness.check_writable(args.out)
@@ -108,8 +108,7 @@ def _cmd_bench(args, extras) -> int:
     for lr, start, kind in itertools.product(lrs, starts, kinds):
         opt = _bench_optimizer(kind, lr)
         try:
-            iters = run_escape_trial(opt, landscape, start, escape_radius=args.radius,
-                                     max_iter=args.max_iter)
+            iters = run_escape_trial(opt, landscape, start, max_iter=args.max_iter)
         except NumericError as exc:  # name the cell that diverged
             raise NumericError(f"optimizer {kind}, lr {lr:.6g}, start {start[-1]:.6g}: {exc}",
                                iteration=exc.iteration, layer_norms=exc.layer_norms) from exc
@@ -121,13 +120,8 @@ def _cmd_bench(args, extras) -> int:
 
 
 def _cmd_gradcheck(args, extras) -> int:
-    for flag in ("seeds", "batch", "samples", "mlp_dim", "mlp_classes"):
-        if getattr(args, flag) < 1:
-            raise ConfigError(f"--{flag.replace('_', '-')} must be a positive integer, "
-                              f"got {getattr(args, flag)}")
-    # Written so that NaN and infinity fail the check.
-    if not 0 < args.tol < math.inf:
-        raise ConfigError(f"--tol must be positive and finite, got {args.tol}")
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be a positive integer, got {args.seeds}")
     archs = []  # every arch is parsed before any is checked
     for arch in args.archs.split(","):
         try:
@@ -137,7 +131,7 @@ def _cmd_gradcheck(args, extras) -> int:
         if name in FIXED_INPUTS:
             archs.append((arch, FIXED_INPUTS[name], 10))
         else:
-            archs.append((arch, (args.mlp_dim,), args.mlp_classes))
+            archs.append((arch, GRADCHECK_MLP_INPUT, GRADCHECK_MLP_CLASSES))
     failed = False
     for arch, input_shape, classes in archs:
         worst = 0.0
@@ -145,14 +139,14 @@ def _cmd_gradcheck(args, extras) -> int:
         for seed in range(args.seeds):
             net = network_from_spec(arch, input_shape, classes, seed=seed)
             gen = rng.generator(seed, 0xDA7A)
-            x = gen.standard_normal((args.batch,) + net.input_shape)
-            y = gen.integers(0, classes, size=args.batch)
-            result = gradient_check(net, x, y, samples_per_tensor=args.samples,
+            x = gen.standard_normal((GRADCHECK_BATCH,) + net.input_shape)
+            y = gen.integers(0, classes, size=GRADCHECK_BATCH)
+            result = gradient_check(net, x, y, samples_per_tensor=GRADCHECK_SAMPLES,
                                     sample_gen=gen)
             worst = max(worst, result.max_rel_err)
             checked += result.checked
         # No checked coordinate (all on kinks) proves nothing: a failure.
-        ok = worst < args.tol and checked > 0
+        ok = worst < GRADCHECK_TOL and checked > 0
         failed = failed or not ok
         print(f"{arch:>12}: max relative error {worst:.3e} over {checked} coordinates, "
               f"{args.seeds} seeds  [{'ok' if ok else 'FAIL'}]")
@@ -174,25 +168,22 @@ def _download(url: str, dest: str) -> bool:
         print(f"  failed: {exc}", file=sys.stderr)
         return False
     finally:
-        if os.path.exists(part):
+        if os.path.isfile(part):  # not a directory in its place
             os.remove(part)
 
 
 def _extract(tar, root):
     """Extract `tar` under `root` after checking every member: an absolute
-    or `..` name is a DataError, and so is what Python's "data" filter
-    rejects (links out of `root`, special files) or, where that filter is
-    missing, any member but a plain file or directory."""
-    has_filter = hasattr(tarfile, "data_filter")
+    or `..` name is a DataError, and so is any member but a plain file or
+    directory (a link, a device). Python's "data" filter, where present,
+    guards the extraction too."""
     for member in tar.getmembers():
         name = member.name.replace("\\", "/")
         if os.path.isabs(name) or ".." in name.split("/"):
             raise DataError(f"archive member {member.name!r} points outside {root}")
-        if has_filter:
-            tarfile.data_filter(member, root)
-        elif not (member.isfile() or member.isdir()):
+        if not (member.isfile() or member.isdir()):
             raise DataError(f"archive member {member.name!r} is not a plain file or directory")
-    if has_filter:
+    if hasattr(tarfile, "data_filter"):
         tar.extractall(root, filter="data")
     else:
         tar.extractall(root)
@@ -220,7 +211,8 @@ def _cmd_fetch_data(args, extras) -> int:
         try:
             with tarfile.open(archive, "r:gz") as tar:
                 _extract(tar, root)
-        except (tarfile.TarError, EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        # OSError: bad gzip, or a member that cannot be written (a file over a directory).
+        except (tarfile.TarError, EOFError, zlib.error, OSError) as exc:
             raise DataError(f"cannot extract {archive}: {exc}; delete it and run "
                             f"fetch-data again") from exc
         print(f"CIFAR-10 ready under {os.path.join(root, 'cifar-10-batches-bin')}")
@@ -244,15 +236,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run one training seed")
     p_train.add_argument("--config", help="config file (key = value lines)")
-    p_train.add_argument("--seed", type=int, help="override the run seed")
-    p_train.add_argument("--out", help="records CSV path (default records.csv)")
+    p_train.add_argument("--out", default="records.csv", help="records CSV path")
     p_train.set_defaults(func=_cmd_train, allow_overrides=True)
 
     p_table = sub.add_parser("table", help="run all seeds and emit the summary CSV")
     p_table.add_argument("--config", help="config file (key = value lines)")
     p_table.add_argument("--processes", type=int, default=None,
                          help="parallel seed-runs (default: cpu count)")
-    p_table.add_argument("--out", help="summary CSV path (default from config)")
+    p_table.add_argument("--out", default="summary.csv", help="summary CSV path")
     p_table.set_defaults(func=_cmd_table, allow_overrides=True)
 
     p_bench = sub.add_parser("bench", help="saddle-escape benchmark grid")
@@ -263,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--lrs", default="0.1,0.01", help="comma list of learning rates")
     p_bench.add_argument("--optimizers", default="sgd,ours-sgd",
                          help="comma list; prefix ours- for layerwise")
-    p_bench.add_argument("--radius", type=float, default=landscapes.DEFAULT_ESCAPE_RADIUS)
     p_bench.add_argument("--max-iter", type=int, default=landscapes.DEFAULT_MAX_ITER)
     p_bench.add_argument("--out", default="bench.csv")
     p_bench.set_defaults(func=_cmd_bench, allow_overrides=False)
@@ -271,12 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad = sub.add_parser("gradcheck", help="backward vs. finite differences")
     p_grad.add_argument("--archs", default="mlp:16-12,lenet,cifar-quick")
     p_grad.add_argument("--seeds", type=int, default=3)
-    p_grad.add_argument("--batch", type=int, default=2)
-    p_grad.add_argument("--samples", type=int, default=25,
-                        help="coordinates checked per parameter tensor")
-    p_grad.add_argument("--tol", type=float, default=1e-5)
-    p_grad.add_argument("--mlp-dim", type=int, default=12)
-    p_grad.add_argument("--mlp-classes", type=int, default=4)
     p_grad.set_defaults(func=_cmd_gradcheck, allow_overrides=False)
 
     p_fetch = sub.add_parser("fetch-data", help="download public dataset archives")

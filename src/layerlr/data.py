@@ -87,9 +87,9 @@ def _reading(path):
 def _read_idx(path, magic, item):
     """(counts, uint8 payload) of an IDX file, plain or .gz, whose header is
     `magic` plus one big-endian count per dimension (the magic's low byte).
-    DataError on a short header, another magic, no items, or fewer payload
-    bytes than the counts claim, and on a file it cannot open, read or
-    inflate; `item` names the payload's bytes in messages."""
+    DataError on a short header, another magic, no items, or a payload of
+    another length than the counts claim, and on a file it cannot open, read
+    or inflate; `item` names the payload's bytes in messages."""
     dims = magic & 0xFF
     # Unbuffered: a buffered read() to the end joins the bytes it reads in
     # one more copy of the file.
@@ -105,9 +105,9 @@ def _read_idx(path, magic, item):
         if size == 0:
             raise DataError(f"{path}: no {item}s (counts {counts})")
         raw = f.read()
-    if len(raw) < size:
+    if len(raw) != size:
         raise DataError(f"{path}: expected {size} {item} bytes, got {len(raw)}")
-    return counts, np.frombuffer(raw, dtype=np.uint8, count=size)
+    return counts, np.frombuffer(raw, dtype=np.uint8)
 
 
 def load_mnist_idx(images_path, labels_path) -> Dataset:
@@ -115,8 +115,8 @@ def load_mnist_idx(images_path, labels_path) -> Dataset:
 
     Both files go through one reader, which validates the magic numbers
     (0x803 images, 0x801 labels) and rejects a file with no items or with
-    fewer bytes than its header's counts claim; the item counts of the two
-    files must match. Pixels stay uint8.
+    a payload of another length than its header's counts claim; the item
+    counts of the two files must match. Pixels stay uint8.
     """
     (n, h, w), pixels = _read_idx(images_path, MNIST_IMAGE_MAGIC, "pixel")
     (n_labels,), labels = _read_idx(labels_path, MNIST_LABEL_MAGIC, "label")

@@ -93,7 +93,6 @@ class ExperimentConfig:
     checkpoints: tuple = ()           # empty -> (max_iterations,)
     eval_batch_size: int = 64
     seeds: tuple = (0,)
-    out: str = "summary.csv"
     variant: str = ""                 # empty -> derived from optimizer spec
 
     def __post_init__(self):
@@ -520,12 +519,18 @@ def check_writable(path: str) -> None:
 
 
 def write_csv(path: str, lines) -> None:
-    """Write CSV `lines` (header first) to `path`, newline-terminated;
-    DataError if the file cannot be written."""
+    """Write CSV `lines` (header first) to `path`, newline-terminated,
+    through `path.part`, so that `path` exists only once the whole file
+    does; DataError if the file cannot be written."""
+    part = path + ".part"
     try:
-        with open(path, "w") as f:
+        with open(part, "w") as f:
             f.write("\n".join(lines) + "\n")
+        os.replace(part, path)
     except OSError as exc:
         raise DataError(f"cannot write CSV to {path}: {exc}") from exc
+    finally:
+        if os.path.isfile(part):  # not a directory in its place
+            os.remove(part)
 
 

@@ -218,13 +218,17 @@ class SGD(Optimizer):
         p -= np.multiply(g, t_eff, out=slot[0])
 
 
+def _check_mu(mu: float) -> None:
+    if not 0.0 <= mu <= 1.0:
+        raise ConfigError(f"momentum coefficient must lie in [0, 1], got {mu}")
+
+
 class Momentum(Optimizer):
     """Classical momentum: v <- mu*v - t_eff*g; x <- x + v."""
 
     def __init__(self, schedule, mu: float = 0.9, layerwise: bool = False):
         super().__init__(schedule, layerwise)
-        if not 0.0 <= mu <= 1.0:
-            raise ConfigError(f"momentum coefficient must lie in [0, 1], got {mu}")
+        _check_mu(mu)
         self.mu = mu
         # A 0-d array operand skips the conversion a Python float costs on
         # every ufunc call; the product is the same.
@@ -307,9 +311,11 @@ _KIND_MAP = {"sgd": SGD, "momentum": Momentum, "nag": NAG, "adagrad": AdaGrad}
 
 
 def make_optimizer(kind: str, schedule, layerwise: bool = False, mu: float = 0.9) -> Optimizer:
-    """Construct a fresh optimizer (k=0, zeroed buffers) by kind name."""
+    """Construct a fresh optimizer (k=0, zeroed buffers) by kind name; `mu`
+    is checked whatever the kind, though only momentum and NAG read it."""
     if kind not in _KIND_MAP:
         raise ConfigError(f"unknown optimizer kind {kind!r}; expected one of {tuple(_KIND_MAP)}")
+    _check_mu(mu)
     cls = _KIND_MAP[kind]
     if kind in ("momentum", "nag"):
         return cls(schedule, mu=mu, layerwise=layerwise)

@@ -9,7 +9,7 @@ import types
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from layerlr import cli, harness
@@ -23,12 +23,17 @@ BLOBS_ARGS = [
 # Config keys that were deleted; setting one is an unknown-key error.
 REMOVED_KEYS = ("opt.bias_separate", "opt.epsilon_norm", "opt.epsilon_div", "opt.weight_decay",
                 "report")
+# Flags that were deleted: train's --seed (now --seeds=N), bench's --radius
+# and gradcheck's fixed batch, samples, tolerance and mlp shape. Passing one,
+# with any value, is an unrecognized-argument error.
+REMOVED_FLAGS = ("--seed", "--radius", "--batch", "--samples", "--tol", "--mlp-dim",
+                 "--mlp-classes")
 
 
 class TestExitCodes:
     def test_train_success(self, tmp_path, capsys):
         out = tmp_path / "records.csv"
-        code = cli.main(["train", "--out", str(out), "--seed", "0"] + BLOBS_ARGS)
+        code = cli.main(["train", "--out", str(out), "--seeds=0"] + BLOBS_ARGS)
         assert code == cli.EXIT_OK
         lines = out.read_text().splitlines()
         assert lines[0] == "seed,iteration,train_loss,test_error_percent,wall_ms"
@@ -63,7 +68,7 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["train", "--help"])
         assert exc.value.code == 0
-        assert "--seed" in capsys.readouterr().out
+        assert "--config" in capsys.readouterr().out
 
     def test_fetch_data_unknown_dataset(self, capsys):
         code = cli.main(["fetch-data", "--dataset", "imagenet"])
@@ -125,6 +130,7 @@ class TestExitCodes:
                       "--loss=squared-error"], cli.EXIT_CONFIG, id="lenet-squared-error"),
         pytest.param(["train", "--dataset=cifar10", "--data_dir={missing}", "--arch=cifar-quick",
                       "--loss=squared-error"], cli.EXIT_CONFIG, id="cifar-quick-squared-error"),
+        # A removed flag is refused as unrecognized, whatever its value.
         pytest.param(["gradcheck", "--samples", "-1"], cli.EXIT_CONFIG, id="gradcheck-samples-neg"),
         pytest.param(["gradcheck", "--samples", "0"], cli.EXIT_CONFIG, id="gradcheck-samples-0"),
         pytest.param(["gradcheck", "--batch", "0"], cli.EXIT_CONFIG, id="gradcheck-batch-0"),
@@ -132,7 +138,7 @@ class TestExitCodes:
         pytest.param(["gradcheck", "--seeds", "0"], cli.EXIT_CONFIG, id="gradcheck-seeds-0"),
         pytest.param(["gradcheck", "--mlp-classes", "0"], cli.EXIT_CONFIG,
                      id="gradcheck-mlp-classes-0"),
-        # Every arch and the tolerance are checked before the first arch runs.
+        # Every arch is checked before the first arch runs.
         pytest.param(["gradcheck", "--archs", "mlp:4,bogus"], cli.EXIT_CONFIG,
                      id="gradcheck-archs-bogus"),
         pytest.param(["gradcheck", "--tol", "nan", "--archs", "mlp:4"], cli.EXIT_CONFIG,
@@ -166,11 +172,29 @@ class TestExitCodes:
         pytest.param(["bench", "--max-iter", "0"], cli.EXIT_CONFIG, id="bench-max-iter-0"),
         pytest.param(["bench", "--max-iter", "-5"], cli.EXIT_CONFIG, id="bench-max-iter-neg"),
         pytest.param(["train", "--seed", "-1"] + BLOBS_ARGS, cli.EXIT_CONFIG, id="train-seed-neg"),
-        # argparse's own errors end in one line too, not usage plus error.
         pytest.param(["train", "--seed", "abc"] + BLOBS_ARGS, cli.EXIT_CONFIG,
                      id="train-seed-not-int"),
+        # One case per removed flag with a value it once took: still refused.
+        pytest.param(["train", "--seed", "0"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="train-seed-removed"),
+        pytest.param(["bench", "--radius", "1.0", "--starts", "1e-2", "--lrs", "0.1"],
+                     cli.EXIT_CONFIG, id="bench-radius-removed"),
+        pytest.param(["gradcheck", "--batch", "2", "--archs", "mlp:4", "--seeds", "1"],
+                     cli.EXIT_CONFIG, id="gradcheck-batch-removed"),
+        pytest.param(["gradcheck", "--samples", "25", "--archs", "mlp:4", "--seeds", "1"],
+                     cli.EXIT_CONFIG, id="gradcheck-samples-removed"),
+        pytest.param(["gradcheck", "--tol", "1", "--archs", "mlp:4", "--seeds", "1"],
+                     cli.EXIT_CONFIG, id="gradcheck-tol-removed"),
+        pytest.param(["gradcheck", "--mlp-dim", "12", "--archs", "mlp:4", "--seeds", "1"],
+                     cli.EXIT_CONFIG, id="gradcheck-mlp-dim-removed"),
+        pytest.param(["gradcheck", "--mlp-classes", "4", "--archs", "mlp:4", "--seeds", "1"],
+                     cli.EXIT_CONFIG, id="gradcheck-mlp-classes-removed"),
+        # argparse's own errors end in one line too, not usage plus error.
         pytest.param(["bench", "--max-iter", "abc"], cli.EXIT_CONFIG, id="bench-max-iter-not-int"),
         pytest.param(["gradcheck", "--tol", "abc"], cli.EXIT_CONFIG, id="gradcheck-tol-not-float"),
+        # opt.mu is checked whatever opt.kind is.
+        pytest.param(["train", "--opt.mu=nan"] + BLOBS_ARGS, cli.EXIT_CONFIG,
+                     id="opt-mu-nan-sgd"),
         pytest.param(["table", "--processes", "abc", "--seeds=1,2"] + BLOBS_ARGS,
                      cli.EXIT_CONFIG, id="table-processes-not-int"),
         pytest.param(["train", "--seeds=-1"] + BLOBS_ARGS, cli.EXIT_CONFIG, id="seeds-neg"),
@@ -249,6 +273,9 @@ class TestExitCodes:
             assert argv[1] in err
         if any(a.startswith(f"--{key}=") for a in argv for key in REMOVED_KEYS):
             assert "unknown config key" in err
+        removed = [a for a in argv if a in REMOVED_FLAGS]
+        if removed:
+            assert "unrecognized argument" in err and removed[0] in err
         assert not (tmp_path / "out.csv").exists()
         assert not (tmp_path / "missing").exists()
 
@@ -371,9 +398,9 @@ def _cifar_archive(root, members):
                 tar.addfile(info, io.BytesIO(data))
 
 
-def _symlink(name, target):
+def _symlink(name, target, kind=tarfile.SYMTYPE):
     info = tarfile.TarInfo(name)
-    info.type, info.linkname = tarfile.SYMTYPE, target
+    info.type, info.linkname = kind, target
     return info
 
 
@@ -437,6 +464,85 @@ class TestFetchCifar:
         assert sorted(p.name for p in root.iterdir()) == ["cifar-10-binary.tar.gz"]
         assert not (tmp_path / "escaped.bin").exists()
 
+    # A link is refused wherever it points: one to itself, or a hard link
+    # to no member, made tarfile recurse or raise KeyError. A file that
+    # cannot be written where an earlier member put a directory is a data
+    # error too, not an IsADirectoryError.
+    @pytest.mark.parametrize("members, message", [
+        pytest.param([_symlink("cifar-10-batches-bin/a", "a")], "is not a plain file",
+                     id="symlink-to-itself"),
+        pytest.param([_symlink("cifar-10-batches-bin/a", "../cifar-10-batches-bin")],
+                     "is not a plain file", id="symlink-inside"),
+        pytest.param([_symlink("a", "missing", tarfile.LNKTYPE)], "is not a plain file",
+                     id="hardlink-to-none"),
+        pytest.param([(".", b"x")], "cannot extract", id="file-named-dot"),
+        pytest.param([("cifar-10-batches-bin/a/b", b"x"), ("cifar-10-batches-bin/a", b"y")],
+                     "cannot extract", id="file-over-directory"),
+    ])
+    def test_member_that_cannot_be_extracted_is_data_error(self, members, message, tmp_path,
+                                                           capsys):
+        _cifar_archive(tmp_path, members)
+        assert cli.main(["fetch-data", "--dataset", "cifar10", "--root", str(tmp_path)]) == \
+            cli.EXIT_DATA
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("data error: ") and message in line
+
+
+@st.composite
+def _archive_bytes(draw):
+    """A cifar-10-binary.tar.gz: most often a gzipped tar of a few members
+    (files, directories, links; names inside the root, or with `..`), whole
+    or cut short; else arbitrary bytes, or any bytes gzipped."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return draw(st.binary(max_size=64))
+    if kind == 1:
+        return gzip.compress(draw(st.binary(max_size=600)))
+    names = st.sampled_from(["cifar-10-batches-bin", "cifar-10-batches-bin/test_batch.bin",
+                             "cifar-10-batches-bin/a", "a", "a/b", "../x", "a/../../x", "."])
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w") as tar:
+        for _ in range(draw(st.integers(0, 3))):
+            info = tarfile.TarInfo(draw(names))
+            info.type = draw(st.sampled_from([tarfile.REGTYPE] * 3 + [
+                tarfile.DIRTYPE, tarfile.SYMTYPE, tarfile.LNKTYPE, tarfile.FIFOTYPE]))
+            if info.type in (tarfile.SYMTYPE, tarfile.LNKTYPE):
+                info.linkname = draw(st.sampled_from(["a", "cifar-10-batches-bin", "..", "../x"]))
+            data = draw(st.binary(max_size=40)) if info.type == tarfile.REGTYPE else b""
+            info.size = len(data)
+            tar.addfile(info, io.BytesIO(data))
+    archive = gzip.compress(buf.getvalue())
+    if draw(st.integers(0, 4)) == 0:
+        archive = archive[:draw(st.integers(0, len(archive)))]
+    return archive
+
+
+@pytest.mark.parametrize("data_filter", [True, False], ids=["data-filter", "no-filter"])
+@given(archive=_archive_bytes())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_existing_cifar_archive_exits_cleanly(data_filter, archive, monkeypatch):
+    """Whatever bytes an existing cifar-10-binary.tar.gz holds, fetch-data
+    exits 0 or 3 with at most one stderr line, downloads nothing and writes
+    nothing outside its root."""
+    def refuse(url, dest):
+        raise AssertionError(f"download attempted: {url}")
+
+    monkeypatch.setattr(cli, "_download", refuse)
+    if not data_filter and hasattr(tarfile, "data_filter"):
+        monkeypatch.delattr(tarfile, "data_filter")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        root = os.path.join(tmp, "root")
+        os.mkdir(root)
+        with open(os.path.join(root, "cifar-10-binary.tar.gz"), "wb") as f:
+            f.write(archive)
+        code = cli.main(["fetch-data", "--dataset", "cifar10", "--root", root])
+        assert os.listdir(tmp) == ["root"]
+    assert code in (cli.EXIT_OK, cli.EXIT_DATA)
+    assert err.getvalue().count("\n") == (code != cli.EXIT_OK)
+
 
 class TestFetchMnist:
     """fetch-data --dataset mnist against a fake urlopen: no network."""
@@ -482,6 +588,15 @@ class TestFetchMnist:
         assert sorted(p.name for p in (tmp_path / "mnist").iterdir()) == sorted(
             os.path.basename(p) for p in harness.mnist_paths(str(tmp_path)).values())
         assert (tmp_path / "mnist" / "train-images-idx3-ubyte.gz").read_bytes() == b"ok"
+
+    def test_directory_in_place_of_the_part_file_is_a_data_error(self, tmp_path, urlopen,
+                                                                  capsys):
+        # Each mirror's failure is one "failed:" line, then the error.
+        (tmp_path / "mnist" / "train-images-idx3-ubyte.gz.part").mkdir(parents=True)
+        assert self._fetch(tmp_path) == cli.EXIT_DATA
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.startswith("data error: could not download train-images-idx3-ubyte.gz")
+        assert (tmp_path / "mnist" / "train-images-idx3-ubyte.gz.part").is_dir()
 
     def test_a_plain_file_present_is_not_fetched(self, tmp_path, urlopen):
         (tmp_path / "mnist").mkdir()
@@ -542,7 +657,7 @@ class TestSubcommands:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("seeds = 1,1\n")
         out = tmp_path / "r.csv"
-        code = cli.main(["train", "--config", str(cfg), "--seed", "3", "--out", str(out)]
+        code = cli.main(["train", "--config", str(cfg), "--seeds=3", "--out", str(out)]
                         + BLOBS_ARGS)
         assert code == cli.EXIT_OK
         assert out.read_text().splitlines()[1].startswith("3,20,")
@@ -610,6 +725,15 @@ class TestSubcommands:
         assert capsys.readouterr().err == (
             "config error: line 2: unknown config key 'opt.weight_decay'\n")
 
+    @pytest.mark.parametrize("command", ["train", "table"])
+    def test_out_in_a_config_file_is_an_unknown_key(self, command, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("out = s.csv\n")
+        code = cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: line 1: unknown config key 'out'\n"
+        assert not (tmp_path / "r.csv").exists()
+
     def test_gradcheck_with_no_checked_coordinate_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "gradient_check",
                             lambda *args, **kwargs: GradCheckResult(0.0, 0, 5, None))
@@ -618,8 +742,7 @@ class TestSubcommands:
         assert "over 0 coordinates" in capsys.readouterr().out
 
     def test_gradcheck_passes_on_small_mlp(self, capsys):
-        code = cli.main(["gradcheck", "--archs", "mlp:6", "--seeds", "1",
-                         "--samples", "5", "--batch", "2"])
+        code = cli.main(["gradcheck", "--archs", "mlp:6", "--seeds", "1"])
         assert code == cli.EXIT_OK
         assert "ok" in capsys.readouterr().out
 
@@ -648,17 +771,16 @@ OPTIMIZERS = ["sgd", "momentum", "nag", "adagrad",
                          st.sampled_from(["deep-linear-chain", "", "QUADRATIC-SADDLE"])),
        starts=_comma_list(_mostly(st.floats(0.0, 1.0).map(repr), BAD_NUMBERS)),
        lrs=_comma_list(_mostly(st.floats(5e-324, 1e308).map(repr), BAD_NUMBERS)),
-       radius=_mostly(st.floats(1e-3, 1e300).map(repr), BAD_NUMBERS),
        max_iter=_mostly(st.integers(1, 200).map(str),
                         st.one_of(st.integers(-3, 0).map(str), st.sampled_from(["1.5", ""]))),
        optimizers=_comma_list(_mostly(st.sampled_from(OPTIMIZERS),
                                       st.sampled_from(["ours-", "ours-ours-sgd", "SGD", ""]))))
 @settings(max_examples=150, deadline=None)
-def test_bench_fuzz_exits_cleanly(landscape, starts, lrs, radius, max_iter, optimizers):
+def test_bench_fuzz_exits_cleanly(landscape, starts, lrs, max_iter, optimizers):
     """Whatever bench is given, it exits 0, 2, 3 or 4, writes at most one line
     to stderr and lets no exception or numpy warning out."""
     argv = ["bench", f"--landscape={landscape}", f"--starts={starts}", f"--lrs={lrs}",
-            f"--radius={radius}", f"--max-iter={max_iter}", f"--optimizers={optimizers}"]
+            f"--max-iter={max_iter}", f"--optimizers={optimizers}"]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as seen, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
@@ -722,8 +844,6 @@ CONFIG_VALUES = {
     "checkpoints": _int_list(-1, 13),
     "eval_batch_size": _ints(-2, 64),
     "seeds": _mostly(_int_list(0, 5), st.sampled_from(["-1", "1,1", str(2 ** 64)])),
-    # argparse reads --out=... as the subcommand's own --out.
-    "out": _pick(["{tmp}/o.csv"], ["{tmp}/missing/o.csv", "{tmp}"]),
     "variant": _pick(["", "v", "x y"], ["a,b", 'a"b', "a\nb"]),
 }
 # A small blobs run, so that most examples train.
@@ -734,11 +854,6 @@ GRADCHECK_FLAGS = {
     "--archs": _comma_list(_mostly(st.sampled_from(["mlp:", "mlp:3", "mlp:4-3"]),
                                    st.sampled_from(["lenet", "cifar-quick", "bogus", "mlp:0", ""]))),
     "--seeds": _ints(-1, 2),
-    "--batch": _ints(-1, 3),
-    "--samples": _ints(-1, 3),
-    "--tol": _mostly(st.floats(1e-12, 1.0).map(repr), BAD_NUMBERS),
-    "--mlp-dim": _ints(-1, 8),
-    "--mlp-classes": _ints(-1, 5),
 }
 
 
@@ -746,8 +861,8 @@ GRADCHECK_FLAGS = {
 def _run_argv(draw):
     command = draw(st.sampled_from(["train", "table", "gradcheck"]))
     if command == "gradcheck":
-        flags = draw(st.lists(st.sampled_from(sorted(GRADCHECK_FLAGS)), unique=True, max_size=4))
-        return ["gradcheck", "--archs=mlp:3", "--seeds=1", "--batch=2", "--samples=3"] + [
+        flags = draw(st.lists(st.sampled_from(sorted(GRADCHECK_FLAGS)), unique=True))
+        return ["gradcheck", "--archs=mlp:3", "--seeds=1"] + [
             f"{flag}={draw(GRADCHECK_FLAGS[flag])}" for flag in flags]
     keys = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), unique=True, max_size=5))
     argv = [command, "--out={tmp}/o.csv"] + FUZZ_BASE

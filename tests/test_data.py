@@ -1,12 +1,17 @@
 import gzip
+import math
 import os
 import re
 import struct
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerlr import data as data_io
 from layerlr import rng
@@ -93,6 +98,23 @@ class TestMnistIdx:
         img, lbl, _, _ = write_idx_pair(tmp_path)
         lbl.write_bytes(struct.pack(">II", 0x801, 2 ** 32 - 1) + bytes(12))
         with pytest.raises(DataError, match=f"expected {2 ** 32 - 1} label bytes, got 12"):
+            load_mnist_idx(img, lbl)
+
+    # Trailing bytes point to a wrong header or a wrong file: MNIST's are exact.
+    @pytest.mark.parametrize("gz", [False, True])
+    @pytest.mark.parametrize("which, item, size, extra", [
+        ("images", "pixel", 2 * 28 * 28, 20), ("labels", "label", 2, 2)])
+    def test_file_longer_than_its_header_claims_rejected(self, gz, which, item, size, extra,
+                                                         tmp_path):
+        img, lbl, _, _ = write_idx_pair(tmp_path, n=2, h=28, w=28, gz=gz)
+        path = img if which == "images" else lbl
+        opener = gzip.open if gz else open
+        with opener(path, "rb") as f:
+            content = f.read()
+        with opener(path, "wb") as f:
+            f.write(content + bytes(extra))
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: expected {size} {item} bytes, got {size + extra}")):
             load_mnist_idx(img, lbl)
 
     # One case per way a .gz can fail to inflate: gzip's EOFError, its
@@ -391,3 +413,64 @@ class TestDecode:
         twice, _, m2 = channel_mean_center(once, once)
         assert np.array_equal(m1, m2)
         assert np.array_equal(bits(once.images), bits(twice.images))
+
+
+# Property tests: whatever bytes a data file holds, a reader gives a Dataset
+# or a DataError. Files are small, so each example reads in microseconds.
+@st.composite
+def _idx_file(draw, magic, counts, item_max):
+    """An IDX file as (gzipped, bytes): most often `magic` and `counts` over
+    a payload of items up to `item_max`; else that file cut or lengthened,
+    or with another header, or arbitrary bytes."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.booleans()), draw(st.binary(max_size=40))
+    if draw(st.integers(0, 9)) == 0:
+        magic = draw(st.sampled_from([magic, 0x803, 0x801, 0x802, 0]))
+        counts = draw(st.lists(st.one_of(st.integers(0, 4), st.integers(0, 2 ** 32 - 1)),
+                               min_size=magic & 0xFF, max_size=magic & 0xFF))
+    size = math.prod(counts)
+    size = size if size <= 64 else draw(st.integers(0, 64))
+    payload = bytes(draw(st.lists(st.integers(0, item_max), min_size=size, max_size=size)))
+    content = struct.pack(f">{1 + len(counts)}I", magic, *counts) + payload
+    if draw(st.integers(0, 4)) == 0:
+        content = draw(st.sampled_from([content[:-1], content + b"\0",
+                                        content[:draw(st.integers(0, 12))]]))
+    return draw(st.booleans()), content
+
+
+@st.composite
+def _idx_pair(draw):
+    n, h, w = (draw(st.integers(0, 3)) for _ in range(3))
+    n_labels = n + (draw(st.integers(0, 9)) == 0)
+    return draw(_idx_file(0x803, [n, h, w], 255)), draw(_idx_file(0x801, [n_labels], 10))
+
+
+@given(pair=_idx_pair())
+@settings(max_examples=150, deadline=None)
+def test_any_idx_pair_is_a_dataset_or_a_data_error(pair):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = []
+        for name, (gz, content) in zip(("images", "labels"), pair):
+            path = Path(tmp) / (name + (".gz" if gz else ""))
+            path.write_bytes(gzip.compress(content) if gz else content)
+            paths.append(path)
+        try:
+            ds = load_mnist_idx(*paths)
+        except DataError:
+            return
+    assert len(ds) == len(ds.labels) > 0
+
+
+@given(content=st.binary(max_size=40) | st.lists(
+    st.builds(lambda label, pixel: bytes([label]) + pixel * 3072,
+              st.integers(0, 11), st.binary(min_size=1, max_size=1)), max_size=3).map(b"".join))
+@settings(max_examples=100, deadline=None)
+def test_any_cifar_batch_file_is_a_dataset_or_a_data_error(content):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data_batch_1.bin"
+        path.write_bytes(content)
+        try:
+            ds = load_cifar10_bin([path])
+        except DataError:
+            return
+    assert len(ds) * data_io.CIFAR_RECORD_BYTES == len(content)

@@ -5,16 +5,19 @@ import re
 import statistics
 import struct
 import tracemalloc
+import warnings
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerlr import harness
 from layerlr.data import BatchStream
-from layerlr.errors import ConfigError, NumericError
+from layerlr.errors import ConfigError, DataError, NumericError
 from layerlr.harness import (
     ExperimentConfig,
     MetricsRecord,
@@ -112,7 +115,9 @@ class TestConfigParsing:
     def test_override_makes_the_files_value_valid(self, line, override, attr, value):
         assert getattr(parse_config_text(line, [override]), attr) == value
 
-    @pytest.mark.parametrize("kw", [dict(opt_kind="adam"), dict(opt_kind="momentum", opt_mu=2.0)])
+    # opt.mu is checked whatever opt.kind is, though only momentum and NAG read it.
+    @pytest.mark.parametrize("kw", [dict(opt_kind="adam"), dict(opt_kind="momentum", opt_mu=2.0),
+                                    dict(opt_kind="sgd", opt_mu=float("nan"))])
     def test_bad_optimizer_refused_at_construction(self, kw):
         with pytest.raises(ConfigError):
             ExperimentConfig(**kw)
@@ -171,6 +176,48 @@ class TestConfigParsing:
                                schedule_t0=0.006)
         cfg.optimizer()
         assert not [w for w in recwarn if "baseline" in str(w.message)]
+
+
+# Any config text with any overrides builds a config or is a ConfigError.
+# Nine times in ten a line is a setting, its key a known one and its value
+# that key's default; else any text.
+def _mostly(good, bad):
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 0 else good)
+
+
+_ODD_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["0", "1", "-1", "0.5", "1e308", "1e400", "nan", "-inf", "true", "no",
+                     "1,2", "1,,2", "2,1,2", str(2 ** 64), "9" * 5000, "mlp:4-2",
+                     "mlp:" + "9" * 5000, "lenet", "cifar-quick", "mnist", "cifar10",
+                     "momentum", "nag", "adagrad", "step-decay", "inverse-time", "sigmoid",
+                     "squared-error", "a,b"]))
+
+
+def _default_text(key):
+    value = getattr(ExperimentConfig(), harness._REGISTRY[key][0])
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+_SETTING = _mostly(
+    st.sampled_from(sorted(harness._REGISTRY)).flatmap(lambda key: st.tuples(
+        st.just(key), _mostly(st.just(_default_text(key)), _ODD_VALUES))),
+    st.tuples(st.text(max_size=8), _ODD_VALUES))
+
+
+@given(lines=st.lists(_mostly(_SETTING.map("{0[0]} = {0[1]}".format), st.text(max_size=20)),
+                      max_size=6),
+       overrides=st.lists(_mostly(_SETTING.map("--{0[0]}={0[1]}".format),
+                                  st.text(max_size=12)), max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_any_config_text_is_a_config_or_a_config_error(lines, overrides):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the baseline-rate warning
+        try:
+            cfg = parse_config_text("\n".join(lines), overrides)
+        except ConfigError:
+            return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 class TestRunExperiment:
@@ -467,6 +514,34 @@ class TestCsv:
                                      b"ours-sgd,200,7.25123,0.461234,10\n"
                                      b"sgd,200,7.90123,0.441234,10\n"
                                      b"sgd,600,3.29,0.22,10\n")
+
+    # A write that fails part-way leaves no partial file under the final
+    # name, keeps a file already there as it was, and leaves no .part file.
+    @pytest.mark.parametrize("error, raised", [
+        (OSError(28, "No space left on device"), DataError),
+        (KeyboardInterrupt(), KeyboardInterrupt)], ids=["disk-full", "interrupt"])
+    @pytest.mark.parametrize("before", [None, b"old\n"], ids=["no-file", "old-file"])
+    def test_interrupted_write_leaves_no_partial_file(self, error, raised, before, tmp_path):
+        path = tmp_path / "t.csv"
+        if before is not None:
+            path.write_bytes(before)
+
+        def lines():
+            yield "variant,iteration,mean,std,n"
+            raise error
+
+        with pytest.raises(raised):
+            harness.write_csv(str(path), lines())
+        assert [p.name for p in tmp_path.iterdir()] == ([] if before is None else ["t.csv"])
+        if before is not None:
+            assert path.read_bytes() == before
+
+    def test_directory_in_place_of_the_part_file_is_a_data_error(self, tmp_path):
+        path = tmp_path / "t.csv"
+        (tmp_path / "t.csv.part").mkdir()
+        with pytest.raises(DataError, match="cannot write CSV to .*Is a directory"):
+            harness.write_csv(str(path), ["variant,iteration,mean,std,n"])
+        assert not path.exists() and (tmp_path / "t.csv.part").is_dir()
 
 
 class TestMetricsRecord:
