@@ -280,6 +280,8 @@ def main(argv=None) -> int:
         # warn. A library warning is one stderr line.
         with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
             warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+            if not harness.pin_one_blas_thread():
+                warnings.warn("no OpenBLAS thread setter: results may depend on the thread count")
             return args.func(args, extras)
     except (ConfigError, DimensionError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

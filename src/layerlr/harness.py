@@ -1,9 +1,9 @@
 """Experiment runner: config parsing, training loop, checkpoint evaluation,
 repeated-seed statistics, and CSV emission.
 
-A run is a pure function of (config, seed): dataset loading, shuffling,
-weight init, and evaluation are all keyed deterministically, so two
-executions on one machine produce identical metrics (wall-clock fields
+A run is a pure function of (config, seed): data, shuffling, weight init
+and evaluation are keyed deterministically, and the CLI pins OpenBLAS to one
+thread, so two runs on one machine give identical metrics (wall-clock fields
 aside). Seed-runs share no mutable state and may execute in parallel.
 """
 
@@ -13,7 +13,6 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -26,7 +25,6 @@ from .optim import LrSchedule, make_optimizer
 from .optim import group_norm  # noqa: F401
 
 DATA_DIR_ENV = "LAYERLR_DATA_DIR"
-BLAS_THREADS_ENV = "OPENBLAS_NUM_THREADS"
 
 # Baseline-tuned global rates for the bundled architectures. The layer-wise
 # wrapper only ever increases the effective rate, so reusing the baseline t0
@@ -441,20 +439,18 @@ def _run_worker(args):
         return seed, None, str(exc)
 
 
-@contextmanager
-def _one_blas_thread():
-    """Processes spawned in this block run OpenBLAS on one thread: the
-    workers already fill the cores, and each reads the thread count from
-    the environment it inherits when it imports numpy."""
-    saved = os.environ.get(BLAS_THREADS_ENV)
-    os.environ[BLAS_THREADS_ENV] = "1"
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ[BLAS_THREADS_ENV]
-        else:
-            os.environ[BLAS_THREADS_ENV] = saved
+def pin_one_blas_thread() -> bool:
+    """Run numpy's bundled OpenBLAS on one thread in this process; False if no setter is found."""
+    import ctypes
+    import glob
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for lib in map(ctypes.CDLL, glob.glob(os.path.join(libs, "*openblas*.so*"))):
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            if hasattr(lib, symbol):
+                getattr(lib, symbol)(1)
+                return True
+    return False
 
 
 def repeat_runs(cfg: ExperimentConfig, processes: int = None) -> SummaryTable:
@@ -462,8 +458,8 @@ def repeat_runs(cfg: ExperimentConfig, processes: int = None) -> SummaryTable:
     to a SummaryTable; results are ordered by seed regardless of execution
     order. Aborted seeds are flagged and the summary covers the completed
     ones. With `processes` > 1 (default: one per seed, up to the CPU count)
-    every seed runs in a spawned worker with one BLAS thread; a script that
-    calls this at import time must then guard its entry point with
+    every seed runs in a spawned worker pinned to one BLAS thread; a script
+    that calls this at import time must then guard its entry point with
     `if __name__ == "__main__":`."""
     if len(cfg.seeds) < 2:
         raise ConfigError(f"repeat_runs needs at least 2 seeds, got {cfg.seeds}")
@@ -474,7 +470,7 @@ def repeat_runs(cfg: ExperimentConfig, processes: int = None) -> SummaryTable:
         raise ConfigError(f"processes must be >= 1, got {processes}")
     if processes > 1:
         spawn = multiprocessing.get_context("spawn")
-        with _one_blas_thread(), ProcessPoolExecutor(processes, mp_context=spawn) as pool:
+        with ProcessPoolExecutor(processes, spawn, initializer=pin_one_blas_thread) as pool:
             results = list(pool.map(_run_worker, jobs))
     else:
         results = [_run_worker(job) for job in jobs]
@@ -501,8 +497,8 @@ def emit_csv(table: SummaryTable, path: str) -> None:
 
 
 def check_writable(path: str) -> None:
-    """DataError unless a file can be written at `path`: its directory
-    exists and is writable, and `path` is no directory or read-only file.
+    """DataError unless a file can be written at `path`: its directory is
+    writable, `path` no directory or read-only file, `path.part` no directory.
     Creates nothing, so a run that fails later leaves no file behind."""
     directory = os.path.dirname(path) or "."
     if not os.path.isdir(directory):
@@ -511,6 +507,8 @@ def check_writable(path: str) -> None:
         reason = f"directory {directory} is not writable"
     elif os.path.isdir(path):
         reason = "it is a directory"
+    elif os.path.isdir(path + ".part"):
+        reason = f"{path}.part, which is written first, is a directory"
     elif os.path.exists(path) and not os.access(path, os.W_OK):
         reason = "the file is not writable"
     else:

@@ -1,8 +1,11 @@
 import contextlib
+import glob
 import gzip
 import io
 import os
 import struct
+import subprocess
+import sys
 import tarfile
 import tempfile
 import types
@@ -28,6 +31,10 @@ REMOVED_KEYS = ("opt.bias_separate", "opt.epsilon_norm", "opt.epsilon_div", "opt
 # with any value, is an unrecognized-argument error.
 REMOVED_FLAGS = ("--seed", "--radius", "--batch", "--samples", "--tol", "--mlp-dim",
                  "--mlp-classes")
+
+
+def _no_run(*args):
+    raise AssertionError("run_experiment called")
 
 
 class TestExitCodes:
@@ -372,16 +379,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [["train"], ["table", "--processes", "1"]])
     def test_unwritable_out_fails_before_training(self, command, tmp_path, capsys,
                                                   monkeypatch):
-        def no_run(*args):
-            raise AssertionError("run_experiment called")
-
-        monkeypatch.setattr(harness, "run_experiment", no_run)
+        monkeypatch.setattr(harness, "run_experiment", _no_run)
         out = tmp_path / "missing" / "r.csv"
         argv = command + ["--out", str(out), "--seeds=0,1"] + BLOBS_ARGS
         assert cli.main(argv) == cli.EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("data error: cannot write CSV to ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["train"], ["table", "--processes", "1"]])
+    def test_directory_at_the_part_name_fails_before_training(self, command, tmp_path, capsys,
+                                                              monkeypatch):
+        # write_csv writes r.csv.part first: a directory there is refused
+        # before the run, not after it.
+        monkeypatch.setattr(harness, "run_experiment", _no_run)
+        (tmp_path / "r.csv.part").mkdir()
+        out = tmp_path / "r.csv"
+        assert cli.main(command + ["--out", str(out), "--seeds=0,1"] + BLOBS_ARGS) == cli.EXIT_DATA
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"data error: cannot write CSV to {out}: ")
+        assert "r.csv.part" in line
+        assert not out.exists()
 
 
 def _cifar_archive(root, members):
@@ -745,6 +763,63 @@ class TestSubcommands:
         code = cli.main(["gradcheck", "--archs", "mlp:6", "--seeds", "1"])
         assert code == cli.EXIT_OK
         assert "ok" in capsys.readouterr().out
+
+
+# One lenet value_grad at batch 64 on fixed inputs, printed as a sha256 of
+# the gradient bytes; with an --out path as argument, cli.main first runs
+# one bench cell, which pins OpenBLAS to one thread.
+GRADIENT_HASH = """
+import hashlib, sys
+import numpy as np
+from layerlr import cli, rng
+from layerlr.nn import FIXED_INPUTS, network_from_spec
+if len(sys.argv) > 1:
+    argv = ["bench", "--starts", "1e-3", "--lrs", "0.1", "--optimizers", "sgd"]
+    assert cli.main(argv + ["--out", sys.argv[1]]) == 0
+net = network_from_spec("lenet", FIXED_INPUTS["lenet"], 10, seed=0)
+gen = rng.generator(0, 0xB1A5)
+x = gen.standard_normal((64,) + net.input_shape)
+y = gen.integers(0, 10, size=64)
+digest = hashlib.sha256()
+for layer in net.value_grad(x, y)[1]:
+    for g in layer:
+        digest.update(np.ascontiguousarray(g).tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestBlasThreads:
+    def _hashes(self, tmp_path, runs):
+        """The gradient hash of each (OPENBLAS_NUM_THREADS, pinned) run, the
+        runs started together."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        procs = []
+        for i, (threads, pinned) in enumerate(runs):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(threads))
+            args = [str(tmp_path / f"bench{i}.csv")] if pinned else []
+            procs.append(subprocess.Popen([sys.executable, "-c", GRADIENT_HASH] + args, env=env,
+                                          stdout=subprocess.PIPE, text=True))
+        outs = [proc.communicate(timeout=60)[0] for proc in procs]
+        assert [proc.returncode for proc in procs] == [0] * len(procs)
+        return [out.splitlines()[-1] for out in outs]
+
+    def test_pinned_gradients_do_not_depend_on_the_thread_count(self, tmp_path):
+        if not harness.pin_one_blas_thread():
+            pytest.skip("numpy's OpenBLAS thread setter not found")
+        one, two, pinned = self._hashes(tmp_path, [(1, False), (2, False), (2, True)])
+        assert pinned == one
+        # OpenBLAS runs a second thread, and so rounds another way, only on
+        # a machine with 2 or more CPUs: only there can this discriminate.
+        if (os.cpu_count() or 1) >= 2:
+            assert two != one
+
+    def test_no_blas_setter_is_one_warning_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(glob, "glob", lambda pattern: [])
+        argv = ["train", "--dataset=blobs", "--max_iterations=5", "--out", str(tmp_path / "r.csv")]
+        assert cli.main(argv) == cli.EXIT_OK
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("warning: ")
+        assert "thread count" in line
 
 
 def _mostly(good, bad):

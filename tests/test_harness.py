@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import multiprocessing
 import os
 import pickle
@@ -35,6 +37,19 @@ from layerlr.harness import (
 )
 from layerlr.nn import FIXED_INPUTS, Network
 from layerlr.optim import Optimizer
+
+def openblas_threads():
+    """The thread count that numpy's bundled OpenBLAS reports in this
+    process; module-level, so a spawned worker can run it."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    (path,) = glob.glob(os.path.join(libs, "*openblas*.so*"))
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        if hasattr(lib, symbol):
+            return getattr(lib, symbol)()
+    raise AssertionError(f"no OpenBLAS thread getter in {path}")
+
 
 BLOBS_KW = dict(dataset="blobs", blobs_n=240, blobs_test_n=120, blobs_classes=4,
                 blobs_dim=8, arch="mlp:16", batch_size=32)
@@ -461,11 +476,14 @@ class TestSummaries:
         assert [(v, s) for v, s, _ in table.aborted] == [("sgd", 1)]
 
     def test_spawned_workers_get_one_blas_thread(self, monkeypatch):
-        monkeypatch.setenv(harness.BLAS_THREADS_ENV, "2")
+        # The pool starts as repeat_runs starts it; the worker's numpy reads
+        # 2 from the environment, then the initializer pins one thread.
+        if not harness.pin_one_blas_thread():
+            pytest.skip("numpy's OpenBLAS thread setter not found")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         spawn = multiprocessing.get_context("spawn")
-        with harness._one_blas_thread(), ProcessPoolExecutor(1, mp_context=spawn) as pool:
-            assert pool.submit(os.getenv, harness.BLAS_THREADS_ENV).result() == "1"
-        assert os.environ[harness.BLAS_THREADS_ENV] == "2"
+        with ProcessPoolExecutor(1, spawn, initializer=harness.pin_one_blas_thread) as pool:
+            assert pool.submit(openblas_threads).result() == 1
 
     def test_all_aborted_raises(self, monkeypatch):
         def always_fail(cfg, seed):
