@@ -11,8 +11,10 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric abort.
 import argparse
 import itertools
 import os
+import shutil
 import sys
 import tarfile
+import tempfile
 import warnings
 import zlib
 
@@ -173,20 +175,37 @@ def _download(url: str, dest: str) -> bool:
 
 
 def _extract(tar, root):
-    """Extract `tar` under `root` after checking every member: an absolute
-    or `..` name is a DataError, and so is any member but a plain file or
-    directory (a link, a device). Python's "data" filter, where present,
-    guards the extraction too."""
+    """Extract `tar`'s cifar-10-batches-bin directory to the same name under
+    `root`, after checking every member: an absolute or `..` name is a
+    DataError, and so is any member but a plain file or directory (a link, a
+    device). Python's "data" filter, where present, guards the extraction
+    too. Members are written into a temporary directory under `root`, and
+    the extracted directory replaces any earlier one only once all of them
+    are written, so a failure leaves `root` as it was."""
     for member in tar.getmembers():
         name = member.name.replace("\\", "/")
         if os.path.isabs(name) or ".." in name.split("/"):
             raise DataError(f"archive member {member.name!r} points outside {root}")
         if not (member.isfile() or member.isdir()):
             raise DataError(f"archive member {member.name!r} is not a plain file or directory")
-    if hasattr(tarfile, "data_filter"):
-        tar.extractall(root, filter="data")
-    else:
-        tar.extractall(root)
+    dest = os.path.join(root, "cifar-10-batches-bin")
+    tmp = tempfile.mkdtemp(prefix=".extract-", dir=root)
+    # Members go under tmp/archive, so none can take the name tmp/earlier.
+    staged = os.path.join(tmp, "archive")
+    try:
+        if hasattr(tarfile, "data_filter"):
+            tar.extractall(staged, filter="data")
+        else:
+            tar.extractall(staged)
+        src = os.path.join(staged, "cifar-10-batches-bin")
+        if not os.path.isdir(src):
+            raise DataError(f"{tar.name} holds no cifar-10-batches-bin directory")
+        if os.path.lexists(dest):
+            os.replace(dest, os.path.join(tmp, "earlier"))
+        os.replace(src, dest)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+    return dest
 
 
 def _cmd_fetch_data(args, extras) -> int:
@@ -210,12 +229,12 @@ def _cmd_fetch_data(args, extras) -> int:
             raise DataError(f"could not download {CIFAR_URL}")
         try:
             with tarfile.open(archive, "r:gz") as tar:
-                _extract(tar, root)
+                dest = _extract(tar, root)
         # OSError: bad gzip, or a member that cannot be written (a file over a directory).
         except (tarfile.TarError, EOFError, zlib.error, OSError) as exc:
             raise DataError(f"cannot extract {archive}: {exc}; delete it and run "
                             f"fetch-data again") from exc
-        print(f"CIFAR-10 ready under {os.path.join(root, 'cifar-10-batches-bin')}")
+        print(f"CIFAR-10 ready under {dest}")
         return EXIT_OK
     raise ConfigError(f"unknown dataset {args.dataset!r} (mnist or cifar10)")
 

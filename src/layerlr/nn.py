@@ -5,9 +5,12 @@ from one call to the next, so a cache stays valid whatever passes run after
 it, until backward consumes it and frees each layer's arrays as it goes.
 All math is float64. A convolution reads each window of its padded input as
 a 2-D view and sums k BLAS GEMMs per output row, in forward and for the
-weight gradient, so no layer forms an im2col matrix. Max-pool works on a
-group of output rows at a time (POOL_GROUP_BYTES), so its strided passes
-run in cache and its backward's scatter index covers one group.
+weight gradient, so no layer forms an im2col matrix, except that a conv
+with one input channel copies a row's k windows into one block and makes
+one GEMM per output row, whose inner dimension would otherwise be only k.
+Max-pool works on a group of output rows at a time (POOL_GROUP_BYTES), so
+its strided passes run in cache and its backward's scatter index covers
+one group.
 
 Conv2D and MaxPool2D take and return batch-last (H, C, W, N) arrays, in
 which the k input rows under an output row are one contiguous block and
@@ -137,7 +140,10 @@ class Conv2D(Layer):
     (hp, c, wp, n). Seen as rows = xp.reshape(hp*c, wp*n), the window of
     output row i and kernel column dc is rows[i*c:(i+k)*c, dc*n:(dc+ow)*n],
     a (k*c, ow*n) view whose rows run (dr, c): forward and the weight
-    gradient read every window in place, and no im2col is formed."""
+    gradient read every window in place, and no im2col is formed. With one
+    input channel those GEMMs would have an inner dimension of k, so each
+    output row's k windows are copied into one (k*k, ow*n) block, reused
+    from row to row, for one GEMM (about 300 KB for LeNet's conv1)."""
 
     kind = "convolution-2d"
     batch_last = True
@@ -167,6 +173,25 @@ class Conv2D(Layer):
             )
         return (self.out_channels, oh, ow)
 
+    def _row_operands(self, rows, c, n, ow):
+        """For each output row, the right-hand operands of its GEMMs: the k
+        (k*c, ow*n) windows as views of `rows`, one per kernel column, or,
+        with one input channel (c == 1), those windows copied into one
+        (k*k*c, ow*n) block, its rows in (dc, dr, c) order. The block is
+        reused from row to row, so each must be used before the next is
+        drawn."""
+        k = self.kernel_size
+        block = np.empty((k, k * c, ow * n)) if c == 1 else None
+        for i in range(rows.shape[0] // c - k + 1):
+            win = rows[i * c:(i + k) * c]
+            cols = [win[:, dc * n:(dc + ow) * n] for dc in range(k)]
+            if block is None:
+                yield cols
+                continue
+            for dc, col in enumerate(cols):
+                block[dc] = col
+            yield [block.reshape(k * k * c, ow * n)]
+
     def forward(self, x, need_cache=True):
         h, c, w, n = x.shape
         oc, oh, ow = self.output_shape((c, h, w))
@@ -176,18 +201,22 @@ class Conv2D(Layer):
             xp[p:p + h, :, p:p + w] = x
             x = xp
         rows = x.reshape(-1, x.shape[2] * n)
-        # wk[dc] is kernel column dc as an (oc, k*c) matrix, its columns in
-        # the (dr, c) order of a window's rows. Output row i, (oc, ow*n), is
-        # the sum of k GEMMs, one per kernel column.
-        wk = self.params[0].transpose(3, 0, 2, 1).reshape(k, oc, k * c)
+        # wk[j] holds operand j's kernel columns as an (oc, k*k*c/groups)
+        # matrix, its columns in the operand's (dc, dr, c) row order: kernel
+        # column j, or, with one channel, all of them. Output row i,
+        # (oc, ow*n), is the sum of its GEMMs plus the bias, added while the
+        # row is still in cache.
+        groups = 1 if c == 1 else k
+        wk = self.params[0].reshape(oc, c, k, groups, -1).transpose(3, 0, 4, 2, 1)
+        wk = wk.reshape(groups, oc, -1)
+        b = self.params[1][:, None]
         out = np.empty((oh, oc, ow * n))
         part = np.empty((oc, ow * n))
-        for i in range(oh):
-            win = rows[i * c:(i + k) * c]
-            np.matmul(wk[0], win[:, :ow * n], out=out[i])
-            for dc in range(1, k):
-                out[i] += np.matmul(wk[dc], win[:, dc * n:(dc + ow) * n], out=part)
-        out += self.params[1][:, None]
+        for i, ops in enumerate(self._row_operands(rows, c, n, ow)):
+            np.matmul(wk[0], ops[0], out=out[i])
+            for wj, op in zip(wk[1:], ops[1:]):
+                out[i] += np.matmul(wj, op, out=part)
+            out[i] += b
         return out.reshape(oh, oc, ow, n), x
 
     def backward(self, grad_out, cache, need_grad_in=True):
@@ -198,14 +227,15 @@ class Conv2D(Layer):
         rows = x.reshape(hp * c, wp * n)
         oh, oc, ow = grad_out.shape[:3]
         g = grad_out.reshape(oh, oc, ow * n)
-        # Kernel column dc's weight gradient, laid out as forward's wk[dc],
-        # sums each output row's gradient times that row's window.
-        gw = np.zeros((k, oc, k * c))
-        for i in range(oh):
-            win = rows[i * c:(i + k) * c]
-            for dc in range(k):
-                gw[dc] += np.matmul(g[i], win[:, dc * n:(dc + ow) * n].T)
-        grad_w = np.ascontiguousarray(gw.reshape(k, oc, k, c).transpose(1, 3, 2, 0))
+        # The weight gradient, laid out as forward's wk, sums each output
+        # row's gradient times that row's operands.
+        groups = 1 if c == 1 else k
+        gw = np.zeros((groups, oc, k * k * c // groups))
+        for i, ops in enumerate(self._row_operands(rows, c, n, ow)):
+            for j, op in enumerate(ops):
+                gw[j] += np.matmul(g[i], op.T)
+        grad_w = gw.reshape(groups, oc, -1, k, c).transpose(1, 4, 3, 0, 2)
+        grad_w = np.ascontiguousarray(grad_w).reshape(oc, c, k, k)
         grad_b = g.sum(axis=(0, 2))
         if not need_grad_in:
             return None, [grad_w, grad_b]

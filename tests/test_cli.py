@@ -485,7 +485,8 @@ class TestFetchCifar:
     # A link is refused wherever it points: one to itself, or a hard link
     # to no member, made tarfile recurse or raise KeyError. A file that
     # cannot be written where an earlier member put a directory is a data
-    # error too, not an IsADirectoryError.
+    # error too, not an IsADirectoryError, and the members written before it
+    # are removed with it. So is an archive without the batches directory.
     @pytest.mark.parametrize("members, message", [
         pytest.param([_symlink("cifar-10-batches-bin/a", "a")], "is not a plain file",
                      id="symlink-to-itself"),
@@ -496,6 +497,11 @@ class TestFetchCifar:
         pytest.param([(".", b"x")], "cannot extract", id="file-named-dot"),
         pytest.param([("cifar-10-batches-bin/a/b", b"x"), ("cifar-10-batches-bin/a", b"y")],
                      "cannot extract", id="file-over-directory"),
+        pytest.param([("cifar-10-batches-bin/data_batch_1.bin", b"ok"),
+                      ("cifar-10-batches-bin/a/b", b"x"), ("cifar-10-batches-bin/a", b"y")],
+                     "cannot extract", id="half-done"),
+        pytest.param([("data_batch_1.bin", b"ok")], "holds no cifar-10-batches-bin directory",
+                     id="no-batches-directory"),
     ])
     def test_member_that_cannot_be_extracted_is_data_error(self, members, message, tmp_path,
                                                            capsys):
@@ -504,6 +510,17 @@ class TestFetchCifar:
             cli.EXIT_DATA
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("data error: ") and message in line
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cifar-10-binary.tar.gz"]
+
+    def test_extraction_replaces_an_earlier_directory(self, tmp_path):
+        (tmp_path / "cifar-10-batches-bin").mkdir()
+        (tmp_path / "cifar-10-batches-bin" / "stale.bin").write_bytes(b"old")
+        _cifar_archive(tmp_path, [("cifar-10-batches-bin/test_batch.bin", b"\x03" * 3073)])
+        assert cli.main(["fetch-data", "--dataset", "cifar10", "--root", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["cifar-10-batches-bin", "cifar-10-binary.tar.gz"]
+        assert [p.name for p in (tmp_path / "cifar-10-batches-bin").iterdir()] == \
+            ["test_batch.bin"]
 
 
 @st.composite

@@ -520,14 +520,19 @@ class TestConvAndPoolOracles:
         assert np.allclose(gw, want_gw, rtol=0, atol=1e-12)
         assert np.allclose(gb, want_gb, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("k,pad,h,w", CONV_GEOMETRIES)
-    def test_conv_reads_every_window_in_place(self, k, pad, h, w, monkeypatch):
-        # Forward and the weight gradient make k GEMMs per output row, each
-        # on a (k*c, ow*n) window that is a view of the cached padded input.
+    @pytest.mark.parametrize("k,pad,h,w,c", [
+        pytest.param(*g.values, c, id=g.id + suffix)
+        for c, suffix in ((3, ""), (1, "-one-channel")) for g in CONV_GEOMETRIES])
+    def test_conv_reads_every_window_in_place(self, k, pad, h, w, c, monkeypatch):
+        # With c >= 2, forward and the weight gradient make k GEMMs per
+        # output row, each on a (k*c, ow*n) window that is a view of the
+        # cached padded input. With one channel they make one GEMM per
+        # output row each, on the row's k windows copied into one
+        # (k*k, ow*n) block, one buffer for every row of a pass.
         gen = rng.generator(26, k * 1000 + 100 + pad * 10 + h)
-        layer = Conv2D(3, 4, k, padding=pad, init_gen=gen)
-        x = batch_last(gen.standard_normal((2, 3, h, w)))
-        _, oh, ow = layer.output_shape((3, h, w))
+        layer = Conv2D(c, 4, k, padding=pad, init_gen=gen)
+        x = batch_last(gen.standard_normal((2, c, h, w)))
+        _, oh, ow = layer.output_shape((c, h, w))
         operands = []
         matmul = np.matmul
 
@@ -540,9 +545,53 @@ class TestConvAndPoolOracles:
         layer.backward(gen.standard_normal(out.shape), cache, need_grad_in=False)
         monkeypatch.undo()
         assert (cache is x) == (pad == 0)
-        windows = [(3 * k, ow * 2)] * (oh * k) + [(ow * 2, 3 * k)] * (oh * k)
-        assert [b.shape for b in operands] == windows
-        assert all(np.shares_memory(b, cache) for b in operands)
+        gemms = oh * (1 if c == 1 else k)
+        rows = k * c * (k if c == 1 else 1)
+        assert [b.shape for b in operands] == [(rows, ow * 2)] * gemms + [(ow * 2, rows)] * gemms
+        if c == 1:
+            assert not any(np.shares_memory(b, cache) for b in operands)
+            for first in (0, gemms):
+                assert all(np.shares_memory(b, operands[first])
+                           for b in operands[first:first + gemms])
+        else:
+            assert all(np.shares_memory(b, cache) for b in operands)
+
+    @pytest.mark.parametrize("pad", [0, 2])
+    def test_one_channel_conv_matches_per_kernel_column_reference(self, pad):
+        # The one-channel path sums each output over (dc, dr) in one GEMM;
+        # the reference sums k GEMMs, one per kernel column, on views of the
+        # padded input, as every other conv does. The sums differ in order
+        # only.
+        gen = rng.generator(27, pad)
+        k, h, w = 5, 9, 11
+        layer = Conv2D(1, 6, k, padding=pad, init_gen=gen)
+        layer.params[1] = gen.standard_normal(6)
+        x = batch_last(gen.standard_normal((3, 1, h, w)))
+        out, cache = layer.forward(x)
+        grad_out = gen.standard_normal(out.shape)
+        _, (gw, _) = layer.backward(grad_out, cache, need_grad_in=False)
+
+        oh, oc, ow, n = out.shape
+        rows = cache.reshape(cache.shape[0], -1)
+        wk = layer.params[0][:, 0]
+        want = np.zeros((oh, oc, ow * n))
+        want_gw = np.zeros((oc, k, k))
+        g = grad_out.reshape(oh, oc, ow * n)
+        for i in range(oh):
+            for dc in range(k):
+                win = rows[i:i + k, dc * n:(dc + ow) * n]
+                want[i] += wk[:, :, dc] @ win
+                want_gw[:, :, dc] += g[i] @ win.T
+        want += layer.params[1][:, None]
+
+        def rel(a, b):
+            return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+        assert rel(out.reshape(want.shape), want) <= 1e-12
+        assert rel(gw[:, 0], want_gw) <= 1e-12
+        net = Network((1, h, w), [layer, Tanh(), Dense(6 * oh * ow, 3, init_gen=gen)])
+        result = gradient_check(net, batch_first(x), gen.integers(0, 3, size=3))
+        assert result.max_rel_err < 1e-5
 
     def brute_pool(self, x, k, s):
         # A window starts every s elements inside the input, up to the first
