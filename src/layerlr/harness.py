@@ -7,6 +7,7 @@ thread, so two runs on one machine give identical metrics (wall-clock fields
 aside). Seed-runs share no mutable state and may execute in parallel.
 """
 
+import ctypes
 import math
 import multiprocessing
 import os
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import data as data_io
 from .errors import ConfigError, DataError, DimensionError, NumericError
-from .nn import Network, network_from_spec, parse_arch
+from .nn import Network, network_from_spec, openblas_function, parse_arch
 from .optim import LrSchedule, make_optimizer
 # Unused here: benchmarks/workloads.py wraps harness.group_norm in traced runs.
 from .optim import group_norm  # noqa: F401
@@ -441,16 +442,12 @@ def _run_worker(args):
 
 def pin_one_blas_thread() -> bool:
     """Run numpy's bundled OpenBLAS on one thread in this process; False if no setter is found."""
-    import ctypes
-    import glob
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for lib in map(ctypes.CDLL, glob.glob(os.path.join(libs, "*openblas*.so*"))):
-        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                       "openblas_set_num_threads"):
-            if hasattr(lib, symbol):
-                getattr(lib, symbol)(1)
-                return True
-    return False
+    setter = openblas_function("scipy_openblas_set_num_threads64_",
+                               "openblas_set_num_threads64_", "openblas_set_num_threads")
+    if setter is not None:
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+    return setter is not None
 
 
 def repeat_runs(cfg: ExperimentConfig, processes: int = None) -> SummaryTable:

@@ -8,6 +8,9 @@ a 2-D view and sums k BLAS GEMMs per output row, in forward and for the
 weight gradient, so no layer forms an im2col matrix, except that a conv
 with one input channel copies a row's k windows into one block and makes
 one GEMM per output row, whose inner dimension would otherwise be only k.
+Its input gradient sums k GEMMs per output row too, on views of the output
+and input gradients. A GEMM that adds into its output does so inside numpy's
+bundled OpenBLAS (dgemm with beta = 1, called through ctypes).
 Max-pool works on a group of output rows at a time (POOL_GROUP_BYTES), so
 its strided passes run in cache and its backward's scatter index covers
 one group.
@@ -33,7 +36,10 @@ activation, loss, input shape and class count. network_from_spec builds
 only what it accepts.
 """
 
+import ctypes
+import glob
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +51,65 @@ from .errors import DimensionError, NumericError, UsageError
 # MaxPool2D takes as many output rows at a time as fit in this many bytes of
 # input, and one where a row alone is larger (see its docstring).
 POOL_GROUP_BYTES = 1 << 20
+
+
+# numpy's bundled OpenBLAS, loaded once, so harness.pin_one_blas_thread and
+# the conv GEMMs act on the same library; loading changes no process setting.
+_OPENBLAS = [ctypes.CDLL(path) for path in sorted(glob.glob(os.path.join(
+    os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "*openblas*.so*")))]
+
+
+def openblas_function(*names):
+    """The first of `names` that numpy's bundled OpenBLAS exports, or None
+    (a numpy built on another BLAS)."""
+    for lib in _OPENBLAS:
+        for name in names:
+            if hasattr(lib, name):
+                return getattr(lib, name)
+    return None
+
+
+# CBLAS dgemm with 64-bit integers, as numpy's bundled OpenBLAS exports it.
+_DGEMM = openblas_function("scipy_cblas_dgemm64_")
+if _DGEMM is not None:
+    _DGEMM.argtypes = [ctypes.c_int] * 3 + [ctypes.c_int64] * 3 + [
+        ctypes.c_double, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
+        ctypes.c_double, ctypes.c_void_p, ctypes.c_int64]
+    _DGEMM.restype = None
+
+
+def _row_stride(m):
+    """The row stride, in elements, of a 2-D float64 matrix whose rows are
+    unit-stride runs, as BLAS takes it; raises ValueError for any other."""
+    rows, cols = m.shape
+    step, unit = m.strides
+    if m.dtype != np.float64 or not m.flags.aligned or (cols > 1 and unit != 8) \
+            or (rows > 1 and (step % 8 or step < 8 * cols)):
+        raise ValueError(f"GEMM takes aligned float64 matrices with unit-stride rows, "
+                         f"got {m.dtype} of shape {m.shape} and strides {m.strides}")
+    return step // 8 if rows > 1 else max(cols, 1)
+
+
+def _gemm(a, b, out, accumulate):
+    """out = a @ b, or out += a @ b with `accumulate`, on 2-D float64 views
+    with unit-stride rows. Adding calls numpy's OpenBLAS dgemm with beta = 1,
+    which adds the product in its kernel, with no second pass over `out`;
+    writing is np.matmul, which calls that dgemm. Without the symbol, adding
+    is `out += a @ b`: the same bits while the product has two rows and two
+    columns (numpy takes a single one to gemv) and k fits one OpenBLAS block
+    (384 on AVX-512 x86-64), as in every conv of lenet and cifar-quick."""
+    lda, ldb, ldc = _row_stride(a), _row_stride(b), _row_stride(out)
+    (m, k), (kb, n) = a.shape, b.shape
+    if kb != k or out.shape != (m, n) or not out.flags.writeable:
+        raise ValueError(f"GEMM shapes do not agree: {a.shape} @ {b.shape} into {out.shape}")
+    if not accumulate:
+        np.matmul(a, b, out=out)
+    elif _DGEMM is None:
+        out += a @ b
+    else:
+        # Row-major, neither operand transposed (CBLAS 101, 111, 111).
+        _DGEMM(101, 111, 111, m, n, k, 1.0, a.ctypes.data, lda, b.ctypes.data, ldb,
+               1.0, out.ctypes.data, ldc)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +208,9 @@ class Conv2D(Layer):
     gradient read every window in place, and no im2col is formed. With one
     input channel those GEMMs would have an inner dimension of k, so each
     output row's k windows are copied into one (k*k, ow*n) block, reused
-    from row to row, for one GEMM (about 300 KB for LeNet's conv1)."""
+    from row to row, for one GEMM (about 300 KB for LeNet's conv1). The
+    input gradient adds one GEMM per output row and kernel column from a
+    view of the output gradient into a view of itself, inside BLAS."""
 
     kind = "convolution-2d"
     batch_last = True
@@ -204,18 +271,16 @@ class Conv2D(Layer):
         # wk[j] holds operand j's kernel columns as an (oc, k*k*c/groups)
         # matrix, its columns in the operand's (dc, dr, c) row order: kernel
         # column j, or, with one channel, all of them. Output row i,
-        # (oc, ow*n), is the sum of its GEMMs plus the bias, added while the
-        # row is still in cache.
+        # (oc, ow*n), is the sum of its GEMMs, each after the first added
+        # inside BLAS, plus the bias, added while the row is still in cache.
         groups = 1 if c == 1 else k
         wk = self.params[0].reshape(oc, c, k, groups, -1).transpose(3, 0, 4, 2, 1)
         wk = wk.reshape(groups, oc, -1)
         b = self.params[1][:, None]
         out = np.empty((oh, oc, ow * n))
-        part = np.empty((oc, ow * n))
         for i, ops in enumerate(self._row_operands(rows, c, n, ow)):
-            np.matmul(wk[0], ops[0], out=out[i])
-            for wj, op in zip(wk[1:], ops[1:]):
-                out[i] += np.matmul(wj, op, out=part)
+            for j, op in enumerate(ops):
+                _gemm(wk[j], op, out[i], j > 0)
             out[i] += b
         return out.reshape(oh, oc, ow, n), x
 
@@ -239,27 +304,26 @@ class Conv2D(Layer):
         grad_b = g.sum(axis=(0, 2))
         if not need_grad_in:
             return None, [grad_w, grad_b]
-        # col2im one output row at a time. Row i's gradient, copied once per
-        # kernel column dc to the input columns j + dc - p it reaches (zeros
-        # where none does), makes an (oc*k, w*n) matrix. One GEMM with the
-        # weights as (k*c, oc*k) gives its sums for the input rows i + dr - p,
-        # and those inside the input are added in place.
-        wt = self.params[0].transpose(2, 1, 0, 3).reshape(k * c, oc * k)
-        spread = np.zeros((oc, k, w, n))
-        copies = []
+        # The input gradient, one GEMM per output row i and kernel column dc:
+        # kernel column dc's weights as (k*c, oc), rows in (dr, c) order,
+        # times the output columns j of row i's gradient whose input column
+        # j + dc - p is inside the input, added inside BLAS into the block
+        # of input rows i + dr - p and those columns, a view of gx.
+        wdc = np.ascontiguousarray(self.params[0].transpose(3, 2, 1, 0)).reshape(k, k * c, oc)
+        reach = []
         for dc in range(k):
             lo, hi = max(0, p - dc), min(ow, w + p - dc)
             if lo < hi:
-                copies.append((spread[:, dc, lo + dc - p:hi + dc - p], slice(lo, hi)))
-        prod = np.empty((k, c, w, n))
+                reach.append((wdc[dc], slice(lo * n, hi * n),
+                              slice((lo + dc - p) * n, (hi + dc - p) * n)))
         gx = np.zeros((h, c, w, n))
+        gx_rows = gx.reshape(h * c, w * n)
         for i in range(oh):
-            for dst, cols in copies:
-                dst[...] = grad_out[i, :, cols]
-            np.matmul(wt, spread.reshape(oc * k, w * n), out=prod.reshape(k * c, w * n))
             d0, d1 = max(0, p - i), min(k, h + p - i)
             if d0 < d1:
-                gx[i - p + d0:i - p + d1] += prod[d0:d1]
+                dst = gx_rows[(i - p + d0) * c:(i - p + d1) * c]
+                for wt, src, cols in reach:
+                    _gemm(wt[d0 * c:d1 * c], g[i][:, src], dst[:, cols], True)
         return gx, [grad_w, grad_b]
 
 

@@ -528,33 +528,54 @@ class TestConvAndPoolOracles:
         # output row, each on a (k*c, ow*n) window that is a view of the
         # cached padded input. With one channel they make one GEMM per
         # output row each, on the row's k windows copied into one
-        # (k*k, ow*n) block, one buffer for every row of a pass.
+        # (k*k, ow*n) block, one buffer for every row of a pass. The input
+        # gradient adds one GEMM per output row and kernel column that
+        # reaches the input, from a view of grad_out into a view of gx.
         gen = rng.generator(26, k * 1000 + 100 + pad * 10 + h)
         layer = Conv2D(c, 4, k, padding=pad, init_gen=gen)
         x = batch_last(gen.standard_normal((2, c, h, w)))
         _, oh, ow = layer.output_shape((c, h, w))
-        operands = []
-        matmul = np.matmul
+        gemms, matmuls = [], []
+        gemm, matmul = nn._gemm, np.matmul
 
-        def recording(a, b, **kwargs):
-            operands.append(b)
+        def recording_gemm(a, b, out, accumulate):
+            gemms.append((b, out, accumulate))
+            return gemm(a, b, out, accumulate)
+
+        def recording_matmul(a, b, **kwargs):
+            matmuls.append(b)
             return matmul(a, b, **kwargs)
 
-        monkeypatch.setattr(nn.np, "matmul", recording)
+        monkeypatch.setattr(nn, "_gemm", recording_gemm)
         out, cache = layer.forward(x)
-        layer.backward(gen.standard_normal(out.shape), cache, need_grad_in=False)
+        forward, gemms = gemms, []
+        grad_out = gen.standard_normal(out.shape)
+        # Only the weight gradient calls np.matmul in backward: the input
+        # gradient's GEMMs all add.
+        monkeypatch.setattr(nn.np, "matmul", recording_matmul)
+        gx, _ = layer.backward(grad_out, cache)
         monkeypatch.undo()
         assert (cache is x) == (pad == 0)
-        gemms = oh * (1 if c == 1 else k)
+        per_row = 1 if c == 1 else k
         rows = k * c * (k if c == 1 else 1)
-        assert [b.shape for b in operands] == [(rows, ow * 2)] * gemms + [(ow * 2, rows)] * gemms
+        assert [b.shape for b, _, _ in forward] == [(rows, ow * 2)] * (oh * per_row)
+        assert [acc for _, _, acc in forward] == [j > 0 for j in range(per_row)] * oh
+        assert all(np.shares_memory(o, out) for _, o, _ in forward)
+        assert [b.shape for b in matmuls] == [(ow * 2, rows)] * (oh * per_row)
+        windows = [b for b, _, _ in forward] + matmuls
         if c == 1:
-            assert not any(np.shares_memory(b, cache) for b in operands)
-            for first in (0, gemms):
-                assert all(np.shares_memory(b, operands[first])
-                           for b in operands[first:first + gemms])
+            assert not any(np.shares_memory(b, cache) for b in windows)
+            for first in (0, oh):
+                assert all(np.shares_memory(b, windows[first])
+                           for b in windows[first:first + oh])
         else:
-            assert all(np.shares_memory(b, cache) for b in operands)
+            assert all(np.shares_memory(b, cache) for b in windows)
+        reached = sum(1 for i in range(oh) for dc in range(k)
+                      if any(0 <= i + dr - pad < h for dr in range(k))
+                      and any(0 <= j + dc - pad < w for j in range(ow)))
+        assert len(gemms) == reached
+        for b, o, acc in gemms:
+            assert acc and np.shares_memory(b, grad_out) and np.shares_memory(o, gx)
 
     @pytest.mark.parametrize("pad", [0, 2])
     def test_one_channel_conv_matches_per_kernel_column_reference(self, pad):
@@ -767,6 +788,111 @@ class TestConvAndPoolOracles:
         result = gradient_check(net, x, targets)
         assert result.checked == 38
         assert result.max_rel_err < 1e-5
+
+
+# (c, oc, k, pad, h, w) of every conv in lenet and cifar-quick.
+NET_CONVS = [
+    pytest.param(1, 20, 5, 0, 28, 28, id="lenet-conv1"),
+    pytest.param(20, 50, 5, 0, 12, 12, id="lenet-conv2"),
+    pytest.param(3, 32, 5, 2, 32, 32, id="cifar-conv1"),
+    pytest.param(32, 32, 5, 2, 15, 15, id="cifar-conv2"),
+    pytest.param(32, 64, 5, 2, 7, 7, id="cifar-conv3"),
+]
+
+
+def parent_form_forward(layer, x):
+    """Conv forward as k np.matmul calls per output row, each after the
+    first added through a scratch row, then the bias; with one channel, one
+    np.matmul on the row's k windows stacked in (dc, dr) order."""
+    wt, bias = layer.params
+    oc, c, k, _ = wt.shape
+    p = layer.padding
+    xp = np.pad(x, ((p, p), (0, 0), (p, p), (0, 0)))
+    hp, _, wp, n = xp.shape
+    oh, ow = hp - k + 1, wp - k + 1
+    rows = xp.reshape(hp * c, wp * n)
+    out = np.empty((oh, oc, ow * n))
+    part = np.empty((oc, ow * n))
+    for i in range(oh):
+        wins = [rows[i * c:(i + k) * c, dc * n:(dc + ow) * n] for dc in range(k)]
+        mats = [wt[:, :, :, dc].transpose(0, 2, 1).reshape(oc, k * c) for dc in range(k)]
+        if c == 1:
+            wins, mats = [np.concatenate(wins)], [wt[:, 0].transpose(0, 2, 1).reshape(oc, k * k)]
+        np.matmul(mats[0], wins[0], out=out[i])
+        for mat, win in zip(mats[1:], wins[1:]):
+            out[i] += np.matmul(mat, win, out=part)
+        out[i] += bias[:, None]
+    return out.reshape(oh, oc, ow, n)
+
+
+class TestConvGemms:
+    """Conv GEMMs that add into their output do it inside numpy's OpenBLAS
+    (nn._gemm), or, without its dgemm symbol, through numpy."""
+
+    def passes(self, layer, x, grad_out):
+        out, cache = layer.forward(x)
+        gx, (gw, gb) = layer.backward(grad_out, cache)
+        return out, gx, gw, gb
+
+    def check_branches(self, monkeypatch, c, oc, k, pad, h, w, n, seed):
+        gen = rng.generator(38, seed)
+        layer = Conv2D(c, oc, k, padding=pad, init_gen=gen)
+        layer.params[1] = gen.standard_normal(oc)
+        x = gen.standard_normal((h, c, w, n))
+        _, oh, ow = layer.output_shape((c, h, w))
+        grad_out = gen.standard_normal((oh, oc, ow, n))
+        blas = self.passes(layer, x, grad_out)
+        monkeypatch.setattr(nn, "_DGEMM", None)
+        fallback = self.passes(layer, x, grad_out)
+        monkeypatch.undo()
+        assert blas[0].tobytes() == parent_form_forward(layer, x).tobytes()
+        # A one-channel input gradient has single-row GEMMs where only one
+        # kernel row reaches the input; numpy's fallback takes those to
+        # gemv, which sums in another order.
+        single_row = c == 1 and any(min(k, h + pad - i) - max(0, pad - i) == 1
+                                    for i in range(oh))
+        for name, got, want in zip(("out", "gx", "gw", "gb"), blas, fallback):
+            if name == "gx" and single_row:
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), name
+            else:
+                assert got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("c,oc,k,pad,h,w", NET_CONVS)
+    def test_blas_and_fallback_give_the_same_bits_on_the_nets(self, c, oc, k, pad, h, w,
+                                                              monkeypatch):
+        if nn._DGEMM is None:
+            pytest.skip("numpy bundles no OpenBLAS dgemm")
+        self.check_branches(monkeypatch, c, oc, k, pad, h, w, 64, oc + h)
+
+    @pytest.mark.parametrize("k,pad,h,w,c", [
+        pytest.param(*g.values, c, id=g.id + suffix)
+        for c, suffix in ((3, ""), (1, "-one-channel")) for g in CONV_GEOMETRIES])
+    def test_blas_and_fallback_give_the_same_bits_at_the_edges(self, k, pad, h, w, c,
+                                                               monkeypatch):
+        if nn._DGEMM is None:
+            pytest.skip("numpy bundles no OpenBLAS dgemm")
+        self.check_branches(monkeypatch, c, 4, k, pad, h, w, 2, k * 100 + pad * 10 + h)
+
+    @pytest.mark.parametrize("bad", ["float32", "transposed", "strided", "shapes", "out-shape"])
+    def test_gemm_refuses_operands_before_blas(self, bad, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nn, "_DGEMM", lambda *args: calls.append(args))
+        a, b, out = np.ones((3, 4)), np.ones((4, 5)), np.zeros((3, 5))
+        if bad == "float32":
+            b = b.astype(np.float32)
+        elif bad == "transposed":
+            b = np.ones((5, 4)).T
+        elif bad == "strided":
+            b = np.ones((4, 10))[:, ::2]
+        elif bad == "shapes":
+            a = np.ones((3, 2))
+        else:
+            out = np.zeros((5, 3))
+        with pytest.raises(ValueError):
+            nn._gemm(a, b, out, True)
+        assert calls == [] and not out.any()
+        nn._gemm(np.ones((3, 4)), np.ones((4, 5)), np.zeros((3, 5)), True)
+        assert len(calls) == 1
 
 
 class TestInvariants:
@@ -1077,10 +1203,11 @@ class TestWorkspace:
 
     def test_conv_holds_no_column_block(self):
         # cifar-quick's conv2 at batch 64, where one output row of im2col
-        # would be 6.6 MB. Forward holds its padded input and output, one
-        # output row of scratch and a copy of the weights. The weight
-        # gradient takes little more than itself, laid out two ways, and the
-        # input gradient adds the two (k, w) bands of one row's col2im.
+        # would be 6.6 MB. Forward holds its padded input and output and a
+        # copy of the weights, and no output row of scratch: BLAS adds each
+        # GEMM into the row. The weight gradient takes little more than
+        # itself, laid out two ways, and the input gradient little more than
+        # itself, since its GEMMs add into views of it.
         gen = rng.generator(36, 0)
         layer = Conv2D(32, 32, 5, padding=2, init_gen=gen)
         x = gen.standard_normal((16, 32, 16, 64))
@@ -1088,14 +1215,13 @@ class TestWorkspace:
         row = 32 * 16 * 64 * 8
         weights = layer.params[0].nbytes
         assert self.peak_above_live(lambda: layer.forward(x)) \
-            < padded + x.nbytes + 2 * row + weights
+            < padded + x.nbytes + row + weights
         out, cache = layer.forward(x)
         grad_out = gen.standard_normal(out.shape)
         assert self.peak_above_live(
             lambda: layer.backward(grad_out, cache, need_grad_in=False)) < row + 3 * weights
-        band = 32 * 5 * 16 * 64 * 8
         assert self.peak_above_live(lambda: layer.backward(grad_out, cache)) \
-            < x.nbytes + 2 * band + row + 3 * weights
+            < x.nbytes + row + 3 * weights
 
     def test_pool_backward_builds_one_group_of_scatter_index_at_a_time(self):
         # cifar-quick's pool1 at batch 64: a 16.8 MB input gradient. Besides
