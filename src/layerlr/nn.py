@@ -260,6 +260,8 @@ class Conv2D(Layer):
             yield [block.reshape(k * k * c, ow * n)]
 
     def forward(self, x, need_cache=True):
+        # The GEMMs take unit-stride rows: a strided or broadcast x is copied.
+        x = np.ascontiguousarray(x)
         h, c, w, n = x.shape
         oc, oh, ow = self.output_shape((c, h, w))
         k, p = self.kernel_size, self.padding
@@ -291,7 +293,7 @@ class Conv2D(Layer):
         h, w = hp - 2 * p, wp - 2 * p
         rows = x.reshape(hp * c, wp * n)
         oh, oc, ow = grad_out.shape[:3]
-        g = grad_out.reshape(oh, oc, ow * n)
+        g = np.ascontiguousarray(grad_out).reshape(oh, oc, ow * n)
         # The weight gradient, laid out as forward's wk, sums each output
         # row's gradient times that row's operands.
         groups = 1 if c == 1 else k

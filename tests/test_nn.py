@@ -501,6 +501,22 @@ class TestConvAndPoolOracles:
         assert np.allclose(gw, want_gw, rtol=0, atol=1e-12)
         assert np.allclose(gb, want_gb, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("pad", [0, 2])
+    def test_conv_takes_strided_and_broadcast_arrays(self, pad):
+        # Every other image of a batch, whose rows are not unit-stride, and
+        # a broadcast output gradient give the bits of their copies.
+        gen = rng.generator(39, pad)
+        layer = Conv2D(3, 4, 3, padding=pad, init_gen=gen)
+        x = batch_last(gen.standard_normal((4, 3, 8, 9)))[..., ::2]
+        out, cache = layer.forward(x)
+        want, want_cache = layer.forward(x.copy())
+        assert out.tobytes() == want.tobytes()
+        row = gen.standard_normal(out.shape[:3] + (1,))
+        gx, grads = layer.backward(np.broadcast_to(row, out.shape), cache)
+        want_gx, want_grads = layer.backward(np.repeat(row, out.shape[3], axis=3), want_cache)
+        for got, expected in zip([gx] + grads, [want_gx] + want_grads):
+            assert got.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("k,pad,h,w", CONV_GEOMETRIES)
     def test_one_channel_conv_of_one_image_matches_brute_force(self, k, pad, h, w):
         # One input channel makes each window k rows deep, and one image
