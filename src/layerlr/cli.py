@@ -67,7 +67,7 @@ def _cmd_table(args, extras) -> int:
     harness.check_writable(args.out)
     table = harness.repeat_runs(cfg, processes=args.processes)
     harness.emit_csv(table, args.out)
-    for row in table.sorted_rows():
+    for row in table.rows:
         print(f"{row.variant:>14}  iter {row.iteration:>7}  "
               f"{row.mean:.4f} +/- {row.std:.4f}  (n={row.n})")
     for variant, seed, message in table.aborted:
@@ -102,7 +102,7 @@ def _cmd_bench(args, extras) -> int:
     kinds = args.optimizers.split(",")
     # Every value is checked before any row is printed.
     for start in starts:
-        check_escape_trial(landscape, start, landscapes.DEFAULT_ESCAPE_RADIUS, args.max_iter)
+        check_escape_trial(landscape, start, args.max_iter)
     for lr, kind in itertools.product(lrs, kinds):
         _bench_optimizer(kind, lr)
     harness.check_writable(args.out)
@@ -156,22 +156,17 @@ def _cmd_gradcheck(args, extras) -> int:
 
 
 def _download(url: str, dest: str) -> bool:
-    """Fetch `url` to `dest` through `dest.part`, so that `dest` exists only
-    once the whole file has arrived."""
+    """Fetch `url` to `dest` with harness.write_file, so that `dest` exists
+    only once the whole file has arrived."""
     import urllib.request
-    part = dest + ".part"
     try:
         print(f"fetching {url}")
-        with urllib.request.urlopen(url, timeout=60) as resp, open(part, "wb") as f:
-            f.write(resp.read())
-        os.replace(part, dest)
+        with urllib.request.urlopen(url, timeout=60) as resp:
+            harness.write_file(dest, [resp.read()])
         return True
     except Exception as exc:  # noqa: BLE001 - report and fall through to mirrors
         print(f"  failed: {exc}", file=sys.stderr)
         return False
-    finally:
-        if os.path.isfile(part):  # not a directory in its place
-            os.remove(part)
 
 
 def _extract(tar, root):

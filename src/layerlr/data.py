@@ -162,8 +162,8 @@ def channel_mean_center(train: Dataset, test: Dataset):
 
     For uint8 pixels the means come from exact integer sums, so each is the
     exact mean correctly rounded. Means are always those of the stored
-    pixels, so centring twice is centring once. Returns (train, test,
-    means); means has shape (c,).
+    pixels, so centring twice is centring once. Returns (train, test),
+    each holding the means, of shape (c,).
     """
     pixels = train.pixels
     if pixels.dtype == np.uint8:
@@ -173,7 +173,7 @@ def channel_mean_center(train: Dataset, test: Dataset):
         means = sums / (PIXEL_MAX * (pixels.size // pixels.shape[1]))
     else:
         means = pixels.mean(axis=(0, 2, 3))
-    return replace(train, means=means), replace(test, means=means), means
+    return replace(train, means=means), replace(test, means=means)
 
 
 def synth_blobs(seed: int, n: int, classes: int, dim: int,

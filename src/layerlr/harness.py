@@ -36,6 +36,9 @@ BASELINE_T0 = {"lenet": 0.01, "cifar-quick": 0.001}
 # are uint64, so every seed lies in [0, 2**64) with the offset added.
 BLOBS_TEST_OFFSET = 0x7E57
 
+# Input shape (c, h, w) of each dataset; blobs' is (1, 1, blobs.dim).
+DATASET_SHAPES = {"blobs": None, "mnist": (1, 28, 28), "cifar10": (3, 32, 32)}
+
 
 def default_data_dir() -> str:
     return os.environ.get(DATA_DIR_ENV, "data")
@@ -121,9 +124,10 @@ class ExperimentConfig:
                               f"got {self.blobs_seed}")
         if any(ch in self.variant for ch in ',"\r\n'):
             raise ConfigError(f"variant must hold no comma, quote or line break: {self.variant!r}")
-        # The network spec and the optimizer fail before any data loads.
-        shape = {"blobs": (1, 1, self.blobs_dim), "mnist": (1, 28, 28),
-                 "cifar10": (3, 32, 32)}.get(self.dataset)
+        # The dataset, network spec and optimizer fail before any data loads.
+        if self.dataset not in DATASET_SHAPES:
+            raise ConfigError(f"unknown dataset {self.dataset!r}; options: {list(DATASET_SHAPES)}")
+        shape = DATASET_SHAPES[self.dataset] or (1, 1, self.blobs_dim)
         try:
             parse_arch(self.arch, self.arch_activation, self.loss, shape)
         except DimensionError as exc:
@@ -267,8 +271,6 @@ def load_datasets(cfg: ExperimentConfig):
             except ConfigError as exc:
                 raise ConfigError(f"generating {key}={n} blobs: {exc}") from None
         return tuple(splits)
-    if cfg.dataset not in ("mnist", "cifar10"):
-        raise ConfigError(f"unknown dataset {cfg.dataset!r}")
     mnist = cfg.dataset == "mnist"
     paths = mnist_paths(cfg.data_dir) if mnist else cifar10_paths(cfg.data_dir)
     files = paths.values() if mnist else paths["train"] + paths["test"]
@@ -281,9 +283,8 @@ def load_datasets(cfg: ExperimentConfig):
     if mnist:
         return (data_io.load_mnist_idx(paths["train_images"], paths["train_labels"]),
                 data_io.load_mnist_idx(paths["test_images"], paths["test_labels"]))
-    train, test, _ = data_io.channel_mean_center(data_io.load_cifar10_bin(paths["train"]),
-                                                 data_io.load_cifar10_bin(paths["test"]))
-    return train, test
+    return data_io.channel_mean_center(data_io.load_cifar10_bin(paths["train"]),
+                                       data_io.load_cifar10_bin(paths["test"]))
 
 
 def build_network(cfg: ExperimentConfig, train: data_io.Dataset, seed: int) -> Network:
@@ -303,12 +304,6 @@ class MetricsRecord:
     train_loss: float
     test_error_percent: float
     wall_ms: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.test_error_percent <= 100.0:
-            raise ValueError(
-                f"test_error_percent out of range: {self.test_error_percent}"
-            )
 
 
 def _targets_for(net: Network, labels, num_classes: int):
@@ -399,9 +394,6 @@ class SummaryTable:
     rows: list = field(default_factory=list)
     aborted: list = field(default_factory=list)  # (variant, seed, message)
 
-    def sorted_rows(self):
-        return sorted(self.rows, key=lambda r: (r.variant, r.iteration))
-
 
 def mean_std(values):
     """Mean and sample standard deviation (n-1 divisor; 0.0 when n == 1)."""
@@ -452,12 +444,12 @@ def pin_one_blas_thread() -> bool:
 
 def repeat_runs(cfg: ExperimentConfig, processes: int = None) -> SummaryTable:
     """Run every seed of `cfg` (distinct, as the config checks) and reduce
-    to a SummaryTable; results are ordered by seed regardless of execution
-    order. Aborted seeds are flagged and the summary covers the completed
-    ones. With `processes` > 1 (default: one per seed, up to the CPU count)
-    every seed runs in a spawned worker pinned to one BLAS thread; a script
-    that calls this at import time must then guard its entry point with
-    `if __name__ == "__main__":`."""
+    to a SummaryTable; the jobs go in seed order and pool.map returns their
+    results in job order. Aborted seeds are flagged and the summary covers
+    the completed ones. With `processes` > 1 (default: one per seed, up to
+    the CPU count) every seed runs in a spawned worker pinned to one BLAS
+    thread; a script that calls this at import time must then guard its
+    entry point with `if __name__ == "__main__":`."""
     if len(cfg.seeds) < 2:
         raise ConfigError(f"repeat_runs needs at least 2 seeds, got {cfg.seeds}")
     jobs = [(cfg, seed) for seed in sorted(cfg.seeds)]
@@ -471,7 +463,6 @@ def repeat_runs(cfg: ExperimentConfig, processes: int = None) -> SummaryTable:
             results = list(pool.map(_run_worker, jobs))
     else:
         results = [_run_worker(job) for job in jobs]
-    results.sort(key=lambda item: item[0])
     completed = [records for _, records, err in results if err is None]
     table = summarize_records(cfg.variant_label,
                               completed, metric=cfg.report_metric)
@@ -486,9 +477,9 @@ def repeat_runs(cfg: ExperimentConfig, processes: int = None) -> SummaryTable:
 
 def emit_csv(table: SummaryTable, path: str) -> None:
     """Write `variant,iteration,mean,std,n` rows, 6 significant digits,
-    sorted by (variant, iteration)."""
+    in the table's row order."""
     lines = ["variant,iteration,mean,std,n"]
-    for row in table.sorted_rows():
+    for row in table.rows:
         lines.append(f"{row.variant},{row.iteration},{row.mean:.6g},{row.std:.6g},{row.n}")
     write_csv(path, lines)
 
@@ -510,20 +501,24 @@ def check_writable(path: str) -> None:
         reason = "the file is not writable"
     else:
         return
-    raise DataError(f"cannot write CSV to {path}: {reason}")
+    raise DataError(f"cannot write {path}: {reason}")
 
 
 def write_csv(path: str, lines) -> None:
-    """Write CSV `lines` (header first) to `path`, newline-terminated,
-    through `path.part`, so that `path` exists only once the whole file
-    does; DataError if the file cannot be written."""
+    """write_file of CSV `lines` (header first), each newline-terminated."""
+    write_file(path, (f"{line}\n".encode() for line in lines))
+
+
+def write_file(path: str, chunks) -> None:
+    """Write the byte `chunks` to `path.part`, then rename it to `path`, so
+    that `path` exists only once the whole file does; DataError on failure."""
     part = path + ".part"
     try:
-        with open(part, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        with open(part, "wb") as f:
+            f.writelines(chunks)
         os.replace(part, path)
     except OSError as exc:
-        raise DataError(f"cannot write CSV to {path}: {exc}") from exc
+        raise DataError(f"cannot write {path}: {exc}") from exc
     finally:
         if os.path.isfile(part):  # not a directory in its place
             os.remove(part)

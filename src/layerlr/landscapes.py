@@ -4,7 +4,7 @@ Each landscape treats its variables as separate "layers" (one scalar
 tensor each) so the layer-wise learning-rate machinery applies unchanged.
 The quadratic saddle isolates escape along a low-curvature descent
 direction; the monkey saddle has zero curvature at its stationary point.
-Each defines an escape distance, so run_escape_trial runs on any of them.
+Each defines an escape distance, which run_escape_trial holds to ESCAPE_RADIUS.
 """
 
 import math
@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, NumericError
 from .optim import Optimizer
 
-DEFAULT_ESCAPE_RADIUS = 1.0
+ESCAPE_RADIUS = 1.0
 DEFAULT_MAX_ITER = 10 ** 6
 
 
@@ -82,25 +82,20 @@ LANDSCAPE_KINDS = {
 }
 
 
-def check_escape_trial(landscape: Landscape, start, escape_radius: float,
-                       max_iter: int):
-    """Raise ConfigError unless an escape trial can run: a positive finite
-    radius, max_iter >= 1 and `start` within the radius of the saddle."""
-    # Written so that NaN fails each check.
-    if not 0 < escape_radius < math.inf:
-        raise ConfigError(f"escape radius must be positive and finite, got {escape_radius}")
+def check_escape_trial(landscape: Landscape, start, max_iter: int):
+    """Raise ConfigError unless an escape trial can run: max_iter >= 1 and
+    `start` within ESCAPE_RADIUS of the saddle, which a NaN distance is not."""
     if max_iter < 1:
         raise ConfigError(f"max_iter must be >= 1, got {max_iter}")
-    if not landscape.escape_distance(start) <= escape_radius:
+    if not landscape.escape_distance(start) <= ESCAPE_RADIUS:
         raise ConfigError(f"start {list(start)} does not lie within escape radius "
-                          f"{escape_radius} of the saddle")
+                          f"{ESCAPE_RADIUS} of the saddle")
 
 
 def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
-                     escape_radius: float = DEFAULT_ESCAPE_RADIUS,
                      max_iter: int = DEFAULT_MAX_ITER) -> int:
-    """Iterations until the iterate leaves `escape_radius` along the
-    landscape's descent coordinate; returns max_iter if it never does.
+    """Iterations until the iterate's escape distance exceeds ESCAPE_RADIUS;
+    returns max_iter if it never does.
 
     Each iteration is one opt.descend, so the optimizer owns its state and
     the point the gradient is taken at. A non-finite iterate or gradient
@@ -108,7 +103,7 @@ def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
     the last 10 iterates; a step's abort keeps its (li, norm) row as `layer_norms`.
     """
     params = landscape.make_params(start)
-    check_escape_trial(landscape, start, escape_radius, max_iter)
+    check_escape_trial(landscape, start, max_iter)
 
     def value_grad():
         value, grads = landscape.value_grad([group[0].item() for group in params])
@@ -126,6 +121,6 @@ def run_escape_trial(opt: Optimizer, landscape: Landscape, start,
         if not all(map(math.isfinite, point)):
             raise NumericError(f"{landscape.kind} trial diverged at iteration {opt.k - 1}; "
                                f"trailing iterates: {list(trail)}", iteration=opt.k - 1)
-        if landscape.escape_distance(point) > escape_radius:
+        if landscape.escape_distance(point) > ESCAPE_RADIUS:
             return k
     return max_iter

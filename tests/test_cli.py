@@ -383,22 +383,36 @@ class TestExitCodes:
         argv = command + ["--out", str(out), "--seeds=0,1"] + BLOBS_ARGS
         assert cli.main(argv) == cli.EXIT_DATA
         err = capsys.readouterr().err
-        assert err.startswith("data error: cannot write CSV to ")
+        assert err.startswith(f"data error: cannot write {out}: no directory ")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [["train"], ["table", "--processes", "1"]])
     def test_directory_at_the_part_name_fails_before_training(self, command, tmp_path, capsys,
                                                               monkeypatch):
-        # write_csv writes r.csv.part first: a directory there is refused
+        # write_file writes r.csv.part first: a directory there is refused
         # before the run, not after it.
         monkeypatch.setattr(harness, "run_experiment", _no_run)
         (tmp_path / "r.csv.part").mkdir()
         out = tmp_path / "r.csv"
         assert cli.main(command + ["--out", str(out), "--seeds=0,1"] + BLOBS_ARGS) == cli.EXIT_DATA
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"data error: cannot write CSV to {out}: ")
+        assert line.startswith(f"data error: cannot write {out}: ")
         assert "r.csv.part" in line
         assert not out.exists()
+
+    def test_unknown_dataset_fails_before_any_worker_starts(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("worker pool started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "run_experiment", _no_run)
+        out = tmp_path / "s.csv"
+        argv = ["table", "--dataset=foo", "--seeds=0,1", "--processes", "2", "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: unknown dataset 'foo'; options: ")
+        assert list(tmp_path.iterdir()) == []
 
 
 def _cifar_archive(root, members):
@@ -652,6 +666,19 @@ class TestSubcommands:
         assert lines[0] == "variant,iteration,mean,std,n"
         assert lines[1].startswith("sgd,20,")
         assert lines[1].endswith(",2")
+
+    def test_table_rows_follow_iteration_order(self, tmp_path, capsys):
+        # Checkpoints listed as 20,10 still give iteration 10's row first,
+        # in the CSV and on stdout.
+        out = tmp_path / "summary.csv"
+        code = cli.main(["table", "--out", str(out), "--processes", "1", "--seeds=0,1",
+                         "--checkpoints=20,10"] + BLOBS_ARGS)
+        assert code == cli.EXIT_OK
+        assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == \
+            [["sgd", "10"], ["sgd", "20"]]
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split()[:3] for line in printed[:2]] == [["sgd", "iter", "10"],
+                                                               ["sgd", "iter", "20"]]
 
     def test_config_file_plus_override(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

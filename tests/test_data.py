@@ -221,7 +221,9 @@ class TestCifar10Bin:
         train = load_cifar10_bin([p])
         test = load_cifar10_bin([q])
         orig_test = test.images.copy()
-        train_c, test_c, means = channel_mean_center(train, test)
+        train_c, test_c = channel_mean_center(train, test)
+        means = train_c.means
+        assert test_c.means is means
         assert np.allclose(train_c.images.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
         # test split shifted by the train means, not its own
         assert np.allclose(test_c.images, orig_test - means[None, :, None, None])
@@ -366,10 +368,10 @@ class TestDecode:
         p, q = tmp_path / "data_batch_1.bin", tmp_path / "test_batch.bin"
         TestCifar10Bin().make_file(p, n=11)
         TestCifar10Bin().make_file(q, n=6)
-        train, test, means = channel_mean_center(load_cifar10_bin([p]), load_cifar10_bin([q]))
+        train, test = channel_mean_center(load_cifar10_bin([p]), load_cifar10_bin([q]))
         for ds in (train, test):
             assert ds.pixels.dtype == np.uint8
-            ref = ds.pixels / 255.0 - means[None, :, None, None]
+            ref = ds.pixels / 255.0 - train.means[None, :, None, None]
             self.assert_same_batches(ds, ref, 4)
 
     def test_equal_seeds_identical_sequences_on_stored_bytes(self, tmp_path):
@@ -385,7 +387,7 @@ class TestDecode:
         gen = rng.generator(2, 0x3EA7)
         pixels = gen.integers(0, 256, size=(500, 3, 32, 32)).astype(np.uint8)
         ds = Dataset(pixels, np.zeros(500, dtype=np.int64), 10)
-        _, _, means = channel_mean_center(ds, ds)
+        means = channel_mean_center(ds, ds)[0].means
         count = pixels.size // 3
         for c in range(3):
             exact = Fraction(int(pixels[:, c].sum(dtype=np.int64)), 255 * count)
@@ -400,7 +402,7 @@ class TestDecode:
         h, w = 257, 65537
         pixels = np.broadcast_to(np.uint8(255), (2, 1, h, w))
         ds = Dataset(pixels, np.zeros(2, dtype=np.int64), 10)
-        _, _, means = channel_mean_center(ds, ds)
+        means = channel_mean_center(ds, ds)[0].means
         total = sum(255 * h * w for _ in range(2))
         assert total > 2 ** 32
         assert means[0] == total / (255 * 2 * h * w) == 1.0
@@ -409,9 +411,9 @@ class TestDecode:
         p = tmp_path / "data_batch_1.bin"
         TestCifar10Bin().make_file(p, n=5)
         ds = load_cifar10_bin([p])
-        once, _, m1 = channel_mean_center(ds, ds)
-        twice, _, m2 = channel_mean_center(once, once)
-        assert np.array_equal(m1, m2)
+        once, _ = channel_mean_center(ds, ds)
+        twice, _ = channel_mean_center(once, once)
+        assert np.array_equal(once.means, twice.means)
         assert np.array_equal(bits(once.images), bits(twice.images))
 
 

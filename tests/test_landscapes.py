@@ -105,7 +105,7 @@ class TestEscapeTrials:
         for t in (0.1, 0.01):
             for y0 in (1e-1, 1e-2, 1e-3, 1e-4):
                 iters = run_escape_trial(SGD(t), QuadraticSaddle(), [0.0, y0],
-                                         escape_radius=1.0, max_iter=10 ** 5)
+                                         max_iter=10 ** 5)
                 assert iters == closed_form_escape(y0, t)
 
     def test_layerwise_escapes_no_slower_and_strictly_faster_when_small(self):
@@ -130,15 +130,14 @@ class TestEscapeTrials:
 
     def test_start_outside_radius_rejected(self):
         with pytest.raises(ValueError):
-            run_escape_trial(SGD(0.1), QuadraticSaddle(), [0.0, 2.0], escape_radius=1.0)
+            run_escape_trial(SGD(0.1), QuadraticSaddle(), [0.0, 2.0])
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_divergence_raises_numeric_error_with_trail(self):
         chain = DeepLinearChain(2)
-        chain.escape_distance = lambda point: abs(point[0])  # force long runs
+        chain.escape_distance = lambda point: 0.0  # never escapes: force long runs
         with pytest.raises(NumericError) as err:
-            run_escape_trial(SGD(10.0), chain, [0.9, 0.9],
-                             escape_radius=1e300, max_iter=10 ** 4)
+            run_escape_trial(SGD(10.0), chain, [0.9, 0.9], max_iter=10 ** 4)
         assert "diverged" in str(err.value)
         assert "trailing iterates: [[" in str(err.value)
         # The gradient abort keeps the optimizer's norm row, not the iterates.
