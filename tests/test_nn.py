@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerlr import nn, rng
 from layerlr.errors import DimensionError, NumericError, UsageError
@@ -804,6 +806,123 @@ class TestConvAndPoolOracles:
         result = gradient_check(net, x, targets)
         assert result.checked == 38
         assert result.max_rel_err < 1e-5
+
+
+def window_conv(x, w, b, pad, grad_out):
+    """Output, and input, weight and bias gradients, of a zero-padded conv
+    on (N, C, H, W) arrays, one output position (r, q) at a time."""
+    k = w.shape[2]
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    out = np.empty(grad_out.shape)
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for r in range(out.shape[2]):
+        for q in range(out.shape[3]):
+            patch = xp[:, :, r:r + k, q:q + k]
+            out[:, :, r, q] = np.tensordot(patch, w, axes=([1, 2, 3], [1, 2, 3])) + b
+            gxp[:, :, r:r + k, q:q + k] += np.tensordot(grad_out[:, :, r, q], w, axes=(1, 0))
+            gw += np.tensordot(grad_out[:, :, r, q], patch, axes=(0, 0))
+    return out, gxp[:, :, pad:xp.shape[2] - pad, pad:xp.shape[3] - pad], gw, \
+        grad_out.sum(axis=(0, 2, 3))
+
+
+def window_pool(x, k, s, grad_out=None):
+    """Max-pool output and first-maximum input gradient on (N, C, H, W)
+    arrays: a window starts every s elements, up to the first one that
+    reaches the input's end, and is clipped to the input."""
+    n, c, h, w = x.shape
+    rows = [r for r in range(0, h, s) if r == 0 or r - s + k < h]
+    cols = [q for q in range(0, w, s) if q == 0 or q - s + k < w]
+    out = np.empty((n, c, len(rows), len(cols)))
+    gx = np.zeros_like(x)
+    for i in range(n):
+        for ch in range(c):
+            for a, r in enumerate(rows):
+                for e, q in enumerate(cols):
+                    patch = x[i, ch, r:r + k, q:q + k]
+                    out[i, ch, a, e] = patch.max()
+                    if grad_out is not None:
+                        pr, pq = np.unravel_index(np.argmax(patch), patch.shape)
+                        gx[i, ch, r + pr, q + pq] += grad_out[i, ch, a, e]
+    return out, gx
+
+
+@st.composite
+def conv_cases(draw):
+    """(c, oc, k, pad, h, w, batch, seed) of a conv with an output."""
+    k = draw(st.integers(1, 5))
+    pad = draw(st.integers(0, k))
+    h, w = (draw(st.integers(max(1, k - 2 * pad), 9)) for _ in range(2))
+    return (draw(st.integers(1, 4)), draw(st.integers(1, 5)), k, pad, h, w,
+            draw(st.integers(1, 3)), draw(st.integers(0, 2 ** 32 - 1)))
+
+
+class TestLayerProperties:
+    """Conv, max-pool and Dense on random geometries against loops that
+    follow each layer's definition, one window or one output at a time."""
+
+    @given(case=conv_cases())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_conv_matches_its_definition_on_both_gemm_branches(self, case):
+        c, oc, k, pad, h, w, n, seed = case
+        gen = rng.generator(42, seed)
+        layer = Conv2D(c, oc, k, padding=pad, init_gen=gen)
+        layer.params[1] = gen.standard_normal(oc)
+        x = gen.standard_normal((n, c, h, w))
+        grad_out = gen.standard_normal((n,) + layer.output_shape((c, h, w)))
+        want = window_conv(x, *layer.params, pad, grad_out)
+        for dgemm in (nn._DGEMM, None):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(nn, "_DGEMM", dgemm)
+                out, cache = layer.forward(batch_last(x))
+                gx, (gw, gb) = layer.backward(batch_last(grad_out), cache)
+            for got, expected in zip((batch_first(out), batch_first(gx), gw, gb), want):
+                assert np.allclose(got, expected, rtol=0, atol=1e-11)
+
+    @given(k=st.integers(1, 4), s=st.integers(1, 4), h=st.integers(1, 12),
+           w=st.integers(1, 12), c=st.integers(1, 3), n=st.integers(1, 3),
+           budget=st.integers(3, 20), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_pool_matches_its_definition_bitwise(self, k, s, h, w, c, n, budget, seed):
+        # Group budgets of 2**3 B (one output row per group) to 2**20 B
+        # (1 MiB), and inputs rounded to halves, so windows tie.
+        gen = rng.generator(43, seed)
+        layer = MaxPool2D(k, s)
+        x = np.round(gen.standard_normal((n, c, h, w)) * 2) / 2
+        grad_out = gen.standard_normal((n,) + layer.output_shape((c, h, w)))
+        want_out, want_gx = window_pool(x, k, s, grad_out)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "POOL_GROUP_BYTES", 1 << budget)
+            out, cache = layer.forward(batch_last(x))
+            gx, _ = layer.backward(batch_last(grad_out), cache)
+        assert batch_first(out).tobytes() == np.ascontiguousarray(want_out).tobytes()
+        assert np.ascontiguousarray(batch_first(gx)).tobytes() == want_gx.tobytes()
+
+    @given(n=st.integers(1, 4), shape=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           out_features=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_dense_matches_its_definition(self, n, shape, out_features, seed):
+        gen = rng.generator(44, seed)
+        features = int(np.prod(shape))
+        layer = Dense(features, out_features, init_gen=gen)
+        wt = layer.params[0]
+        bias = layer.params[1] = gen.standard_normal(out_features)
+        x = gen.standard_normal((n, *shape))
+        grad_out = gen.standard_normal((n, out_features))
+        flat = x.reshape(n, features)
+        want_out = np.empty((n, out_features))
+        want_gx, want_gw = np.zeros((n, features)), np.zeros_like(wt)
+        for i in range(n):
+            for o in range(out_features):
+                want_out[i, o] = sum(flat[i, f] * wt[f, o] for f in range(features)) + bias[o]
+                for f in range(features):
+                    want_gx[i, f] += grad_out[i, o] * wt[f, o]
+                    want_gw[f, o] += grad_out[i, o] * flat[i, f]
+        out, cache = layer.forward(x)
+        gx, (gw, gb) = layer.backward(grad_out, cache)
+        assert gx.shape == x.shape
+        for got, expected in zip((out, gx.reshape(n, features), gw, gb),
+                                 (want_out, want_gx, want_gw, grad_out.sum(axis=0))):
+            assert np.allclose(got, expected, rtol=0, atol=1e-11)
 
 
 # (c, oc, k, pad, h, w) of every conv in lenet and cifar-quick.
