@@ -3,14 +3,12 @@
 Forward passes return an explicit cache object, and layers keep no arrays
 from one call to the next, so a cache stays valid whatever passes run after
 it, until backward consumes it and frees each layer's arrays as it goes.
-All math is float64. A convolution reads each window of its padded input as
-a 2-D view and sums k BLAS GEMMs per output row, in forward and for the
-weight gradient, so no layer forms an im2col matrix, except that a conv
-with one input channel copies a row's k windows into one block and makes
-one GEMM per output row, whose inner dimension would otherwise be only k.
-Its input gradient sums k GEMMs per output row too, on views of the output
-and input gradients. A GEMM that adds into its output does so inside numpy's
-bundled OpenBLAS (dgemm with beta = 1, called through ctypes).
+All math is float64. A convolution sums k GEMMs per output row, in forward
+and both gradients, each on a window read in place at an address worked
+out once per layer call, so no layer forms an im2col matrix; with one
+input channel a row's k windows are copied into one block for one GEMM.
+Each is one call of numpy's bundled OpenBLAS dgemm through ctypes, and
+one that adds into its output does so inside BLAS (beta = 1).
 Max-pool works on a group of output rows at a time (POOL_GROUP_BYTES), so
 its strided passes run in cache and its backward's scatter index covers
 one group.
@@ -78,38 +76,53 @@ if _DGEMM is not None:
     _DGEMM.restype = None
 
 
-def _row_stride(m):
-    """The row stride, in elements, of a 2-D float64 matrix whose rows are
-    unit-stride runs, as BLAS takes it; raises ValueError for any other."""
-    rows, cols = m.shape
-    step, unit = m.strides
-    if m.dtype != np.float64 or not m.flags.aligned or (cols > 1 and unit != 8) \
-            or (rows > 1 and (step % 8 or step < 8 * cols)):
-        raise ValueError(f"GEMM takes aligned float64 matrices with unit-stride rows, "
-                         f"got {m.dtype} of shape {m.shape} and strides {m.strides}")
-    return step // 8 if rows > 1 else max(cols, 1)
+def _gemms(a, b, c, entries, trans_b=False, before=None):
+    """Make a table of GEMMs on C-contiguous float64 arrays. `entries` are
+    its columns (ia, ib, ic, m, n, k, lda, ldb, ldc, beta), broadcast to one
+    shape whose last axis holds a row's entries. An entry sets the m x n
+    matrix at element ic of c, rows ldc apart, to beta times itself plus the
+    m x k one at ia of a times the k x n one at ib of b (with trans_b, the
+    n x k one there, transposed). Per row i: before(i) if given, the row's
+    products in order, then yield i. All extents are checked before the
+    first product; each is then one dgemm call on base address plus offset
+    (beta = 1 adds inside BLAS), but np.matmul writes one of one row or
+    column, which it takes to gemv. Without the symbol all are np.matmul or
+    `+= @` on views: the same bits while a product has two rows and two
+    columns and k fits one OpenBLAS block (384 on AVX-512 x86-64), as in
+    every conv of lenet and cifar-quick."""
+    if any(x.dtype != np.float64 or not x.flags.c_contiguous for x in (a, b, c)) \
+            or not c.flags.writeable:
+        raise ValueError("GEMMs take C-contiguous float64 arrays and a writeable output")
+    table = np.empty(np.broadcast(*entries).shape + (10,), np.int64)
+    for column, values in enumerate(entries):
+        table[..., column] = values
+    # Offset, rows, columns and row stride of each operand, as a, b and c.
+    at, rows, cols, ld = table.reshape(-1, 10)[:, [
+        [0, 3, 5, 6], [1, 4, 5, 7] if trans_b else [1, 5, 4, 7], [2, 3, 4, 8]]].transpose(2, 0, 1)
+    if not ((at >= 0) & (rows > 0) & (cols > 0) & (ld >= cols)
+            & (at + (rows - 1) * ld + cols <= (a.size, b.size, c.size))).all():
+        raise ValueError("a GEMM reaches outside its arrays")
+    trans = 112 if trans_b else 111
+    pa, pb, pc = (x.ctypes.data for x in (a, b, c))
 
-
-def _gemm(a, b, out, accumulate):
-    """out = a @ b, or out += a @ b with `accumulate`, on 2-D float64 views
-    with unit-stride rows. Adding calls numpy's OpenBLAS dgemm with beta = 1,
-    which adds the product in its kernel, with no second pass over `out`;
-    writing is np.matmul, which calls that dgemm. Without the symbol, adding
-    is `out += a @ b`: the same bits while the product has two rows and two
-    columns (numpy takes a single one to gemv) and k fits one OpenBLAS block
-    (384 on AVX-512 x86-64), as in every conv of lenet and cifar-quick."""
-    lda, ldb, ldc = _row_stride(a), _row_stride(b), _row_stride(out)
-    (m, k), (kb, n) = a.shape, b.shape
-    if kb != k or out.shape != (m, n) or not out.flags.writeable:
-        raise ValueError(f"GEMM shapes do not agree: {a.shape} @ {b.shape} into {out.shape}")
-    if not accumulate:
-        np.matmul(a, b, out=out)
-    elif _DGEMM is None:
-        out += a @ b
-    else:
-        # Row-major, neither operand transposed (CBLAS 101, 111, 111).
-        _DGEMM(101, 111, 111, m, n, k, 1.0, a.ctypes.data, lda, b.ctypes.data, ldb,
-               1.0, out.ctypes.data, ldc)
+    def view(x, at, rows, cols, ld):
+        return np.ndarray((rows, cols), np.float64, x, 8 * at, (8 * ld, 8))
+    for i, row in enumerate(table.reshape(-1, table.shape[-2], 10).tolist()):
+        if before is not None:
+            before(i)
+        for ia, ib, ic, m, n, k, lda, ldb, ldc, beta in row:
+            if _DGEMM is not None and (beta or min(m, n) > 1):
+                # Row-major, a as it is, b as it is or transposed (CBLAS 101, 111, trans).
+                _DGEMM(101, 111, trans, m, n, k, 1.0, pa + 8 * ia, lda, pb + 8 * ib, ldb,
+                       beta, pc + 8 * ic, ldc)
+                continue
+            op = view(b, ib, n, k, ldb).T if trans_b else view(b, ib, k, n, ldb)
+            out = view(c, ic, m, n, ldc)
+            if beta:
+                out += view(a, ia, m, k, lda) @ op
+            else:
+                np.matmul(view(a, ia, m, k, lda), op, out=out)
+        yield i
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +214,15 @@ class Dense(Layer):
 
 class Conv2D(Layer):
     """2-D convolution (cross-correlation) with zero padding; (H, C, W, N) in
-    and out. The forward cache is the padded input xp, of shape
-    (hp, c, wp, n). Seen as rows = xp.reshape(hp*c, wp*n), the window of
-    output row i and kernel column dc is rows[i*c:(i+k)*c, dc*n:(dc+ow)*n],
-    a (k*c, ow*n) view whose rows run (dr, c): forward and the weight
-    gradient read every window in place, and no im2col is formed. With one
-    input channel those GEMMs would have an inner dimension of k, so each
-    output row's k windows are copied into one (k*k, ow*n) block, reused
-    from row to row, for one GEMM (about 300 KB for LeNet's conv1). The
-    input gradient adds one GEMM per output row and kernel column from a
-    view of the output gradient into a view of itself, inside BLAS."""
+    and out. The forward cache is the padded input xp, (hp, c, wp, n). Seen
+    as rows = xp.reshape(hp*c, wp*n), the window of output row i and kernel
+    column dc is rows[i*c:(i+k)*c, dc*n:(dc+ow)*n], (k*c, ow*n) with rows
+    in (dr, c) order: forward and the weight gradient hand _gemms its
+    offset, and no im2col is formed. With one input channel those GEMMs
+    would have an inner dimension of k, so a row's k windows are copied
+    into one (k*k, ow*n) block, reused from row to row (about 300 KB for
+    LeNet's conv1). The input gradient adds one GEMM per output row and
+    kernel column from the output gradient into itself, inside BLAS."""
 
     kind = "convolution-2d"
     batch_last = True
@@ -240,27 +252,19 @@ class Conv2D(Layer):
             )
         return (self.out_channels, oh, ow)
 
-    def _row_operands(self, rows, c, n, ow):
-        """For each output row, the right-hand operands of its GEMMs: the k
-        (k*c, ow*n) windows as views of `rows`, one per kernel column, or,
-        with one input channel (c == 1), those windows copied into one
-        (k*k*c, ow*n) block, its rows in (dc, dr, c) order. The block is
-        reused from row to row, so each must be used before the next is
-        drawn."""
-        k = self.kernel_size
-        block = np.empty((k, k * c, ow * n)) if c == 1 else None
-        for i in range(rows.shape[0] // c - k + 1):
-            win = rows[i * c:(i + k) * c]
-            cols = [win[:, dc * n:(dc + ow) * n] for dc in range(k)]
-            if block is None:
-                yield cols
-                continue
-            for dc, col in enumerate(cols):
-                block[dc] = col
-            yield [block.reshape(k * k * c, ow * n)]
+    def _windows(self, x, oh, ow):
+        """(base, ib, ldb, before) for _gemms of the b operand of output row
+        i's GEMM j, a window of the padded input x or, with one channel, the
+        block into which before(i) copies row i's k windows."""
+        (hp, c, wp, n), k = x.shape, self.kernel_size
+        if c > 1:
+            return x, np.arange(oh)[:, None] * (c * wp * n) + np.arange(k) * n, wp * n, None
+        block = np.empty((k, k, ow * n))
+        wins = np.ndarray((oh, k, k, ow * n), np.float64, x, 0, (8 * wp * n, 8 * n, 8 * wp * n, 8))
+        return block, np.zeros((oh, 1), np.int64), ow * n, lambda i: np.copyto(block, wins[i])
 
     def forward(self, x, need_cache=True):
-        # The GEMMs take unit-stride rows: a strided or broadcast x is copied.
+        # The GEMMs take C-contiguous bases: a strided or broadcast x is copied.
         x = np.ascontiguousarray(x)
         h, c, w, n = x.shape
         oc, oh, ow = self.output_shape((c, h, w))
@@ -269,63 +273,59 @@ class Conv2D(Layer):
             xp = np.zeros((h + 2 * p, c, w + 2 * p, n))
             xp[p:p + h, :, p:p + w] = x
             x = xp
-        rows = x.reshape(-1, x.shape[2] * n)
-        # wk[j] holds operand j's kernel columns as an (oc, k*k*c/groups)
-        # matrix, its columns in the operand's (dc, dr, c) row order: kernel
-        # column j, or, with one channel, all of them. Output row i,
-        # (oc, ow*n), is the sum of its GEMMs, each after the first added
-        # inside BLAS, plus the bias, added while the row is still in cache.
+        # wk[j], (oc, kc), holds kernel column j's weights, or with one
+        # channel all of them, its columns in the b operand's row order.
+        # Output row i, (oc, ow*n), is the sum of its GEMMs, each after the
+        # first added inside BLAS, plus the bias, added while it is in cache.
         groups = 1 if c == 1 else k
+        kc = k * k * c // groups
         wk = self.params[0].reshape(oc, c, k, groups, -1).transpose(3, 0, 4, 2, 1)
-        wk = wk.reshape(groups, oc, -1)
-        b = self.params[1][:, None]
+        wk = wk.reshape(groups, oc, kc)
+        src, ib, ldb, before = self._windows(x, oh, ow)
+        i, j = np.arange(oh)[:, None], np.arange(groups)
         out = np.empty((oh, oc, ow * n))
-        for i, ops in enumerate(self._row_operands(rows, c, n, ow)):
-            for j, op in enumerate(ops):
-                _gemm(wk[j], op, out[i], j > 0)
-            out[i] += b
+        for r in _gemms(wk, src, out, (j * (oc * kc), ib, i * (oc * ow * n), oc, ow * n, kc, kc,
+                                       ldb, ow * n, j > 0), before=before):
+            out[r] += self.params[1][:, None]
         return out.reshape(oh, oc, ow, n), x
 
     def backward(self, grad_out, cache, need_grad_in=True):
-        x = cache
         k, p = self.kernel_size, self.padding
-        hp, c, wp, n = x.shape
+        hp, c, wp, n = cache.shape
         h, w = hp - 2 * p, wp - 2 * p
-        rows = x.reshape(hp * c, wp * n)
         oh, oc, ow = grad_out.shape[:3]
         g = np.ascontiguousarray(grad_out).reshape(oh, oc, ow * n)
         # The weight gradient, laid out as forward's wk, sums each output
-        # row's gradient times that row's operands.
+        # row's gradient times that row's operands, transposed: each product
+        # is written into `part`, then added into its gw[j], in row order.
         groups = 1 if c == 1 else k
-        gw = np.zeros((groups, oc, k * k * c // groups))
-        for i, ops in enumerate(self._row_operands(rows, c, n, ow)):
-            for j, op in enumerate(ops):
-                gw[j] += np.matmul(g[i], op.T)
+        kc = k * k * c // groups
+        gw, part = np.zeros((groups, oc, kc)), np.empty((oc, kc))
+        src, ib, ldb, before = self._windows(cache, oh, ow)
+        i = np.arange(oh)[:, None, None]
+        for r in _gemms(g, src, part, (i * (oc * ow * n), ib[..., None], 0, oc, kc, ow * n,
+                                       ow * n, ldb, kc, 0), trans_b=True, before=before):
+            gw[r % groups] += part
         grad_w = gw.reshape(groups, oc, -1, k, c).transpose(1, 4, 3, 0, 2)
         grad_w = np.ascontiguousarray(grad_w).reshape(oc, c, k, k)
         grad_b = g.sum(axis=(0, 2))
         if not need_grad_in:
             return None, [grad_w, grad_b]
-        # The input gradient, one GEMM per output row i and kernel column dc:
-        # kernel column dc's weights as (k*c, oc), rows in (dr, c) order,
-        # times the output columns j of row i's gradient whose input column
-        # j + dc - p is inside the input, added inside BLAS into the block
-        # of input rows i + dr - p and those columns, a view of gx.
+        # The input gradient, one GEMM per output row i and kernel column dc
+        # that reach the input: kernel rows d0..d1 of column dc's weights,
+        # (k*c, oc) in (dr, c) order, times the output columns lo..hi of row
+        # i's gradient, whose input columns j + dc - p lie inside the input,
+        # added into input rows i + dr - p and those columns of gx.
         wdc = np.ascontiguousarray(self.params[0].transpose(3, 2, 1, 0)).reshape(k, k * c, oc)
-        reach = []
-        for dc in range(k):
-            lo, hi = max(0, p - dc), min(ow, w + p - dc)
-            if lo < hi:
-                reach.append((wdc[dc], slice(lo * n, hi * n),
-                              slice((lo + dc - p) * n, (hi + dc - p) * n)))
+        i, dc = np.arange(oh)[:, None], np.arange(k)
+        i, dc = np.nonzero((p - k < i) & (i < h + p) & (p - ow < dc) & (dc < w + p))
+        d0, d1 = np.maximum(0, p - i), np.minimum(k, h + p - i)
+        lo, hi = np.maximum(0, p - dc), np.minimum(ow, w + p - dc)
         gx = np.zeros((h, c, w, n))
-        gx_rows = gx.reshape(h * c, w * n)
-        for i in range(oh):
-            d0, d1 = max(0, p - i), min(k, h + p - i)
-            if d0 < d1:
-                dst = gx_rows[(i - p + d0) * c:(i - p + d1) * c]
-                for wt, src, cols in reach:
-                    _gemm(wt[d0 * c:d1 * c], g[i][:, src], dst[:, cols], True)
+        for _ in _gemms(wdc, g, gx, ((dc * k + d0) * c * oc, (i * oc * ow + lo) * n,
+                                     ((i - p + d0) * c * w + lo + dc - p) * n, (d1 - d0) * c,
+                                     (hi - lo) * n, oc, oc, ow * n, w * n, 1)):
+            pass
         return gx, [grad_w, grad_b]
 
 

@@ -14,7 +14,11 @@ class DeepLinearChain(Landscape):
     """f(w_1..w_d) = (w_1*...*w_d - 1)^2 / 2, each w_i its own layer.
 
     With |w_i| < 1 the per-layer gradients shrink multiplicatively with
-    depth, modeling vanishing gradients. It has no saddle to escape, so it
+    depth, modeling vanishing gradients. The origin is a saddle: a strict
+    one at d = 2, where the Hessian's eigenvalues are +1 and -1, and from
+    d = 3 on a degenerate one of order d, where the Hessian vanishes and f
+    falls from 1/2 as -w_1*...*w_d. A start with every w_i = u0 small sits
+    near it. The tests take only its gradients and long runs from it, so it
     defines no escape distance.
     """
 

@@ -543,57 +543,66 @@ class TestConvAndPoolOracles:
         for c, suffix in ((3, ""), (1, "-one-channel")) for g in CONV_GEOMETRIES])
     def test_conv_reads_every_window_in_place(self, k, pad, h, w, c, monkeypatch):
         # With c >= 2, forward and the weight gradient make k GEMMs per
-        # output row, each on a (k*c, ow*n) window that is a view of the
-        # cached padded input. With one channel they make one GEMM per
+        # output row, each on a (k*c, ow*n) window of the cached padded
+        # input, read in place. With one channel they make one GEMM per
         # output row each, on the row's k windows copied into one
         # (k*k, ow*n) block, one buffer for every row of a pass. The input
         # gradient adds one GEMM per output row and kernel column that
-        # reaches the input, from a view of grad_out into a view of gx.
+        # reaches the input, from grad_out into gx.
         gen = rng.generator(26, k * 1000 + 100 + pad * 10 + h)
         layer = Conv2D(c, 4, k, padding=pad, init_gen=gen)
         x = batch_last(gen.standard_normal((2, c, h, w)))
         _, oh, ow = layer.output_shape((c, h, w))
-        gemms, matmuls = [], []
-        gemm, matmul = nn._gemm, np.matmul
+        calls = []
+        gemms = nn._gemms
 
-        def recording_gemm(a, b, out, accumulate):
-            gemms.append((b, out, accumulate))
-            return gemm(a, b, out, accumulate)
+        def recording_gemms(a, b, out, entries, trans_b=False, before=None):
+            table = np.stack(np.broadcast_arrays(*entries), axis=-1).reshape(-1, 10)
+            calls.append((b, out, table, trans_b))
+            return gemms(a, b, out, entries, trans_b, before)
 
-        def recording_matmul(a, b, **kwargs):
-            matmuls.append(b)
-            return matmul(a, b, **kwargs)
-
-        monkeypatch.setattr(nn, "_gemm", recording_gemm)
+        monkeypatch.setattr(nn, "_gemms", recording_gemms)
         out, cache = layer.forward(x)
-        forward, gemms = gemms, []
         grad_out = gen.standard_normal(out.shape)
-        # Only the weight gradient calls np.matmul in backward: the input
-        # gradient's GEMMs all add.
-        monkeypatch.setattr(nn.np, "matmul", recording_matmul)
         gx, _ = layer.backward(grad_out, cache)
         monkeypatch.undo()
         assert (cache is x) == (pad == 0)
+        assert [trans_b for *_, trans_b in calls] == [False, True, False]
+        (fb, fc, forward, _), (wb, _, weight, _), (gb, gc, grad_in, _) = calls
+
+        def extents(table, trans_b):
+            """First and one-past-last element of each entry's b and c."""
+            ia, ib, ic, m, n, k, lda, ldb, ldc, beta = table.T
+            rows, cols = (n, k) if trans_b else (k, n)
+            return (ib, ib + (rows - 1) * ldb + cols), (ic, ic + (m - 1) * ldc + n)
+
         per_row = 1 if c == 1 else k
         rows = k * c * (k if c == 1 else 1)
-        assert [b.shape for b, _, _ in forward] == [(rows, ow * 2)] * (oh * per_row)
-        assert [acc for _, _, acc in forward] == [j > 0 for j in range(per_row)] * oh
-        assert all(np.shares_memory(o, out) for _, o, _ in forward)
-        assert [b.shape for b in matmuls] == [(ow * 2, rows)] * (oh * per_row)
-        windows = [b for b, _, _ in forward] + matmuls
+        assert forward[:, 3:6].tolist() == [[4, ow * 2, rows]] * (oh * per_row)
+        assert forward[:, 9].tolist() == [j > 0 for j in range(per_row)] * oh
+        assert weight[:, 3:6].tolist() == [[4, rows, ow * 2]] * (oh * per_row)
+        assert weight[:, 9].tolist() == [0] * (oh * per_row)
+        assert np.shares_memory(fc, out) and fc.size == out.size
+        for table, base, trans_b in ((forward, fb, False), (weight, wb, True)):
+            (b0, b1), _ = extents(table, trans_b)
+            assert b0.min() >= 0 and b1.max() <= base.size
+        (_, _), (c0, c1) = extents(forward, False)
+        assert c0.min() >= 0 and c1.max() <= fc.size
         if c == 1:
-            assert not any(np.shares_memory(b, cache) for b in windows)
-            for first in (0, oh):
-                assert all(np.shares_memory(b, windows[first])
-                           for b in windows[first:first + oh])
+            for b in (fb, wb):
+                assert b.shape == (k, k, ow * 2) and not np.shares_memory(b, cache)
+            assert not forward[:, 1].any() and not weight[:, 1].any()
         else:
-            assert all(np.shares_memory(b, cache) for b in windows)
+            assert fb is cache and wb is cache
         reached = sum(1 for i in range(oh) for dc in range(k)
                       if any(0 <= i + dr - pad < h for dr in range(k))
                       and any(0 <= j + dc - pad < w for j in range(ow)))
-        assert len(gemms) == reached
-        for b, o, acc in gemms:
-            assert acc and np.shares_memory(b, grad_out) and np.shares_memory(o, gx)
+        assert len(grad_in) == reached and grad_in[:, 9].all()
+        assert np.shares_memory(gb, grad_out) and gb.size == grad_out.size
+        assert np.shares_memory(gc, gx) and gc.size == gx.size
+        (b0, b1), (c0, c1) = extents(grad_in, False)
+        assert b0.min() >= 0 and b1.max() <= gb.size
+        assert c0.min() >= 0 and c1.max() <= gc.size
 
     @pytest.mark.parametrize("pad", [0, 2])
     def test_one_channel_conv_matches_per_kernel_column_reference(self, pad):
@@ -961,8 +970,9 @@ def parent_form_forward(layer, x):
 
 
 class TestConvGemms:
-    """Conv GEMMs that add into their output do it inside numpy's OpenBLAS
-    (nn._gemm), or, without its dgemm symbol, through numpy."""
+    """Conv GEMMs run from a table of offsets (nn._gemms): each one call of
+    numpy's OpenBLAS dgemm, adding inside it, or, without its dgemm symbol,
+    numpy on views."""
 
     def passes(self, layer, x, grad_out):
         out, cache = layer.forward(x)
@@ -1008,26 +1018,33 @@ class TestConvGemms:
             pytest.skip("numpy bundles no OpenBLAS dgemm")
         self.check_branches(monkeypatch, c, 4, k, pad, h, w, 2, k * 100 + pad * 10 + h)
 
-    @pytest.mark.parametrize("bad", ["float32", "transposed", "strided", "shapes", "out-shape"])
-    def test_gemm_refuses_operands_before_blas(self, bad, monkeypatch):
+    @pytest.mark.parametrize("bad", ["extent", "row-stride", "negative-offset", "float32",
+                                     "non-contiguous", "read-only"])
+    def test_gemms_refuse_a_table_before_blas(self, bad, monkeypatch):
         calls = []
         monkeypatch.setattr(nn, "_DGEMM", lambda *args: calls.append(args))
         a, b, out = np.ones((3, 4)), np.ones((4, 5)), np.zeros((3, 5))
-        if bad == "float32":
+        # Two products of a, (3, 4), and b, (4, 5), into out, the second
+        # adding: (ia, ib, ic, m, n, k, lda, ldb, ldc, beta).
+        good = [0, 0, 0, 3, 5, 4, 4, 5, 5, [0, 1]]
+        entries = list(good)
+        if bad == "extent":
+            entries[1] = [0, 1]  # the second b would end one element past b
+        elif bad == "row-stride":
+            entries[8] = 4  # rows of out overlap
+        elif bad == "negative-offset":
+            entries[2] = [0, -5]
+        elif bad == "float32":
             b = b.astype(np.float32)
-        elif bad == "transposed":
-            b = np.ones((5, 4)).T
-        elif bad == "strided":
+        elif bad == "non-contiguous":
             b = np.ones((4, 10))[:, ::2]
-        elif bad == "shapes":
-            a = np.ones((3, 2))
         else:
-            out = np.zeros((5, 3))
+            out.flags.writeable = False
         with pytest.raises(ValueError):
-            nn._gemm(a, b, out, True)
+            list(nn._gemms(a, b, out, entries))
         assert calls == [] and not out.any()
-        nn._gemm(np.ones((3, 4)), np.ones((4, 5)), np.zeros((3, 5)), True)
-        assert len(calls) == 1
+        list(nn._gemms(np.ones((3, 4)), np.ones((4, 5)), np.zeros((3, 5)), good))
+        assert len(calls) == 2
 
 
 class TestInvariants:
