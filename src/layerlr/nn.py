@@ -102,7 +102,6 @@ def _gemms(a, b, c, entries, trans_b=False, before=None):
     if not ((at >= 0) & (rows > 0) & (cols > 0) & (ld >= cols)
             & (at + (rows - 1) * ld + cols <= (a.size, b.size, c.size))).all():
         raise ValueError("a GEMM reaches outside its arrays")
-    trans = 112 if trans_b else 111
     pa, pb, pc = (x.ctypes.data for x in (a, b, c))
 
     def view(x, at, rows, cols, ld):
@@ -112,9 +111,9 @@ def _gemms(a, b, c, entries, trans_b=False, before=None):
             before(i)
         for ia, ib, ic, m, n, k, lda, ldb, ldc, beta in row:
             if _DGEMM is not None and (beta or min(m, n) > 1):
-                # Row-major, a as it is, b as it is or transposed (CBLAS 101, 111, trans).
-                _DGEMM(101, 111, trans, m, n, k, 1.0, pa + 8 * ia, lda, pb + 8 * ib, ldb,
-                       beta, pc + 8 * ic, ldc)
+                # Row-major, a as it is, b as it is or transposed (CBLAS 101, 111, 112).
+                _DGEMM(101, 111, 112 if trans_b else 111, m, n, k, 1.0, pa + 8 * ia, lda,
+                       pb + 8 * ib, ldb, beta, pc + 8 * ic, ldc)
                 continue
             op = view(b, ib, n, k, ldb).T if trans_b else view(b, ib, k, n, ldb)
             out = view(c, ic, m, n, ldc)
@@ -253,9 +252,8 @@ class Conv2D(Layer):
         return (self.out_channels, oh, ow)
 
     def _windows(self, x, oh, ow):
-        """(base, ib, ldb, before) for _gemms of the b operand of output row
-        i's GEMM j, a window of the padded input x or, with one channel, the
-        block into which before(i) copies row i's k windows."""
+        """(base, ib, ldb, before) of the b operand of output row i's GEMM j:
+        a window of x, or the one-channel block into which before(i) copies."""
         (hp, c, wp, n), k = x.shape, self.kernel_size
         if c > 1:
             return x, np.arange(oh)[:, None] * (c * wp * n) + np.arange(k) * n, wp * n, None
@@ -273,10 +271,10 @@ class Conv2D(Layer):
             xp = np.zeros((h + 2 * p, c, w + 2 * p, n))
             xp[p:p + h, :, p:p + w] = x
             x = xp
-        # wk[j], (oc, kc), holds kernel column j's weights, or with one
-        # channel all of them, its columns in the b operand's row order.
-        # Output row i, (oc, ow*n), is the sum of its GEMMs, each after the
-        # first added inside BLAS, plus the bias, added while it is in cache.
+        # wk[j], (oc, kc), holds kernel column j's weights (with one channel,
+        # all of them) in the b operand's row order. Output row i is the sum
+        # of its GEMMs, each after the first added inside BLAS, then the bias,
+        # added in cache by one more GEMM: bias column times a row of ones.
         groups = 1 if c == 1 else k
         kc = k * k * c // groups
         wk = self.params[0].reshape(oc, c, k, groups, -1).transpose(3, 0, 4, 2, 1)
@@ -284,9 +282,11 @@ class Conv2D(Layer):
         src, ib, ldb, before = self._windows(x, oh, ow)
         i, j = np.arange(oh)[:, None], np.arange(groups)
         out = np.empty((oh, oc, ow * n))
-        for r in _gemms(wk, src, out, (j * (oc * kc), ib, i * (oc * ow * n), oc, ow * n, kc, kc,
+        bias = _gemms(self.params[1], np.ones(ow * n), out,
+                      (0, 0, i * (oc * ow * n), oc, ow * n, 1, 1, ow * n, ow * n, 1))
+        for _ in _gemms(wk, src, out, (j * (oc * kc), ib, i * (oc * ow * n), oc, ow * n, kc, kc,
                                        ldb, ow * n, j > 0), before=before):
-            out[r] += self.params[1][:, None]
+            next(bias)
         return out.reshape(oh, oc, ow, n), x
 
     def backward(self, grad_out, cache, need_grad_in=True):

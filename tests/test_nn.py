@@ -548,7 +548,8 @@ class TestConvAndPoolOracles:
         # output row each, on the row's k windows copied into one
         # (k*k, ow*n) block, one buffer for every row of a pass. The input
         # gradient adds one GEMM per output row and kernel column that
-        # reaches the input, from grad_out into gx.
+        # reaches the input, from grad_out into gx. Forward adds the bias
+        # into each output row by one more GEMM, with k = 1.
         gen = rng.generator(26, k * 1000 + 100 + pad * 10 + h)
         layer = Conv2D(c, 4, k, padding=pad, init_gen=gen)
         x = batch_last(gen.standard_normal((2, c, h, w)))
@@ -567,8 +568,8 @@ class TestConvAndPoolOracles:
         gx, _ = layer.backward(grad_out, cache)
         monkeypatch.undo()
         assert (cache is x) == (pad == 0)
-        assert [trans_b for *_, trans_b in calls] == [False, True, False]
-        (fb, fc, forward, _), (wb, _, weight, _), (gb, gc, grad_in, _) = calls
+        assert [trans_b for *_, trans_b in calls] == [False, False, True, False]
+        (_, bc, bias, _), (fb, fc, forward, _), (wb, _, weight, _), (gb, gc, grad_in, _) = calls
 
         def extents(table, trans_b):
             """First and one-past-last element of each entry's b and c."""
@@ -582,12 +583,14 @@ class TestConvAndPoolOracles:
         assert forward[:, 9].tolist() == [j > 0 for j in range(per_row)] * oh
         assert weight[:, 3:6].tolist() == [[4, rows, ow * 2]] * (oh * per_row)
         assert weight[:, 9].tolist() == [0] * (oh * per_row)
-        assert np.shares_memory(fc, out) and fc.size == out.size
+        assert bias[:, 3:6].tolist() == [[4, ow * 2, 1]] * oh and bias[:, 9].all()
+        assert bc is fc and np.shares_memory(fc, out) and fc.size == out.size
         for table, base, trans_b in ((forward, fb, False), (weight, wb, True)):
             (b0, b1), _ = extents(table, trans_b)
             assert b0.min() >= 0 and b1.max() <= base.size
-        (_, _), (c0, c1) = extents(forward, False)
-        assert c0.min() >= 0 and c1.max() <= fc.size
+        for table in (bias, forward):
+            (_, _), (c0, c1) = extents(table, False)
+            assert c0.min() >= 0 and c1.max() <= fc.size
         if c == 1:
             for b in (fb, wb):
                 assert b.shape == (k, k, ow * 2) and not np.shares_memory(b, cache)
