@@ -85,11 +85,11 @@ def _gemms(a, b, c, entries, trans_b=False, before=None):
     n x k one there, transposed). Per row i: before(i) if given, the row's
     products in order, then yield i. All extents are checked before the
     first product; each is then one dgemm call on base address plus offset
-    (beta = 1 adds inside BLAS), but np.matmul writes one of one row or
-    column, which it takes to gemv. Without the symbol all are np.matmul or
-    `+= @` on views: the same bits while a product has two rows and two
-    columns and k fits one OpenBLAS block (384 on AVX-512 x86-64), as in
-    every conv of lenet and cifar-quick."""
+    (beta = 1 adds inside BLAS), but a write of one row or one column is
+    np.matmul's, which takes it to gemv. Without the symbol all are
+    np.matmul or `+= @` on views: the same bits while a product has two
+    rows and two columns and k fits one OpenBLAS block (384 on AVX-512
+    x86-64), as in every conv of lenet and cifar-quick."""
     if any(x.dtype != np.float64 or not x.flags.c_contiguous for x in (a, b, c)) \
             or not c.flags.writeable:
         raise ValueError("GEMMs take C-contiguous float64 arrays and a writeable output")
