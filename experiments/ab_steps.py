@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 
 BATCH = 64
-INPUTS = {"lenet": (1, 28, 28), "cifar-quick": (3, 32, 32), "mlp:500-300": (1, 28, 28)}
+ARCHS = ("lenet", "cifar-quick", "mlp:500-300")
 
 
 def load(checkout):
@@ -60,7 +60,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a", help="checkout root of side A")
     ap.add_argument("b", help="checkout root of side B")
-    ap.add_argument("--arch", choices=sorted(INPUTS), default="lenet")
+    ap.add_argument("--arch", choices=ARCHS, default="lenet")
     ap.add_argument("--steps", type=int, default=30, help="rounds, one step and one predict each")
     args = ap.parse_args(argv)
     if args.steps < 1:
@@ -68,12 +68,14 @@ def main(argv=None):
     sides = [load(args.a), load(args.b)]
     if not sides[0].harness.pin_one_blas_thread():
         print("warning: no OpenBLAS thread setter found; BLAS may use several threads")
-    nets = [s.nn.network_from_spec(args.arch, INPUTS[args.arch], 10, seed=0) for s in sides]
+    # The fixed nets' own input shapes; the mlp takes MNIST's.
+    shape = sides[0].nn.FIXED_INPUTS.get(args.arch, (1, 28, 28))
+    nets = [s.nn.network_from_spec(args.arch, shape, 10, seed=0) for s in sides]
     opts = [s.optim.make_optimizer("momentum", 0.0005, layerwise=True) for s in sides]
     gen = np.random.default_rng(0)
     ms = {"step": ([], []), "predict": ([], [])}
     for r in range(args.steps):
-        x = gen.standard_normal((BATCH,) + INPUTS[args.arch])
+        x = gen.standard_normal((BATCH,) + shape)
         y = gen.integers(0, 10, size=BATCH)
         order = (0, 1) if r % 2 == 0 else (1, 0)
         for s in order:
